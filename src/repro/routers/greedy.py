@@ -20,7 +20,8 @@ control (water-filling) to see what rates materialize.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import InfeasibleRoutingError
 from repro.core.flows import Flow, FlowCollection
@@ -54,6 +55,64 @@ def macro_switch_demands(
     return allocation.rates()
 
 
+def resolve_demands(
+    network: ClosNetwork,
+    flows: FlowCollection,
+    demands: Optional[Mapping[Flow, Fraction]],
+) -> Mapping[Flow, Fraction]:
+    """``demands``, defaulting to the macro-switch rates when ``None``.
+
+    A given map must cover every flow: the demand-aware routers would
+    otherwise fail with a bare ``KeyError`` partway through placement.
+    """
+    if demands is None:
+        return macro_switch_demands(network, flows)
+    undemanded = [f for f in flows if f not in demands]
+    if undemanded:
+        raise InfeasibleRoutingError(f"no demand given for flows: {undemanded!r}")
+    return demands
+
+
+class LinkLoads:
+    """Interior-link loads of a Clos routing as exact scaled integers.
+
+    Every demand is multiplied by the LCM of the demand denominators, so
+    each flow's ``weight`` is an ``int`` and link loads add and compare
+    exactly like the ``Fraction`` sums they stand for (the scale is
+    positive, so order is kept).  ``up[i][m]`` is the load of the ToR
+    ``i`` → middle ``m`` link, ``down[o][m]`` that of middle ``m`` → ToR
+    ``o``; ``up_count``/``down_count`` count the flows on each link, so a
+    link carrying only zero-demand flows is still told apart from an
+    unused one.
+    """
+
+    def __init__(
+        self,
+        network: ClosNetwork,
+        flows: FlowCollection,
+        demands: Mapping[Flow, Fraction],
+    ) -> None:
+        exact = {f: Fraction(demands[f]) for f in flows}
+        scale = lcm(*(q.denominator for q in exact.values()))
+        self.weight: Dict[Flow, int] = {
+            f: q.numerator * (scale // q.denominator) for f, q in exact.items()
+        }
+        rows, cols = 2 * network.n + 1, network.num_middles + 1
+        self.up: List[List[int]] = [[0] * cols for _ in range(rows)]
+        self.down: List[List[int]] = [[0] * cols for _ in range(rows)]
+        self.up_count: List[List[int]] = [[0] * cols for _ in range(rows)]
+        self.down_count: List[List[int]] = [[0] * cols for _ in range(rows)]
+
+    def place(self, flow: Flow, m: int, sign: int = 1) -> None:
+        """Add ``flow`` to its two links via middle ``m`` (``sign=-1`` removes it)."""
+        i, o = flow.source.switch, flow.dest.switch
+        d = sign * self.weight[flow]
+        self.up[i][m] += d
+        self.down[o][m] += d
+        self.up_count[i][m] += sign
+        self.down_count[o][m] += sign
+
+
 def greedy_least_congested(
     network: ClosNetwork,
     flows: FlowCollection,
@@ -66,43 +125,29 @@ def greedy_least_congested(
     making the router deterministic.
     """
     check_flows_in_network(network, flows)
-    if demands is None:
-        demands = macro_switch_demands(network, flows)
-    else:
-        undemanded = [f for f in flows if f not in demands]
-        if undemanded:
-            raise InfeasibleRoutingError(
-                f"no demand given for flows: {undemanded!r}"
-            )
+    demands = resolve_demands(network, flows, demands)
+    loads = LinkLoads(network, flows, demands)
+    weight = loads.weight
 
     n = network.num_middles
-    up: Dict[Tuple[int, int], Fraction] = {}
-    down: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(1, 2 * network.n + 1):
-        for m in range(1, n + 1):
-            up[(i, m)] = Fraction(0)
-            down[(m, i)] = Fraction(0)
-
-    order = sorted(flows, key=lambda f: (-demands[f], f.source, f.dest, f.tag))
+    order = sorted(flows, key=lambda f: (-weight[f], f.source, f.dest, f.tag))
     middles: Dict[Flow, int] = {}
     with trace_span("router.greedy", flows=len(order)):
         for flow in order:
-            demand = Fraction(demands[flow])
-            i, o = flow.source.switch, flow.dest.switch
+            up, down = loads.up[flow.source.switch], loads.down[flow.dest.switch]
             best_m, best_congestion = 1, None
             for m in range(1, n + 1):
                 # max(up + d, down + d) = max(up, down) + d: the flow's
                 # own demand shifts every candidate equally, so compare
-                # without the 2n Fraction additions per placement.
-                congestion = up[(i, m)]
-                downlink = down[(m, o)]
+                # without it.
+                congestion = up[m]
+                downlink = down[m]
                 if downlink > congestion:
                     congestion = downlink
                 if best_congestion is None or congestion < best_congestion:
                     best_m, best_congestion = m, congestion
             middles[flow] = best_m
             _DECISIONS.inc()
-            up[(i, best_m)] += demand
-            down[(best_m, o)] += demand
+            loads.place(flow, best_m)
 
     return Routing.from_middles(network, flows, middles)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.errors import InfeasibleRoutingError
 from repro.core.flows import Flow, FlowCollection
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork
 from repro.obs import counter
-from repro.routers.greedy import check_flows_in_network, macro_switch_demands
+from repro.routers.greedy import LinkLoads, check_flows_in_network, resolve_demands
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _DECISIONS = counter("router.two_choice.path_decisions")
@@ -46,22 +46,14 @@ def two_choice_routing(
     if choices < 1:
         raise InfeasibleRoutingError(f"choices must be >= 1, got {choices}")
     check_flows_in_network(network, flows)
-    if demands is None:
-        demands = macro_switch_demands(network, flows)
+    demands = resolve_demands(network, flows, demands)
+    loads = LinkLoads(network, flows, demands)
 
     rng = random.Random(seed)
     num_middles = network.num_middles
-    up: Dict[Tuple[int, int], Fraction] = {}
-    down: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(1, 2 * network.n + 1):
-        for m in range(1, num_middles + 1):
-            up[(i, m)] = Fraction(0)
-            down[(m, i)] = Fraction(0)
-
     middles: Dict[Flow, int] = {}
     for flow in flows:
-        demand = Fraction(demands[flow])
-        i, o = flow.source.switch, flow.dest.switch
+        up, down = loads.up[flow.source.switch], loads.down[flow.dest.switch]
         sample_size = min(choices, num_middles)
         candidates = rng.sample(range(1, num_middles + 1), sample_size)
         best_m, best_congestion = None, None
@@ -69,12 +61,11 @@ def two_choice_routing(
             _PROBES.inc()
             # max(up + d, down + d) = max(up, down) + d: comparing
             # without the flow's own demand picks the same candidate.
-            congestion = max(up[(i, m)], down[(m, o)])
+            congestion = max(up[m], down[m])
             if best_congestion is None or congestion < best_congestion:
                 best_m, best_congestion = m, congestion
         middles[flow] = best_m
         _DECISIONS.inc()
-        up[(i, best_m)] += demand
-        down[(best_m, o)] += demand
+        loads.place(flow, best_m)
 
     return Routing.from_middles(network, flows, middles)
