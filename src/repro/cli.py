@@ -145,9 +145,6 @@ def run_e4(args: argparse.Namespace) -> None:
         check_local_optimality=False,
         jobs=getattr(args, "jobs", 1),
         backend=backend,
-        # The O(F·P) bottleneck certificate is fine at the default sizes
-        # but dominates the quotient solve at n ≥ 64.
-        certify=backend != "quotient" or max(sizes) < 32,
     )
     print(
         format_series(

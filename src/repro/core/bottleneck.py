@@ -10,13 +10,25 @@ is the verification route the paper itself uses ("the proof follows from
 the routine application of the bottleneck property", Lemmas 4.4/4.6) —
 so our theorem tests certify the paper's posited allocations exactly the
 way the proofs do.
+
+Every check here rests on one scan that walks each routed path once,
+filling each link's load and maximum member rate together.  With
+``tol == 0`` and only ``int``/``Fraction`` rates and finite capacities,
+the scan first multiplies every value by the LCM of their denominators
+(:func:`common_scale`), so loads, saturation and max-member tests are
+exact integer operations equivalent to the ``Fraction`` ones; otherwise
+it runs on the raw values, with the same summation order and absolute
+``tol`` tests as a direct per-link sum.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import math
+from fractions import Fraction
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
 
-from repro.core.allocation import Allocation, Rate, is_feasible
+from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
 
@@ -26,6 +38,117 @@ _INF = float("inf")
 def _bump(value: Rate, tol: float) -> Rate:
     """``value + tol`` without coercing exact rates to float when ``tol == 0``."""
     return value + tol if tol else value
+
+
+def common_scale(values: Iterable[Rate]) -> Optional[int]:
+    """The LCM of the denominators of ``values``; ``None`` if one is inexact.
+
+    Multiplying each ``int``/``Fraction`` value by the result puts it on
+    the integers, where sums and comparisons are exact and cheap.  The
+    denominators are collected as ints: hashing a ``Fraction`` costs
+    more than the arithmetic it would save.
+
+    >>> common_scale([Fraction(1, 4), 2, Fraction(5, 6)])
+    12
+    >>> common_scale([Fraction(1, 2), 0.5]) is None
+    True
+    """
+    denominators = set()
+    for value in values:
+        cls = value.__class__
+        if cls is Fraction:
+            denominators.add(value.denominator)
+        elif cls is not int:
+            return None
+    return math.lcm(*denominators)
+
+
+class _Scan(NamedTuple):
+    """What one walk over the routed paths found, in scan units."""
+
+    scale: Optional[int]  # None: the raw values
+    values: List[Optional[Rate]]  # per routed flow; None = no rate
+    missing: List[Flow]  # routed flows without a rate
+    overloaded: List[Link]  # beyond capacity (+ tol), first-traversal order
+    bars: Dict[Link, Rate]  # saturated link -> its maximum member value
+
+
+def _scaled(value: Rate, scale: Optional[int]) -> Rate:
+    if scale is None:
+        return value
+    return value.numerator * (scale // value.denominator)
+
+
+def _scan(
+    routing: Routing,
+    allocation: Allocation,
+    capacities: Mapping[Link, Rate],
+    tol: float,
+) -> _Scan:
+    rates = allocation.rates()
+    flows = routing.flows()
+    values = [rates.get(flow) for flow in flows]
+    missing = [flow for flow, value in zip(flows, values) if value is None]
+    scale = None
+    if not tol:
+        scale = common_scale(chain(
+            (value for value in values if value is not None),
+            (c for c in capacities.values() if c != _INF),
+        ))
+    if scale is not None:
+        values = [
+            None if value is None else _scaled(value, scale)
+            for value in values
+        ]
+    links: Dict[Link, List[Rate]] = {}  # link -> [load, max member value]
+    for (_, path), value in zip(routing.items(), values):
+        if value is None:
+            continue
+        for link in zip(path, path[1:]):
+            entry = links.get(link)
+            if entry is None:
+                # 0 + value: the same value and type a sum from 0 has.
+                links[link] = [0 + value, value]
+            else:
+                entry[0] += value
+                if value > entry[1]:
+                    entry[1] = value
+    overloaded: List[Link] = []
+    bars: Dict[Link, Rate] = {}
+    for link, (load, top) in links.items():
+        capacity = capacities[link]
+        if capacity == _INF:
+            continue
+        capacity = _scaled(capacity, scale)
+        if load > _bump(capacity, tol):
+            overloaded.append(link)
+        if not abs(load - capacity) > tol:
+            bars[link] = top
+    return _Scan(scale, values, missing, overloaded, bars)
+
+
+def _without_bottleneck(
+    routing: Routing, scan: _Scan, tol: float
+) -> List[Flow]:
+    """Flows with no saturated link on which their rate is maximal.
+
+    Whether a rate is maximal on a link depends only on the link's
+    maximum, so each saturated link carries just that.  A flow without
+    a rate has no bottleneck either.
+    """
+    result: List[Flow] = []
+    for (flow, path), value in zip(routing.items(), scan.values):
+        if value is None:
+            result.append(flow)
+            continue
+        level = _bump(value, tol)
+        for link in zip(path, path[1:]):
+            bar = scan.bars.get(link)
+            if bar is not None and bar <= level:
+                break
+        else:
+            result.append(flow)
+    return result
 
 
 def link_loads(routing: Routing, allocation: Allocation) -> Dict[Link, Rate]:
@@ -51,19 +174,15 @@ def bottleneck_links(
     across it equals the capacity (within ``tol``) and the flow's rate is
     maximal among the flows crossing it (within ``tol``).
     """
-    loads = link_loads(routing, allocation)
-    members = routing.flows_per_link()
+    scan = _scan(routing, allocation, capacities, tol)
+    if scan.missing:
+        raise KeyError(scan.missing[0])
     rate = allocation.rate(flow)
-    result: List[Link] = []
-    for link in routing.links_of(flow):
-        capacity = capacities[link]
-        if capacity == _INF:
-            continue
-        if abs(loads[link] - capacity) > tol:
-            continue
-        if all(allocation.rate(g) <= _bump(rate, tol) for g in members[link]):
-            result.append(link)
-    return result
+    path = routing.links_of(flow)
+    level = _bump(_scaled(rate, scan.scale), tol)
+    return [
+        link for link in path if link in scan.bars and scan.bars[link] <= level
+    ]
 
 
 def flows_without_bottleneck(
@@ -72,34 +191,13 @@ def flows_without_bottleneck(
     capacities: Mapping[Link, Rate],
     tol: float = 0.0,
 ) -> List[Flow]:
-    """Flows that have **no** bottleneck link (empty iff max-min fair)."""
-    loads = link_loads(routing, allocation)
-    members = routing.flows_per_link()
-    # "flow's rate is maximal among flows crossing the link" depends only
-    # on the link's maximum rate, so precompute it once per link instead
-    # of rescanning the member list per (flow, link) pair — the n = 64
-    # certifications cross links with thousands of members.
-    link_max: Dict[Link, Rate] = {
-        link: max(allocation.rate(g) for g in flows_on)
-        for link, flows_on in members.items()
-        if flows_on
-    }
-    missing: List[Flow] = []
-    for flow in routing.flows():
-        rate = allocation.rate(flow)
-        has_bottleneck = False
-        for link in routing.links_of(flow):
-            capacity = capacities[link]
-            if capacity == _INF:
-                continue
-            if abs(loads[link] - capacity) > tol:
-                continue
-            if link_max[link] <= _bump(rate, tol):
-                has_bottleneck = True
-                break
-        if not has_bottleneck:
-            missing.append(flow)
-    return missing
+    """Flows that have **no** bottleneck link (empty iff max-min fair).
+
+    Routed flows the allocation assigns no rate are listed too.
+    """
+    return _without_bottleneck(
+        routing, _scan(routing, allocation, capacities, tol), tol
+    )
 
 
 def is_max_min_fair(
@@ -108,10 +206,16 @@ def is_max_min_fair(
     capacities: Mapping[Link, Rate],
     tol: float = 0.0,
 ) -> bool:
-    """Lemma 2.2 check: feasible and every flow has a bottleneck link."""
-    if not is_feasible(routing, allocation, capacities, tol=tol):
-        return False
-    return not flows_without_bottleneck(routing, allocation, capacities, tol=tol)
+    """Lemma 2.2 check: feasible and every flow has a bottleneck link.
+
+    ``False`` when a routed flow has no rate.
+    """
+    scan = _scan(routing, allocation, capacities, tol)
+    return not (
+        scan.missing
+        or scan.overloaded
+        or _without_bottleneck(routing, scan, tol)
+    )
 
 
 def certify_max_min_fair(
@@ -120,16 +224,22 @@ def certify_max_min_fair(
     capacities: Mapping[Link, Rate],
     tol: float = 0.0,
 ) -> Optional[str]:
-    """Return ``None`` if max-min fair, else a human-readable defect report."""
-    if not is_feasible(routing, allocation, capacities, tol=tol):
+    """Return ``None`` if max-min fair, else a human-readable defect report.
+
+    The report names, in this order of precedence: routed flows with no
+    rate, overloaded links (with loads in the allocation's units), or
+    flows without a bottleneck link.
+    """
+    scan = _scan(routing, allocation, capacities, tol)
+    if scan.missing:
+        return f"no rate assigned to routed flows: {scan.missing!r}"
+    if scan.overloaded:
         loads = link_loads(routing, allocation)
         violated = [
-            (link, loads[link], capacities[link])
-            for link in loads
-            if capacities[link] != _INF and loads[link] > _bump(capacities[link], tol)
+            (link, loads[link], capacities[link]) for link in scan.overloaded
         ]
         return f"infeasible allocation; overloaded links: {violated!r}"
-    missing = flows_without_bottleneck(routing, allocation, capacities, tol=tol)
+    missing = _without_bottleneck(routing, scan, tol)
     if missing:
         return f"flows without a bottleneck link: {missing!r}"
     return None

@@ -71,10 +71,12 @@ __all__ = [
 
 
 def validate_capacities(
-    link_flows: Mapping[Link, List[Flow]],
+    link_flows: Mapping[Link, object],
     capacities: Mapping[Link, Rate],
 ) -> None:
     """Reject capacity maps the water-filling algorithms cannot consume.
+
+    ``link_flows`` is keyed by the traversed links; only its keys are read.
 
     Raises :class:`~repro.errors.UnknownLinkError` naming *every*
     traversed link absent from ``capacities``, or

@@ -109,109 +109,141 @@ def build_quotient(
     :class:`~repro.errors.UnboundedRateError` if some flow crosses only
     infinite links.
     """
-    link_flows = routing.flows_per_link()
-    validate_capacities(link_flows, capacities)
+    # Index paths and links once, in first-traversal order.  Flows on one
+    # path get equal colors in every round, so refinement runs on the
+    # distinct paths, each weighted by its flow count, with int ids and
+    # int colors instead of hashing flows and links.
     flows = routing.flows()
+    path_id: Dict[tuple, int] = {}
+    flow_path: List[int] = []  # flow id -> path id
+    weight: List[int] = []  # path id -> flows on the path
+    path_links: List[List[int]] = []  # path id -> link ids along it
+    link_id: Dict[Link, int] = {}
+    link_paths: List[List[int]] = []  # link id -> path ids crossing it
+    for _, path in routing.items():
+        p = path_id.get(path)
+        if p is None:
+            p = path_id[path] = len(path_links)
+            ids = []
+            for link in zip(path, path[1:]):
+                j = link_id.get(link)
+                if j is None:
+                    j = link_id[link] = len(link_paths)
+                    link_paths.append([])
+                link_paths[j].append(p)
+                ids.append(j)
+            path_links.append(ids)
+            weight.append(0)
+        weight[p] += 1
+        flow_path.append(p)
+    validate_capacities(link_id, capacities)
 
-    finite: Dict[Link, Fraction] = {}
-    for link in link_flows:
+    # Finite links, renumbered 0.. in the same order.
+    links: List[Link] = []
+    capacity_of: List[Fraction] = []
+    finite_id = [-1] * len(link_paths)
+    for link, j in link_id.items():
         capacity = capacities[link]
         if float(capacity) != _INF:
-            finite[link] = Fraction(capacity)
-
-    flow_links: Dict[Flow, List[Link]] = {}
-    unbounded: List[Flow] = []
-    for flow in flows:
-        mine = [l for l in routing.links_of(flow) if l in finite]
-        if not mine:
-            unbounded.append(flow)
-        flow_links[flow] = mine
+            finite_id[j] = len(links)
+            links.append(link)
+            capacity_of.append(Fraction(capacity))
+    link_paths = [link_paths[j] for j, k in enumerate(finite_id) if k >= 0]
+    path_links = [
+        [finite_id[j] for j in ids if finite_id[j] >= 0] for ids in path_links
+    ]
+    unbounded = [
+        flow for flow, p in zip(flows, flow_path) if not path_links[p]
+    ]
     if unbounded:
         raise UnboundedRateError(
             f"flows with no finite-capacity link on their path: {unbounded!r}"
         )
 
     # --- color refinement to a fixpoint -----------------------------------
-    # Colors are small ints; each round re-canonicalizes the (old color,
-    # sorted neighbor-color multiset) signatures through a dict.
-    link_color: Dict[Link, int] = {}
+    # Colors are small ints numbered by first appearance; each round
+    # re-canonicalizes the (old color, neighbor-color multiset)
+    # signatures through a dict.  A link's multiset is kept as sorted
+    # (color, flow count) pairs.
     palette: Dict[Fraction, int] = {}
-    for link, capacity in finite.items():
-        link_color[link] = palette.setdefault(capacity, len(palette))
-    flow_color: Dict[Flow, int] = {flow: 0 for flow in flows}
+    link_color = [
+        palette.setdefault(capacity, len(palette)) for capacity in capacity_of
+    ]
+    link_count = len(palette)
+    path_color = [0] * len(path_links)
+    path_count = 1 if path_links else 0
 
     while True:
         _REFINEMENTS.inc()
         sig_pal: Dict[tuple, int] = {}
-        new_flow = {
-            flow: sig_pal.setdefault(
-                (flow_color[flow],
-                 tuple(sorted(link_color[l] for l in flow_links[flow]))),
+        path_color = [
+            sig_pal.setdefault(
+                (color, tuple(sorted([link_color[k] for k in mine]))),
                 len(sig_pal),
             )
-            for flow in flows
-        }
-        flow_stable = len(sig_pal) == len(set(flow_color.values()))
+            for color, mine in zip(path_color, path_links)
+        ]
+        path_stable = len(sig_pal) == path_count
+        path_count = len(sig_pal)
 
         sig_pal = {}
-        new_link = {
-            link: sig_pal.setdefault(
-                (link_color[link],
-                 tuple(sorted(new_flow[f] for f in link_flows[link]))),
+        link_color = [
+            sig_pal.setdefault(
+                (color, tuple(sorted(
+                    _class_counts(crossing, path_color, weight).items()
+                ))),
                 len(sig_pal),
             )
-            for link in finite
-        }
-        link_stable = len(sig_pal) == len(set(link_color.values()))
+            for color, crossing in zip(link_color, link_paths)
+        ]
+        link_stable = len(sig_pal) == link_count
+        link_count = len(sig_pal)
 
-        flow_color, link_color = new_flow, new_link
-        if flow_stable and link_stable:
+        if path_stable and link_stable:
             break
 
     # --- assemble the quotient --------------------------------------------
-    flow_classes: List[List[Flow]] = []
-    flow_class_of: Dict[Flow, int] = {}
-    index: Dict[int, int] = {}
-    for flow in flows:
-        color = flow_color[flow]
-        if color not in index:
-            index[color] = len(flow_classes)
-            flow_classes.append([])
-        flow_class_of[flow] = index[color]
-        flow_classes[index[color]].append(flow)
+    # Paths are numbered by their first flow, so colors number classes by
+    # first appearance in flow order: color == class index.
+    flow_classes: List[List[Flow]] = [[] for _ in range(path_count)]
+    for flow, p in zip(flows, flow_path):
+        flow_classes[path_color[p]].append(flow)
+    link_classes: List[List[Link]] = [[] for _ in range(link_count)]
+    for link, color in zip(links, link_color):
+        link_classes[color].append(link)
 
-    link_classes: List[List[Link]] = []
-    link_class_of: Dict[Link, int] = {}
-    index = {}
-    for link in finite:
-        color = link_color[link]
-        if color not in index:
-            index[color] = len(link_classes)
-            link_classes.append([])
-        link_class_of[link] = index[color]
-        link_classes[index[color]].append(link)
-
-    capacity = [finite[cls[0]] for cls in link_classes]
-    crossing: List[Dict[int, int]] = []
-    for cls in link_classes:
-        counts: Dict[int, int] = {}
-        for f in link_flows[cls[0]]:
-            i = flow_class_of[f]
-            counts[i] = counts.get(i, 0) + 1
-        crossing.append(counts)
-    adjacency: List[List[Tuple[int, int]]] = []
-    for cls in flow_classes:
-        counts = {}
-        for l in flow_links[cls[0]]:
-            j = link_class_of[l]
-            counts[j] = counts.get(j, 0) + 1
-        adjacency.append(sorted(counts.items()))
+    link_rep = {}
+    for k, color in enumerate(link_color):
+        link_rep.setdefault(color, k)
+    path_rep = {}
+    for p, color in enumerate(path_color):
+        path_rep.setdefault(color, p)
+    capacity = [capacity_of[k] for k in link_rep.values()]
+    crossing = [
+        _class_counts(link_paths[k], path_color, weight)
+        for k in link_rep.values()
+    ]
+    adjacency = [
+        sorted(_class_counts(path_links[p], link_color).items())
+        for p in path_rep.values()
+    ]
 
     _FLOW_CLASSES.inc(len(flow_classes))
     _LINK_CLASSES.inc(len(link_classes))
     return QuotientInstance(
         flow_classes, link_classes, capacity, crossing, adjacency
     )
+
+
+def _class_counts(
+    members: List[int], color: List[int], weight: List[int] = None
+) -> Dict[int, int]:
+    """Color -> total weight of ``members``, in first-appearance order."""
+    counts: Dict[int, int] = {}
+    for m in members:
+        c = color[m]
+        counts[c] = counts.get(c, 0) + (1 if weight is None else weight[m])
+    return counts
 
 
 def _fill_quotient(quotient: QuotientInstance) -> List[Fraction]:

@@ -87,6 +87,10 @@ class Routing:
         """The routed flows, in insertion order."""
         return list(self._paths)
 
+    def items(self) -> Iterable[Tuple[Flow, Path]]:
+        """The ``(flow, path)`` pairs, in insertion order."""
+        return self._paths.items()
+
     def fingerprint(self) -> Tuple[Tuple[Flow, Path], ...]:
         """A canonical, hashable identity for this routing.
 

@@ -41,6 +41,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.errors import CertificateError
 from repro.core.allocation import Allocation, Rate
+from repro.core.bottleneck import common_scale
 from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
 from repro.obs import counter
@@ -202,29 +203,16 @@ def structure_failures(
     # --- per-link feasibility (cheap) ----------------------------------
     loads: Dict[Link, Rate] = {}
     if exact:
-        # Fraction additions dominate the exact check, but water-filling
-        # freezes whole rounds of flows at the *same* rate object —
-        # grouping by id() replaces most of them with integer counting
-        # (equal-but-distinct rate objects land in separate groups and
-        # stay correct).  Float additions are as cheap as counting, so
-        # the inexact path below just accumulates directly.
-        groups: Dict[int, tuple] = {}
+        # Sum on the integers (values times the LCM of the rate
+        # denominators), then convert each link's load back.
+        scale = common_scale(rates[flow] for flow in flow_links)
         for flow, links in flow_links.items():
             rate = rates[flow]
-            entry = groups.get(id(rate))
-            if entry is None:
-                entry = (rate, {})
-                groups[id(rate)] = entry
-            counts = entry[1]
+            value = rate.numerator * (scale // rate.denominator)
             for link in links:
-                counts[link] = counts.get(link, 0) + 1
-        for rate, counts in groups.values():
-            for link, count in counts.items():
-                contrib = rate * count if count > 1 else rate
-                previous = loads.get(link)
-                loads[link] = (
-                    contrib if previous is None else previous + contrib
-                )
+                loads[link] = loads.get(link, 0) + value
+        for link, total in loads.items():
+            loads[link] = Fraction(total, scale)
     else:
         for flow, links in flow_links.items():
             rate = rates[flow]
@@ -235,6 +223,10 @@ def structure_failures(
         if capacity == _INF:
             continue
         if load > _bump(capacity, tol):
+            if exact and not any(
+                rates[f].__class__ is Fraction for f in link_flows[link]
+            ):
+                load = int(load)  # a sum of int rates reads as an int
             failures.append(
                 f"link {link!r} overloaded: load {load!r} > "
                 f"capacity {capacity!r}"

@@ -87,6 +87,21 @@ class TestMain:
         out = capsys.readouterr().out
         assert "1/3" in out
 
+    def test_run_e4_certifies_at_every_size(self, capsys, monkeypatch):
+        """Large quotient sweeps no longer skip the bottleneck certificate."""
+        from repro.experiments import r2_starvation
+
+        real = r2_starvation.starvation_sweep
+        seen = {}
+
+        def spy(sizes, **kwargs):
+            seen.update(kwargs)
+            return real([3], **kwargs)
+
+        monkeypatch.setattr(r2_starvation, "starvation_sweep", spy)
+        assert main(["run", "e4", "--sizes", "64", "--backend", "quotient"]) == 0
+        assert seen.get("certify", True) is True
+
     def test_run_is_case_insensitive(self, capsys):
         assert main(["run", "E1"]) == 0
 
