@@ -276,8 +276,7 @@ def _count_flow_events(jobs, result) -> None:
 
 def scenario_flowsim_churn_batched() -> None:
     """The tentpole: the *end-to-end* discrete-event simulator — Poisson
-    arrivals through completion, micro-batched consults — on the array
-    engine.  ~5k jobs / ~10k flow events on ``Clos(8)``; events/sec is
+    arrivals through completion, micro-batched consults.  ~5k jobs / ~10k flow events on ``Clos(8)``; events/sec is
     ``bench.flowsim.events`` over wall.  (Before PR 10 this scenario
     timed the allocation service alone; the recorded baseline is the
     bar the full simulator now has to clear at ≥3×.)"""
@@ -288,14 +287,15 @@ def scenario_flowsim_churn_batched() -> None:
         "des", n=8, rate=10000.0, horizon=0.5, mean_size=0.001, seed=0
     )
     policy = MaxMinCongestionControl(clos, backend="streaming")
-    result = simulate_stream(jobs, policy, batch_window=0.02, engine="array")
+    result = simulate_stream(jobs, policy, batch_window=0.02)
     _count_flow_events(jobs, result)
 
 
 def scenario_flowsim_array_engine() -> None:
-    """The per-event loop (one solver consult per flow event) on the
-    array engine — gates ``simulate(engine="array")`` itself, the
-    configuration the ``auto`` selector picks for large workloads."""
+    """The per-event loop (one solver consult per flow event) — gates
+    :func:`repro.sim.flowsim.simulate` itself.  The name predates the
+    single simulator engine and is kept so recorded baselines still
+    resolve."""
     from repro.sim.flowsim import simulate
     from repro.sim.policies import MaxMinCongestionControl
 
@@ -303,7 +303,7 @@ def scenario_flowsim_array_engine() -> None:
         "des_perevent", n=4, rate=250.0, horizon=1.0, mean_size=0.01, seed=0
     )
     policy = MaxMinCongestionControl(clos, backend="streaming")
-    result = simulate(jobs, policy, engine="array")
+    result = simulate(jobs, policy)
     _count_flow_events(jobs, result)
 
 
@@ -319,7 +319,7 @@ def scenario_flowsim_sharded_parallel() -> None:
         pods=8, seed=0,
     )
     result = simulate_sharded(
-        clos, workload, pods=8, batch_window=0.02, engine="array", jobs=4
+        clos, workload, pods=8, batch_window=0.02, jobs=4
     )
     _count_flow_events(workload, result)
 
@@ -335,20 +335,14 @@ SCENARIOS: Dict[str, Callable[[], None]] = {
     "flow_simulation": scenario_flow_simulation,
     "water_filling_fast_xl": scenario_water_filling_fast_xl,
     "quotient_exact": scenario_quotient_exact,
+    "vectorized_waterfill": scenario_vectorized_waterfill,
+    "flowsim_churn_event": scenario_flowsim_churn_event,
+    "flowsim_churn_batched": scenario_flowsim_churn_batched,
+    "flowsim_array_engine": scenario_flowsim_array_engine,
+    "flowsim_sharded_parallel": scenario_flowsim_sharded_parallel,
+    "batched_sweep": scenario_batched_sweep,
+    "batched_sweep_perinstance": scenario_batched_sweep_perinstance,
 }
-
-try:  # The vectorized kernel benches only where numpy is available.
-    import numpy as _numpy  # noqa: F401
-except ImportError:  # pragma: no cover
-    pass
-else:
-    SCENARIOS["vectorized_waterfill"] = scenario_vectorized_waterfill
-    SCENARIOS["flowsim_churn_event"] = scenario_flowsim_churn_event
-    SCENARIOS["flowsim_churn_batched"] = scenario_flowsim_churn_batched
-    SCENARIOS["flowsim_array_engine"] = scenario_flowsim_array_engine
-    SCENARIOS["flowsim_sharded_parallel"] = scenario_flowsim_sharded_parallel
-    SCENARIOS["batched_sweep"] = scenario_batched_sweep
-    SCENARIOS["batched_sweep_perinstance"] = scenario_batched_sweep_perinstance
 
 
 def collect(repeat: int = 3) -> Dict[str, Any]:
@@ -488,7 +482,7 @@ def diff_attribution(
     "only_current": [...]}``
 
     Span rows cover only spans present **on both sides** — when the two
-    documents ran different engines (an ``--engine`` A/B, or a scenario
+    documents ran different code paths (a backend A/B, or a scenario
     redefined across PRs) their span trees differ, and attributing a
     span that simply *appeared* or *vanished* as if it moved from 0s
     would mis-state where the delta came from.  One-sided spans are

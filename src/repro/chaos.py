@@ -25,11 +25,7 @@ import random
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import (
-    BackendUnavailableError,
-    CertificateError,
-    ReproError,
-)
+from repro.errors import CertificateError, ReproError
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import FlowCollection
 from repro.core.routing import Link, Routing
@@ -56,7 +52,6 @@ __all__ = [
     "cross_check",
     "fuzz",
     "random_instance",
-    "sim_engine_check",
     "stream_churn_check",
 ]
 
@@ -292,10 +287,9 @@ def cross_check(
     Each backend runs under ``full`` validation (certificate failures
     are defects in their own right); the quotient backend must agree
     with the exact reference *identically*, the float backends within
-    :data:`CROSS_CHECK_TOL` (relative).  A backend that raises
-    :class:`~repro.errors.BackendUnavailableError` is skipped; one that
-    raises a :class:`~repro.errors.ReproError` is only a defect if the
-    reference accepts the instance (and vice versa).  Returns one
+    :data:`CROSS_CHECK_TOL` (relative).  A backend that raises a
+    :class:`~repro.errors.ReproError` is only a defect if the reference
+    accepts the instance (and vice versa).  Returns one
     failure record per defect, each already quarantined.
     """
     from repro.core.solve import BACKENDS, solve_max_min
@@ -333,8 +327,6 @@ def cross_check(
                     backend=backend,
                     exact=True if exact else False,
                 )
-        except BackendUnavailableError:
-            continue
         except CertificateError as error:
             failures.append(
                 _failure(
@@ -402,7 +394,7 @@ def batched_cross_check(
     rejected by a batched solve too (checked individually).  When the
     group solve itself fails, the failure is localized by re-solving
     one scenario at a time.  Returns quarantined failure records like
-    :func:`cross_check`; empty without NumPy.
+    :func:`cross_check`.
     """
     from repro.core.batched import solve_max_min_batch
     from repro.core.solve import solve_max_min
@@ -465,8 +457,6 @@ def batched_cross_check(
                     solve_max_min_batch(
                         [(instance.routing, instance.capacities)]
                     )
-            except BackendUnavailableError:
-                return failures
             except ReproError:
                 continue  # agreement on rejection
             failures.append(
@@ -489,8 +479,6 @@ def batched_cross_check(
             allocations = solve_max_min_batch(
                 [(inst.routing, inst.capacities) for inst, _ in solvable]
             )
-    except BackendUnavailableError:
-        return failures
     except ReproError:
         # Localize: some scenario fails inside the group — find it.
         for instance, reference in solvable:
@@ -614,112 +602,6 @@ def stream_churn_check(
     return failures
 
 
-def sim_engine_check(
-    seed: int, directory: Optional[str] = None
-) -> List[Dict[str, Any]]:
-    """Replay a seeded churn workload through the *object* and *array*
-    simulator engines and require equivalent results.
-
-    The always-on variant of the simulator's sampled ``REPRO_SHADOW``
-    cross-check: both the per-event loop (:func:`repro.sim.flowsim.
-    simulate`) and the micro-batched loop (:func:`repro.sim.stream.
-    simulate_stream`) run once per engine on the same workload, and the
-    pairs must agree under :func:`repro.sim.arraysim.results_equivalent`
-    — or fail identically, since error parity (same exception type and
-    message) is part of the engine contract.  Divergences are
-    quarantined with reason ``sim-mismatch`` and reported as fuzz
-    failure records.  Raises :class:`~repro.errors.
-    BackendUnavailableError` when NumPy is missing (the caller skips,
-    as with :func:`stream_churn_check`).
-    """
-    from repro.sim import arraysim
-    from repro.sim.flowsim import simulate
-    from repro.sim.policies import MaxMinCongestionControl
-    from repro.sim.stream import simulate_stream
-    from repro.workloads.stochastic import churn_workload
-
-    arraysim.resolve_engine("array", 0)  # NumPy gate — may raise
-    rng = random.Random((seed << 5) ^ 0x51AE)
-    n = rng.randint(2, 4)
-    network = ClosNetwork(n)
-    jobs = churn_workload(
-        network,
-        rate=rng.choice((30.0, 60.0, 120.0)),
-        horizon=rng.uniform(0.4, 1.2),
-        seed=seed,
-    )
-    max_time = rng.choice((None, None, 0.75))
-    failures: List[Dict[str, Any]] = []
-
-    loops: Sequence[Tuple[str, Any]] = (
-        (
-            "per-event",
-            lambda engine: simulate(
-                jobs,
-                MaxMinCongestionControl(network, backend="vectorized"),
-                max_time=max_time,
-                engine=engine,
-            ),
-        ),
-        (
-            "batched",
-            lambda engine: simulate_stream(
-                jobs,
-                MaxMinCongestionControl(network, backend="streaming"),
-                batch_window=0.02,
-                max_time=max_time,
-                engine=engine,
-            ),
-        ),
-    )
-    for label, run in loops:
-        name = f"sim-engine-{label}-n{n}"
-        outcomes: Dict[str, Tuple[str, Any]] = {}
-        for engine in ("object", "array"):
-            try:
-                outcomes[engine] = ("ok", run(engine))
-            except ReproError as error:
-                outcomes[engine] = (
-                    "error", f"{type(error).__name__}: {error}"
-                )
-        obj_kind, obj_value = outcomes["object"]
-        arr_kind, arr_value = outcomes["array"]
-        if obj_kind == arr_kind == "error" and obj_value == arr_value:
-            continue  # identical typed rejection on both engines
-        if obj_kind == "ok" and arr_kind == "ok":
-            if arraysim.results_equivalent(arr_value, obj_value):
-                continue
-            detail = arraysim._divergence(arr_value, obj_value)
-        else:
-            detail = [
-                f"object engine: {obj_value if obj_kind == 'error' else 'ok'}",
-                f"array engine: {arr_value if arr_kind == 'error' else 'ok'}",
-            ]
-        _FAILURES.inc()
-        bundle = quarantine_failure(
-            Routing({}),
-            dict(network.graph.capacities()),
-            reason="sim-mismatch",
-            backend="array",
-            exact=False,
-            seed=seed,
-            context=f"chaos.sim_engine_check:{label}",
-            failures=detail,
-            directory=directory,
-        )
-        failures.append(
-            {
-                "seed": seed,
-                "instance": name,
-                "backend": "array",
-                "kind": "sim-mismatch",
-                "detail": detail[:5],
-                "bundle": bundle,
-            }
-        )
-    return failures
-
-
 def fuzz(
     seeds: int,
     backends: Optional[Sequence[str]] = None,
@@ -735,8 +617,7 @@ def fuzz(
     under full validation (:func:`stream_churn_check`), solves the
     seed's whole instance group as one block-diagonal batch, checking
     each scenario against its per-instance reference solve
-    (:func:`batched_cross_check`), and replays a churn workload through
-    both simulator engines (:func:`sim_engine_check`).  All defects are
+    (:func:`batched_cross_check`).  All defects are
     quarantined into ``directory`` (default: the ambient quarantine
     directory).
     """
@@ -764,22 +645,11 @@ def fuzz(
                 )
             streaming_wanted = backends is None or "streaming" in backends
             if streaming_wanted:
-                try:
-                    stream_failures = stream_churn_check(
-                        seed, directory=directory
-                    )
-                except BackendUnavailableError:
-                    stream_failures = []
                 instances += 1
                 checks += 1
-                failures.extend(stream_failures)
-            try:
-                engine_failures = sim_engine_check(seed, directory=directory)
-            except BackendUnavailableError:
-                engine_failures = []
-            instances += 1
-            checks += 1
-            failures.extend(engine_failures)
+                failures.extend(
+                    stream_churn_check(seed, directory=directory)
+                )
     return FuzzReport(
         seeds=seeds, instances=instances, checks=checks, failures=failures
     )

@@ -412,13 +412,14 @@ def run_e10(args: argparse.Namespace) -> None:
 def run_churn(args: argparse.Namespace) -> None:
     from repro.experiments.churn import churn_comparison
 
+    # 0 is a real window (re-solve per event), so test for None.
+    window = getattr(args, "window", None)
     rows = churn_comparison(
         n=args.n or 4,
         rate=getattr(args, "rate", None) or 100.0,
         horizon=getattr(args, "horizon", None) or 1.5,
-        batch_window=getattr(args, "window", None) or 0.05,
+        batch_window=0.05 if window is None else window,
         pods=getattr(args, "pods", None) or 1,
-        engine=getattr(args, "engine", None) or "auto",
         jobs=getattr(args, "jobs", None) or 1,
     )
     print(
@@ -602,15 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pods",
         type=int,
         help="shard the churn workload into this many independent pods",
-    )
-    run.add_argument(
-        "--engine",
-        choices=["auto", "object", "array"],
-        default="auto",
-        help="simulator event-loop implementation (churn): 'array' = "
-        "NumPy slot-store fast core, 'object' = per-job dict loop, "
-        "'auto' = array for large workloads (identical results either "
-        "way; REPRO_SHADOW cross-checks sampled array runs)",
     )
     run.add_argument(
         "--backend",

@@ -45,11 +45,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.allocation import Allocation, Rate
 from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
     CompiledRouting,
-    _require_numpy,
     _row_hits,
     capacity_vector,
     compile_routing,
@@ -159,7 +160,6 @@ def _stack_parts(
     parts: List[CompiledRouting], caps_vectors: List[Any]
 ) -> CompiledBatch:
     """Stack already-compiled scenarios into one block-diagonal batch."""
-    np = _require_numpy()
     S = len(parts)
     flow_counts = np.asarray([len(p.flows) for p in parts], dtype=np.int64)
     link_counts = np.asarray([len(p.links) for p in parts], dtype=np.int64)
@@ -214,7 +214,6 @@ def _round_estimates(parts: List[CompiledRouting], caps_vectors) -> List[int]:
     estimate only drives scheduling (:func:`solve_max_min_batch`'s
     ``sub_batches=`` ordering); it never touches the arithmetic.
     """
-    np = _require_numpy()
     estimates: List[int] = []
     for compiled, caps in zip(parts, caps_vectors):
         degree = np.diff(np.asarray(compiled.link_ptr, dtype=np.int64))
@@ -237,7 +236,6 @@ def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
     :func:`~repro.core.vectorized.waterfill` kernel exactly, so the
     rates are byte-identical to solving each scenario alone.
     """
-    np = _require_numpy()
     if last is None:
         last = batch.num_scenarios
     fa = int(batch.scn_flow_ptr[first])
@@ -361,7 +359,6 @@ def _check_batch(batch: CompiledBatch, first: int, last: int, rates) -> None:
 
     if _validate.validation_level() == "off":
         return
-    np = _require_numpy()
     fa = int(batch.scn_flow_ptr[first])
     fb = int(batch.scn_flow_ptr[last])
     la = int(batch.scn_link_ptr[first])
@@ -438,7 +435,6 @@ def _batch_rates_parallel(
     overrides the default even chunking (the ``sub_batches=`` path
     passes its round-sorted ranges directly).
     """
-    np = _require_numpy()
     from repro import parallel
 
     S = batch.num_scenarios
@@ -495,9 +491,6 @@ def solve_max_min_batch(
       :func:`repro.core.solve.solve_max_min` — callers can route every
       multi-instance workload through this one function and pick the
       kernel per call site.
-
-    Raises :class:`~repro.errors.BackendUnavailableError` without NumPy
-    (``backend="batched"``, float mode), like the vectorized backend.
     """
     pairs = [(routing, capacities) for routing, capacities in instances]
     if backend != "batched":
@@ -538,7 +531,6 @@ def solve_max_min_batch(
     if jobs and jobs > 1 and batch.num_scenarios > 1:
         rates = _batch_rates_parallel(batch, jobs, chunksize, tasks=groups)
     elif groups is not None:
-        np = _require_numpy()
         rates = np.zeros(batch.num_flows, dtype=np.float64)
         for first, last in groups:
             waterfill_batch(batch, first=first, last=last, out=rates)

@@ -226,7 +226,7 @@ def _solve_auto(
                 backend=backend, next=chain[position + 1],
             )
         except (BackendUnavailableError, ArithmeticError, AssertionError) as error:
-            # Unavailable (no NumPy), numerical failure (overflow /
+            # Unavailable, numerical failure (overflow /
             # division), or a violated water-filling invariant — all
             # recoverable by a stricter backend.
             counter(f"solver.fallback.{backend}").inc()

@@ -57,10 +57,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.errors import UnboundedRateError, UnknownLinkError
 from repro.core.allocation import Allocation, Rate
@@ -69,7 +66,6 @@ from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
     _BAND,
     _INF,
-    _require_numpy,
     _row_hits,
     _run_rounds,
 )
@@ -335,7 +331,6 @@ class StreamingMaxMin:
 
     # -------------------------- float mode ----------------------------
     def _solve_float(self, adds, removes) -> Dict[Flow, float]:
-        np = _require_numpy()
         with trace_span(
             "maxmin.water_fill_streaming",
             adds=len(adds),
@@ -411,7 +406,6 @@ class StreamingMaxMin:
         Links are (re-)registered lazily as the committed paths are
         compiled, so cost scales with the *traversed* footprint of the
         flow set, not the size of the capacity map."""
-        np = _np
         self._link_index = {}
         self._link_of = []
         self._nlinks = 0
@@ -443,7 +437,6 @@ class StreamingMaxMin:
         """Rebuild the link→member-slot CSR (and alive counts) from the
         flow→link CSR by a stable transpose — array ops only.  Valid
         when every slot is alive (post-recompile/-compaction)."""
-        np = _np
         nslots, nnz = self._nslots, self._nnz
         links = self._flow_link[:nnz]
         lens = np.diff(self._flow_ptr[: nslots + 1])
@@ -462,7 +455,6 @@ class StreamingMaxMin:
         """Member slots of link ``j``: the CSR base plus any slots
         appended since the last rebuild (may include dead slots — the
         callers mask by ``_alive``)."""
-        np = _np
         ptr = self._member_ptr
         if j + 1 < ptr.size:
             base = self._member_rows[ptr[j] : ptr[j + 1]]
@@ -483,7 +475,6 @@ class StreamingMaxMin:
         reclaiming dead slots costs O(nnz) regardless of how the flows
         route.  The trace is dropped (slot ids change), so the caller
         follows up with a full solve."""
-        np = _np
         nslots = self._nslots
         alive_idx = np.nonzero(self._alive[:nslots])[0]
         ptr = self._flow_ptr
@@ -530,7 +521,6 @@ class StreamingMaxMin:
 
     def _register_link(self, link: Link) -> int:
         """Assign an array slot to a finite link on first traversal."""
-        np = _np
         try:
             cap = float(self._caps[link])
         except KeyError:  # pragma: no cover - guarded in add()
@@ -556,7 +546,6 @@ class StreamingMaxMin:
     def _compile_row(self, path):
         """The finite-link-id row of a path under the current index,
         registering links the solver has not seen traversed yet."""
-        np = _np
         index = self._link_index
         finite = self._finite_set
         links = []
@@ -574,7 +563,6 @@ class StreamingMaxMin:
         return np.asarray(links, dtype=np.int64)
 
     def _append_slot(self, flow: Flow, row) -> int:
-        np = _np
         slot = self._nslots
         if slot >= self._alive.size:
             grow = max(16, self._alive.size)
@@ -631,7 +619,6 @@ class StreamingMaxMin:
         the kernel's residual trajectory, so the decision agrees with
         what a from-scratch solve would do).
         """
-        np = _np
         levels_list = self._trace[0]
         n_rounds = len(levels_list)
         if n_rounds == 0:
@@ -653,7 +640,6 @@ class StreamingMaxMin:
         return r_star
 
     def _scan_link(self, j, extra, levels_arr, band) -> int:
-        np = _np
         n_rounds = levels_arr.size
         cap = float(self._caps_arr[j])
         members = self._link_members(j)
@@ -685,7 +671,6 @@ class StreamingMaxMin:
         return int(hits[0]) if hits.size else n_rounds
 
     def _apply_batch(self, add_rows, removes, delta=None, rebuild=False) -> None:
-        np = _np
         if delta is None and not rebuild:
             # Must precede the kill loop: _link_delta resolves removed
             # flows through _slot_of, which the kills pop.
@@ -730,7 +715,6 @@ class StreamingMaxMin:
                     count[j] += extra
 
     def _full_solve(self) -> None:
-        np = _np
         self._assert_bounded()
         n_links = self._nlinks
         residual = self._caps_arr[:n_links].copy()
@@ -756,7 +740,6 @@ class StreamingMaxMin:
             )
 
     def _resume_solve(self, r_star: int) -> None:
-        np = _np
         levels_list, checkpoints = self._trace
         # Nearest checkpoint at or below the resume round (round 0 is
         # implicit: full capacities and current alive counts).
@@ -821,7 +804,7 @@ class StreamingMaxMin:
 
     def _gather(self, sat_idx):
         link_members = self._link_members
-        return _np.concatenate([link_members(j) for j in sat_idx])
+        return np.concatenate([link_members(j) for j in sat_idx])
 
     def _on_round_start(self, rnd, residual, count) -> None:
         if rnd and rnd % self._checkpoint_every == 0:
@@ -832,7 +815,6 @@ class StreamingMaxMin:
         self._fr[frozen_ids] = rnd
 
     def _assert_bounded(self) -> None:
-        np = _np
         lens = np.diff(self._flow_ptr[: self._nslots + 1])
         empty = self._alive[: self._nslots] & (lens == 0)
         if empty.any():
@@ -849,7 +831,6 @@ class StreamingMaxMin:
 
         if _validate.validation_level() == "off":
             return
-        np = _np
         failures: List[str] = []
         alive_slots = np.nonzero(self._alive[: self._nslots])[0]
         rates = self._rates_arr[alive_slots]

@@ -22,22 +22,15 @@ Compilation (:func:`compile_routing`) is pure-Python and costs one pass
 over the routing; callers that re-solve the same routing under changing
 capacities (the flow-level simulator during link degradations) should
 compile once, then call :func:`waterfill` per capacity vector.
-
-NumPy is an optional dependency: import of this module always succeeds,
-and :class:`~repro.errors.BackendUnavailableError` is raised only when a
-solve is attempted without it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as np
 
-from repro.errors import BackendUnavailableError, UnboundedRateError
+from repro.errors import UnboundedRateError
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
 from repro.core.maxmin import validate_capacities
@@ -65,15 +58,6 @@ __all__ = [
     "waterfill",
     "max_min_fair_vectorized",
 ]
-
-
-def _require_numpy():
-    if _np is None:
-        raise BackendUnavailableError(
-            "the 'vectorized' backend requires numpy, which is not "
-            "installed; use backend='heap' or 'reference' instead"
-        )
-    return _np
 
 
 class CompiledRouting:
@@ -138,7 +122,6 @@ def compile_routing(
     versa.  Raises :class:`~repro.errors.UnboundedRateError` if some flow
     crosses only infinite links.
     """
-    np = _require_numpy()
     link_flows = routing.flows_per_link()
     validate_capacities(link_flows, capacities)
 
@@ -214,7 +197,6 @@ def capacity_vector(
     compiled: CompiledRouting, capacities: Mapping[Link, Rate]
 ):
     """The float capacity array matching ``compiled.links`` order."""
-    np = _require_numpy()
     return np.asarray(
         [float(capacities[link]) for link in compiled.links],
         dtype=np.float64,
@@ -232,7 +214,6 @@ def _row_hits(flow_ptr, flow_link, frozen_ids, n_links, link_base=0):
     ``link_base`` to translate global block-diagonal link ids into the
     chunk-local range ``[0, n_links)``).
     """
-    np = _np
     lens = flow_ptr[frozen_ids + 1] - flow_ptr[frozen_ids]
     total = int(lens.sum())
     offsets = np.repeat(np.cumsum(lens) - lens, lens)
@@ -274,7 +255,6 @@ def _run_rounds(
     ``on_round_end`` observes each round's freeze level and frozen ids
     (trace recording).  Neither hook may mutate the arrays.
     """
-    np = _np
     levels = np.empty(n_links, dtype=np.float64)
     rnd = start_round
     while remaining > 0:
@@ -332,7 +312,6 @@ def waterfill(compiled: CompiledRouting, caps) -> "Sequence[float]":
     max-min fair allocation — agreeing with the heap solvers to well
     under 1e-12.
     """
-    np = _require_numpy()
     n_flows = len(compiled.flows)
     n_links = len(compiled.links)
     rates = np.zeros(n_flows, dtype=np.float64)
@@ -389,7 +368,6 @@ def _check_waterfill(compiled: CompiledRouting, caps, rates) -> None:
     level = _validate.validation_level()
     if level == "off":
         return
-    np = _np
     failures = []
     if not np.isfinite(rates).all():
         bad = [

@@ -88,8 +88,8 @@ class DisconnectedFlowError(InfeasibleRoutingError):
 
 
 class BackendUnavailableError(ReproError, RuntimeError):
-    """A requested solver backend cannot run in this environment (e.g.
-    the ``vectorized`` backend without NumPy installed)."""
+    """A requested solver backend cannot run in this environment;
+    ``solve_max_min(backend="auto")`` falls back to the next backend."""
 
 
 class CertificateError(ReproError):

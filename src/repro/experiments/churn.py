@@ -64,7 +64,6 @@ def churn_comparison(
     pods: int = 1,
     seed: int = 0,
     configs: Sequence[str] = ("per-event", "streaming", "batched"),
-    engine: str = "auto",
     jobs: int = 1,
 ) -> List[ChurnRow]:
     """Run the churn workload under each configuration; one row each.
@@ -73,9 +72,8 @@ def churn_comparison(
     :class:`~repro.sim.flowsim.SimulationResult`\\ s (asserted here);
     ``batched`` trades bounded rate staleness (≤ ``batch_window``) for
     throughput, and with ``pods > 1`` additionally shards the (then
-    pod-local) workload into independent blocks.  ``engine`` selects
-    the simulator event loop (see :func:`repro.sim.flowsim.simulate`)
-    and ``jobs`` the worker-process count for the sharded config.
+    pod-local) workload into independent blocks.  ``jobs`` is the
+    worker-process count for the sharded config.
     """
     network = ClosNetwork(n)
     workload = churn_workload(
@@ -88,24 +86,22 @@ def churn_comparison(
         t0 = time.perf_counter()
         if config == "per-event":
             policy = MaxMinCongestionControl(network, backend="vectorized")
-            result = simulate(workload, policy, engine=engine)
+            result = simulate(workload, policy)
         elif config == "streaming":
             policy = MaxMinCongestionControl(network, backend="streaming")
-            result = simulate(workload, policy, engine=engine)
+            result = simulate(workload, policy)
         elif config == "batched":
             if pods > 1:
                 result = simulate_sharded(
                     network, workload, pods=pods,
-                    batch_window=batch_window, seed=0, engine=engine,
-                    jobs=jobs,
+                    batch_window=batch_window, seed=0, jobs=jobs,
                 )
             else:
                 policy = MaxMinCongestionControl(
                     network, backend="streaming"
                 )
                 result = simulate_stream(
-                    workload, policy, batch_window=batch_window,
-                    engine=engine,
+                    workload, policy, batch_window=batch_window
                 )
         else:
             raise ValueError(f"unknown churn config {config!r}")

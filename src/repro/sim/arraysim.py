@@ -1,47 +1,41 @@
-"""Array-state simulation engines (the ``engine="array"`` fast core).
+"""The simulator's event loops, over a NumPy slot store.
 
-The object engines in :mod:`repro.sim.flowsim` and
-:mod:`repro.sim.stream` keep per-job Python dicts plus a ``heapq``
-completion heap; under heavy churn the end-to-end event rate stalls on
-that bookkeeping — not on solving.  This module re-implements both
-event loops over a contiguous slot store (remaining sizes, rates, job
-ids, and the active mask as NumPy arrays):
+Per-job state lives in contiguous arrays (remaining sizes, rates, job
+ids, and the active mask) rather than per-job Python dicts, because
+under heavy churn the end-to-end event rate stalls on that bookkeeping
+— not on solving.  Two loops run on it:
 
-- time advancement serves every active job with one masked vector
-  update instead of a Python loop;
-- the next completion comes from a masked ``remaining / rate`` minimum
-  (per-event engine) or a single ``lexsort`` per policy consult (stream
-  engine: rates only change at consult boundaries, so the completion
-  *order* is frozen between them and each pop is an O(1) pointer walk
-  instead of an O(log F) heap operation);
-- retirement frees slots lazily and sweeps them with a batched
-  compaction only when more than half the store is dead, like
-  ``core/streaming``'s O(nnz) dead-slot sweep.
+- :func:`_simulate_array`, the per-event loop behind
+  :func:`repro.sim.flowsim.simulate`: the next completion comes from a
+  masked ``remaining / rate`` minimum;
+- :func:`_simulate_stream_array`, the micro-batching loop behind
+  :func:`repro.sim.stream.simulate_stream`: rates only change at consult
+  boundaries, so the completion *order* is frozen between them by one
+  ``lexsort`` per consult and each completion is an O(1) pointer walk.
 
-Both engines are event-for-event mirrors of their object counterparts:
-``completed`` (order *and* float values), ``unfinished``, and
-``end_time`` are byte-identical, including ``_TIME_EPS`` tie-breaking,
-same-instant burst admission, failure batching, and admission-order
-retirement.  Only ``work_done`` may drift within :data:`WORK_TOL`,
-because vectorized reductions sum partial service in a different order
-than the object engines' per-job accumulation (see
-:func:`results_equivalent`).
+In both, time advancement serves every active job with one masked
+vector update instead of a Python loop, and retirement frees slots
+lazily and sweeps them with a batched compaction only when more than
+half the store is dead, like ``core/streaming``'s O(nnz) dead-slot
+sweep.
 
-:func:`resolve_engine` implements the ``{"auto", "object", "array"}``
-switch used by :func:`repro.sim.flowsim.simulate` and friends;
-:func:`with_shadow` implements the sampled ``REPRO_SHADOW``
-cross-check that re-runs the object engine on a pre-run deep copy of
-the policy and quarantines divergences with reason ``sim-mismatch``.
+The test suite keeps the per-job dict loops these mirror as an oracle
+(``tests/sim_reference.py``): ``completed`` (order *and* float values),
+``unfinished`` and ``end_time`` match it exactly, including
+``_TIME_EPS`` tie-breaking, same-instant burst admission, failure
+batching, and admission-order retirement.  Only ``work_done`` may
+drift by float round-off, because vectorized reductions sum partial
+service in a different order than per-job accumulation.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import BackendUnavailableError
+import numpy as np
+
 from repro.obs import counter, histogram
 from repro.sim.events import EventQueue, load_failure_schedule
 from repro.sim.flowsim import (
@@ -52,90 +46,21 @@ from repro.sim.flowsim import (
 )
 from repro.sim.jobs import FlowJob
 
-#: Engine names accepted by ``simulate(..., engine=)`` and the CLI.
-ENGINES = ("auto", "object", "array")
-
-#: ``engine="auto"`` picks the array core at or above this many jobs;
-#: below it the object engines win on constant factors (array setup and
-#: rate scatter cost more than a handful of dict updates).
-AUTO_THRESHOLD = 64
-
-#: Relative tolerance on ``work_done`` between engines: vectorized
-#: reductions sum partial service in a different order than the object
-#: engines' per-job accumulation, so the totals agree only to float
-#: round-off.  ``completed`` / ``unfinished`` / ``end_time`` are exact.
-WORK_TOL = 1e-9
-
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
-#: Counter names are shared with the object engines so per-engine runs
-#: report into the same telemetry streams.
 _EVENTS = counter("sim.events")
 _COMPLETIONS = counter("sim.completions")
 _FAILURES = counter("sim.failures_applied")
 _POLICY_CALLS = counter("sim.policy_consultations")
 _RESOLVE_SKIPS = counter("sim.resolve_skipped")
+#: Active-job count observed at every event: the p50/p90/p99 summary
+#: shows whether a workload's cost comes from sustained load or bursts
+#: (integer observations — exact percentiles, tiny bucket map).
 _ACTIVE = histogram("sim.active_jobs")
+#: Solver-visible events admitted per policy re-solve: same-instant
+#: arrival bursts in the per-event loop, micro-batch windows in the
+#: stream loop.  A p50 of 1 means per-event solving; higher means
+#: batching is paying.
 _BATCH = histogram("sim.batch_size")
-_SHADOW_CHECKS = counter("sim.shadow.checks")
-_SHADOW_MISMATCHES = counter("sim.shadow.mismatches")
-
-__all__ = [
-    "AUTO_THRESHOLD",
-    "ENGINES",
-    "WORK_TOL",
-    "resolve_engine",
-    "results_equivalent",
-]
-
-
-def _numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - image bakes numpy in
-        return None
-    return numpy
-
-
-def resolve_engine(engine: str, num_jobs: int) -> str:
-    """Resolve an ``engine=`` argument to ``"object"`` or ``"array"``.
-
-    ``"auto"`` picks the array core when NumPy is importable and the
-    workload has at least :data:`AUTO_THRESHOLD` jobs; ``"array"``
-    raises :class:`~repro.errors.BackendUnavailableError` without NumPy
-    rather than silently falling back.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if engine == "object":
-        return "object"
-    np = _numpy()
-    if engine == "array":
-        if np is None:
-            raise BackendUnavailableError(
-                "engine 'array' requires numpy; use engine='object'"
-            )
-        return "array"
-    if np is not None and num_jobs >= AUTO_THRESHOLD:
-        return "array"
-    return "object"
-
-
-def results_equivalent(
-    a: SimulationResult, b: SimulationResult, work_tol: float = WORK_TOL
-) -> bool:
-    """Whether two engine results agree under the cross-engine contract:
-    ``completed`` / ``unfinished`` / ``end_time`` exactly equal,
-    ``work_done`` within relative ``work_tol`` (summation-order drift)."""
-    if a.completed != b.completed:
-        return False
-    if a.unfinished != b.unfinished:
-        return False
-    if a.end_time != b.end_time:
-        return False
-    scale = max(1.0, abs(a.work_done), abs(b.work_done))
-    return abs(a.work_done - b.work_done) <= work_tol * scale
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +72,9 @@ class _JobStore:
 
     Slots are handed out in admission order and compaction preserves
     relative order, so **ascending slot index is admission order** —
-    the invariant behind byte-identical retirement ordering (the object
-    engines retire in remaining-dict insertion order, which is the same
-    thing).
+    the invariant behind byte-identical retirement ordering (the dict
+    loops of the test oracle retire in remaining-dict insertion order,
+    which is the same thing).
     """
 
     __slots__ = ("np", "remaining", "rate", "jid", "active", "high", "slot_of")
@@ -241,7 +166,7 @@ class _RemainingView(Mapping):
 
 
 # ----------------------------------------------------------------------
-# Per-event engine (mirror of flowsim._simulate)
+# Per-event loop
 # ----------------------------------------------------------------------
 def _simulate_array(
     jobs: Sequence[FlowJob],
@@ -250,8 +175,8 @@ def _simulate_array(
     max_events: int,
     failure_schedule,
 ) -> SimulationResult:
-    """Array-state mirror of :func:`repro.sim.flowsim._simulate`."""
-    np = _numpy()
+    """The event loop behind :func:`repro.sim.flowsim.simulate` (same
+    contract)."""
     queue = EventQueue()
     for job in jobs:
         queue.push(job.arrival, "arrival", job)
@@ -279,7 +204,7 @@ def _simulate_array(
     def drain_until(target: float) -> float:
         """Advance the clock to ``target`` at the standing rates,
         stopping early at the soonest completion (vector masked min —
-        the same value the object engine's running min produces)."""
+        the same value a running min over the jobs produces)."""
         nonlocal now, work_done
         idx = served_slots()
         soonest: Optional[float] = None
@@ -430,7 +355,7 @@ def _simulate_array(
 
 
 # ----------------------------------------------------------------------
-# Micro-batching engine (mirror of stream._simulate_stream)
+# Micro-batching loop
 # ----------------------------------------------------------------------
 def _simulate_stream_array(
     jobs: Sequence[FlowJob],
@@ -440,21 +365,19 @@ def _simulate_stream_array(
     max_events: int,
     failure_schedule,
 ) -> SimulationResult:
-    """Array-state mirror of :func:`repro.sim.stream._simulate_stream`.
+    """The event loop behind :func:`repro.sim.stream.simulate_stream`
+    with a positive ``batch_window`` (same contract).
 
     Replaces the event heap with two presorted pointer walks (arrivals
     stably sorted by arrival time, failures by schedule time — exactly
-    the ``(time, sequence)`` order of the object engine's
+    the ``(time, sequence)`` order of an
     :class:`~repro.sim.events.EventQueue`, arrivals winning time ties
     because they are pushed first) and the completion heap with a
     per-consult ``lexsort`` by ``(finish, job_id)`` — the same total
-    order as the heap's ``(finish, jid, epoch)`` entries, all of which
-    share the latest epoch.
+    order as a heap of ``(finish, jid, epoch)`` entries, all of which
+    share the latest epoch.  Inputs are checked by the caller
+    (:func:`repro.sim.flowsim._check_inputs`).
     """
-    np = _numpy()
-    for job in jobs:
-        if job.arrival < 0:
-            raise ValueError(f"negative event time: {job.arrival}")
     fail_events: List = []
     if failure_schedule is not None:
         if not hasattr(policy, "set_link_factors"):
@@ -529,7 +452,7 @@ def _simulate_stream_array(
 
     def retire_jobless(job: FlowJob, at: float) -> None:
         """Zero-size transfer: completes the instant it arrives without
-        ever occupying a slot — matching the object loop's retire."""
+        ever occupying a slot."""
         active.pop(job.job_id)
         policy.forget(job.job_id)
         duration = at - job.arrival
@@ -685,109 +608,3 @@ def _simulate_stream_array(
         work_done=work_done,
         end_time=now,
     )
-
-
-# ----------------------------------------------------------------------
-# REPRO_SHADOW cross-check
-# ----------------------------------------------------------------------
-def _shadow_due() -> bool:
-    from repro.core.solve import _shadow_interval
-
-    interval = _shadow_interval()
-    if not interval:
-        return False
-    return next(_SIM_SEQ) % interval == 0
-
-
-def _divergence(got: SimulationResult, want: SimulationResult) -> List[str]:
-    """Human-readable defect lines for a quarantine bundle."""
-    details: List[str] = []
-    if len(got.completed) != len(want.completed):
-        details.append(
-            f"completed count {len(got.completed)} != {len(want.completed)}"
-        )
-    else:
-        for i, (g, w) in enumerate(zip(got.completed, want.completed)):
-            if g != w:
-                details.append(
-                    f"completed[{i}]: array {g!r} != object {w!r}"
-                )
-                break
-    if got.unfinished != want.unfinished:
-        details.append(
-            f"unfinished {len(got.unfinished)} jobs != "
-            f"{len(want.unfinished)} jobs (or differing order)"
-        )
-    if got.end_time != want.end_time:
-        details.append(f"end_time {got.end_time!r} != {want.end_time!r}")
-    scale = max(1.0, abs(got.work_done), abs(want.work_done))
-    if abs(got.work_done - want.work_done) > WORK_TOL * scale:
-        details.append(
-            f"work_done {got.work_done!r} != {want.work_done!r} "
-            f"(beyond {WORK_TOL} relative)"
-        )
-    return details or ["results differ"]
-
-
-def _quarantine_mismatch(
-    policy, got: SimulationResult, want: SimulationResult, context: str
-) -> None:
-    """Best-effort ``sim-mismatch`` bundle capture (never raises)."""
-    try:
-        from repro.core.routing import Routing
-        from repro.quarantine import quarantine_failure
-
-        capacities = dict(getattr(policy, "_capacities", None) or {})
-        quarantine_failure(
-            Routing({}),
-            capacities,
-            reason="sim-mismatch",
-            backend="array",
-            exact=False,
-            context=context,
-            failures=_divergence(got, want),
-        )
-    except Exception:  # pragma: no cover - quarantine must not mask
-        pass
-
-
-def with_shadow(array_run, object_run, policy, context: str):
-    """Run the array engine; on ``REPRO_SHADOW``-sampled runs re-run the
-    object engine and cross-check.
-
-    ``array_run()`` executes the fast core against ``policy``;
-    ``object_run(reference_policy)`` re-runs the object engine against a
-    deep copy of the policy taken *before* the array run mutated it.
-    Divergent results are quarantined with reason ``sim-mismatch`` and
-    the object result — the established engine — is returned.  Policies
-    that cannot be deep-copied skip the check silently (sampling, not a
-    guarantee).
-    """
-    reference_policy = None
-    if object_run is not None and _shadow_due():
-        try:
-            reference_policy = copy.deepcopy(policy)
-        except Exception:
-            reference_policy = None
-    result = array_run()
-    if reference_policy is None:
-        return result
-    _SHADOW_CHECKS.inc()
-    expected = object_run(reference_policy)
-    if results_equivalent(result, expected):
-        return result
-    _SHADOW_MISMATCHES.inc()
-    _quarantine_mismatch(policy, result, expected, context)
-    return expected
-
-
-def _make_sim_seq():
-    from repro.core.solve import _ProcessSeq
-
-    return _ProcessSeq()
-
-
-#: Monotone per-process sequence of array-engine runs, driving shadow
-#: sampling (pid-salted like the solver's, so forked shard workers
-#: sample different ordinals).
-_SIM_SEQ = _make_sim_seq()

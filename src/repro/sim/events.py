@@ -64,7 +64,7 @@ class EventQueue:
         """Schedule an event at ``time`` (ties broken by insertion
         order); returns the sequence number, usable with :meth:`cancel`.
         """
-        if time < 0:
+        if not time >= 0:  # also rejects NaN
             raise ValueError(f"negative event time: {time}")
         sequence = next(self._counter)
         heapq.heappush(self._heap, Event(time, sequence, kind, payload))

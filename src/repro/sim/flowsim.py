@@ -14,15 +14,17 @@ batch and cost a single re-solve.
 The driver is exact for piecewise-constant rates: between events every
 active job's remaining size decreases linearly, and the next completion
 is the minimum of ``remaining / rate`` over jobs with positive rate.
+The event loop itself runs over the NumPy slot store in
+:mod:`repro.sim.arraysim`; this module holds the public entry point and
+the result types.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
-from repro.obs import counter, histogram, trace_span
-from repro.sim.events import EventQueue, load_failure_schedule
+from repro.obs import counter, trace_span
 from repro.sim.jobs import FlowJob
 
 #: Completion-time comparisons tolerate this much float drift.
@@ -30,19 +32,6 @@ _TIME_EPS = 1e-9
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _RUNS = counter("sim.runs")
-_EVENTS = counter("sim.events")
-_COMPLETIONS = counter("sim.completions")
-_FAILURES = counter("sim.failures_applied")
-_POLICY_CALLS = counter("sim.policy_consultations")
-_RESOLVE_SKIPS = counter("sim.resolve_skipped")
-#: Active-job count observed at every event: the p50/p90/p99 summary
-#: shows whether a workload's cost comes from sustained load or bursts
-#: (integer observations — exact percentiles, tiny bucket map).
-_ACTIVE = histogram("sim.active_jobs")
-#: Solver-visible events admitted per policy re-solve: same-instant
-#: arrival bursts here, micro-batch windows in ``repro.sim.stream``.
-#: A p50 of 1 means per-event solving; higher means batching is paying.
-_BATCH = histogram("sim.batch_size")
 
 
 class CompletedJob(NamedTuple):
@@ -73,13 +62,39 @@ class SimulationError(RuntimeError):
     """Raised when the run cannot make progress (e.g. starved forever)."""
 
 
+def _check_inputs(
+    jobs: Sequence[FlowJob],
+    max_time: Optional[float],
+    batch_window: float = 0.0,
+) -> None:
+    """Reject malformed inputs before an event loop starts.
+
+    Shared by :func:`simulate` and
+    :func:`repro.sim.stream.simulate_stream`: a NaN, infinite or
+    negative ``batch_window``, a NaN ``max_time``, and a job whose
+    ``arrival`` is negative or NaN or whose ``size`` is NaN would
+    otherwise fail late with a misleading error or spin until the
+    event cap.
+    """
+    if not 0.0 <= batch_window < math.inf:
+        raise ValueError(
+            f"batch_window must be finite and >= 0, got {batch_window}"
+        )
+    if max_time is not None and math.isnan(max_time):
+        raise ValueError("max_time must be a number or None, got nan")
+    for job in jobs:
+        if not job.arrival >= 0:
+            raise ValueError(f"negative event time: {job.arrival}")
+        if math.isnan(job.size):
+            raise ValueError(f"job {job.job_id} has a NaN size")
+
+
 def simulate(
     jobs: Sequence[FlowJob],
     policy,
     max_time: Optional[float] = None,
     max_events: int = 1_000_000,
     failure_schedule=None,
-    engine: str = "auto",
 ) -> SimulationResult:
     """Run ``jobs`` under ``policy`` until everything finishes.
 
@@ -98,15 +113,8 @@ def simulate(
     :class:`SimulationError` rather than silently simulating a healthy
     fabric.
 
-    ``engine`` selects the event-loop implementation: ``"object"`` is
-    the per-job dict loop below, ``"array"`` the NumPy slot store in
-    :mod:`repro.sim.arraysim` (identical ``completed`` / ``unfinished``
-    / ``end_time``; ``work_done`` within float round-off), ``"auto"``
-    picks the array core for workloads of at least
-    :data:`~repro.sim.arraysim.AUTO_THRESHOLD` jobs when NumPy is
-    available.  Setting ``REPRO_SHADOW`` cross-checks sampled array
-    runs against the object engine and quarantines divergences with
-    reason ``sim-mismatch``.
+    A NaN ``max_time``, or a job with a negative or NaN arrival or a
+    NaN size, raises :class:`ValueError` before the loop starts.
 
     >>> from repro.core.topology import ClosNetwork
     >>> from repro.sim.policies import MaxMinCongestionControl
@@ -117,230 +125,20 @@ def simulate(
     >>> result.completed[0].duration  # size 2 at rate 1
     2.0
     """
-    from repro.sim import arraysim
+    from repro.sim.arraysim import _simulate_array
 
-    chosen = arraysim.resolve_engine(engine, len(jobs))
+    _check_inputs(jobs, max_time)
     _RUNS.inc()
-    with trace_span("sim.simulate", jobs=len(jobs), engine=chosen) as span:
-        if chosen == "array":
-            result = arraysim.with_shadow(
-                lambda: arraysim._simulate_array(
-                    jobs, policy, max_time, max_events, failure_schedule
-                ),
-                lambda ref: _simulate(
-                    jobs, ref, max_time, max_events, failure_schedule
-                ),
-                policy,
-                context="sim.simulate",
-            )
-        else:
-            result = _simulate(
-                jobs, policy, max_time, max_events, failure_schedule
-            )
+    with trace_span("sim.simulate", jobs=len(jobs)) as span:
+        result = _simulate_array(
+            jobs, policy, max_time, max_events, failure_schedule
+        )
         span.set(
             completed=len(result.completed),
             unfinished=len(result.unfinished),
             sim_end_time=result.end_time,
         )
     return result
-
-
-def _simulate(
-    jobs: Sequence[FlowJob],
-    policy,
-    max_time: Optional[float],
-    max_events: int,
-    failure_schedule,
-) -> SimulationResult:
-    """The event loop behind :func:`simulate` (same contract)."""
-    queue = EventQueue()
-    for job in jobs:
-        queue.push(job.arrival, "arrival", job)
-    if failure_schedule is not None:
-        if not hasattr(policy, "set_link_factors"):
-            raise SimulationError(
-                f"{type(policy).__name__} has no set_link_factors hook and "
-                "cannot replay a failure schedule"
-            )
-        load_failure_schedule(queue, failure_schedule)
-    #: link -> retained-capacity factor currently in force
-    link_factors: Dict = {}
-
-    active: Dict[int, FlowJob] = {}
-    remaining: Dict[int, float] = {}
-    completed: List[CompletedJob] = []
-    work_done = 0.0
-    now = 0.0
-    events = 0
-
-    def drain_until(target: float, rates: Dict[int, float]) -> float:
-        """Advance the clock to ``target`` applying ``rates``; returns
-        actual time reached (may stop early at a completion)."""
-        nonlocal now, work_done
-        # earliest completion under these rates
-        soonest: Optional[float] = None
-        for jid, rate in rates.items():
-            if rate > 0 and jid in remaining:
-                finish = now + remaining[jid] / rate
-                if soonest is None or finish < soonest:
-                    soonest = finish
-        stop = target if soonest is None else min(target, soonest)
-        dt = stop - now
-        if dt < 0:
-            raise SimulationError(f"time went backwards: {now} -> {stop}")
-        for jid, rate in rates.items():
-            if jid in remaining and rate > 0:
-                served = rate * dt
-                remaining[jid] = max(0.0, remaining[jid] - served)
-                work_done += served
-        now = stop
-        return stop
-
-    def complete_finished(rates: Dict[int, float]) -> bool:
-        """Retire every active job whose remaining size reached zero.
-
-        Returns whether any retirement is *solver-visible*: retiring a
-        job that was being served at a positive rate frees capacity and
-        changes the other jobs' fair shares, so the policy must be
-        re-consulted.  A job that finishes while its rate is zero (its
-        path fully degraded, or a zero-size arrival) leaves every
-        other job's allocation untouched — the caller may keep the
-        current rates.
-        """
-        finished = [
-            jid for jid, left in remaining.items() if left <= _TIME_EPS
-        ]
-        _COMPLETIONS.inc(len(finished))
-        visible = False
-        for jid in finished:
-            if rates.get(jid, 0.0) > 0:
-                visible = True
-            job = active.pop(jid)
-            del remaining[jid]
-            policy.forget(jid)
-            duration = now - job.arrival
-            completed.append(
-                CompletedJob(
-                    job=job,
-                    completion_time=now,
-                    duration=duration,
-                    slowdown=duration / job.size if job.size > 0 else 1.0,
-                )
-            )
-        return visible
-
-    pending_arrivals = len(jobs)
-    # A policy declaring `pure_rates` computes rates from the active job
-    # set and capacities alone, so its last answer stays valid until an
-    # event actually changes link membership or capacities.  Events that
-    # change neither (a job finishing at rate zero) skip the re-solve.
-    pure = bool(getattr(policy, "pure_rates", False))
-    needs_resolve = True
-    rates: Dict[int, float] = {}
-    while queue or active:
-        if not active and pending_arrivals == 0:
-            break  # only failure events remain; nothing left to serve
-        events += 1
-        _EVENTS.inc()
-        _ACTIVE.observe(len(active))
-        if events > max_events:
-            raise SimulationError(f"exceeded {max_events} events")
-        if max_time is not None and now >= max_time:
-            break
-
-        hook = getattr(policy, "next_wakeup", None)
-        if pure and hook is None and not needs_resolve:
-            _RESOLVE_SKIPS.inc()
-        else:
-            _POLICY_CALLS.inc()
-            rates = policy.rates(active, remaining, now)
-            needs_resolve = False
-        # Policies may request re-consultation at a future instant (e.g.
-        # periodic re-routing) via an optional `next_wakeup(now)` hook.
-        wakeup: Optional[float] = None
-        if hook is not None and active:
-            candidate = hook(now)
-            if candidate is not None and candidate > now + _TIME_EPS:
-                wakeup = candidate
-
-        next_event = queue.peek()
-        if next_event is None:
-            # only completions remain; if nobody is being served and no
-            # wakeup is pending the system can never finish
-            if wakeup is None and not any(
-                rate > 0 for jid, rate in rates.items() if jid in remaining
-            ):
-                raise SimulationError(
-                    f"{len(active)} jobs active but none served; "
-                    "the policy starved the residual workload"
-                )
-            horizon = math.inf if max_time is None else max_time
-            if wakeup is not None:
-                horizon = min(horizon, wakeup)
-            drain_until(horizon, rates)
-            if complete_finished(rates):
-                needs_resolve = True
-            continue
-
-        target = next_event.time
-        if wakeup is not None:
-            target = min(target, wakeup)
-        reached = drain_until(target, rates)
-        if complete_finished(rates):
-            needs_resolve = True
-            continue  # re-consult the policy before touching the arrival
-        if reached >= next_event.time - _TIME_EPS:
-            event = queue.pop()
-            if event.kind == "failure":
-                # Apply every failure landing at this instant in one go,
-                # then re-consult the policy on the degraded fabric.
-                link_factors[event.payload.link] = event.payload.factor
-                _FAILURES.inc()
-                while queue:
-                    upcoming = queue.peek()
-                    if (
-                        upcoming.kind != "failure"
-                        or upcoming.time > event.time + _TIME_EPS
-                    ):
-                        break
-                    failure = queue.pop().payload
-                    link_factors[failure.link] = failure.factor
-                    _FAILURES.inc()
-                policy.set_link_factors(dict(link_factors))
-                needs_resolve = True
-                continue
-            # Admit the arrival — and, for pure-rates policies, every
-            # other arrival landing at the same instant: no time passes
-            # between them and the rates depend only on the final set,
-            # so a burst costs one re-solve instead of one per job.
-            # (Impure policies may consume state per consultation — e.g.
-            # a re-route epoch — so they keep the per-arrival cadence.)
-            job = event.payload
-            active[job.job_id] = job
-            remaining[job.job_id] = job.size
-            pending_arrivals -= 1
-            needs_resolve = True
-            burst = 1
-            while pure and queue:
-                upcoming = queue.peek()
-                if (
-                    upcoming.kind != "arrival"
-                    or upcoming.time > event.time + _TIME_EPS
-                ):
-                    break
-                job = queue.pop().payload
-                active[job.job_id] = job
-                remaining[job.job_id] = job.size
-                pending_arrivals -= 1
-                burst += 1
-            _BATCH.observe(burst)
-
-    return SimulationResult(
-        completed=completed,
-        unfinished=list(active.values()),
-        work_done=work_done,
-        end_time=now,
-    )
 
 
 class FCTStats(NamedTuple):

@@ -11,11 +11,13 @@ bounded amount of rate *staleness* for throughput:
   every further event landing within a configurable ``batch_window``,
   applies them to the policy as one delta, and re-solves once per batch.
   Between re-solves, jobs are served at the standing (piecewise-
-  constant) rates; completions are processed exactly (each pops from a
-  completion heap in O(log F)) but the freed capacity is only
-  redistributed at the next batch boundary.  ``batch_window=0``
-  delegates to :func:`~repro.sim.flowsim.simulate` outright and is
-  byte-identical to it.
+  constant) rates; completions are processed exactly (in the
+  ``(finish, job_id)`` order sorted once per consult) but the freed
+  capacity is only redistributed at the next batch boundary.  The
+  event loop runs over the NumPy slot store in
+  :mod:`repro.sim.arraysim`.  ``batch_window=0`` delegates to
+  :func:`~repro.sim.flowsim.simulate` outright and is byte-identical
+  to it.
 - :func:`simulate_sharded` partitions a pod-local workload into
   ``pods`` independent shards — sources/destinations by ToR switch,
   middle switches by index — so the flow×link incidence is
@@ -29,28 +31,21 @@ affected suffix of water-fill rounds instead of starting over.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.obs import counter, histogram, trace_span
-from repro.sim.events import EventQueue, load_failure_schedule
+from repro.obs import counter, trace_span
+from repro.sim.arraysim import _simulate_stream_array
 from repro.sim.flowsim import (
-    _TIME_EPS,
     CompletedJob,
     SimulationError,
     SimulationResult,
+    _check_inputs,
     simulate,
 )
 from repro.sim.jobs import FlowJob
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _RUNS = counter("sim.stream.runs")
-_EVENTS = counter("sim.events")
-_COMPLETIONS = counter("sim.completions")
-_FAILURES = counter("sim.failures_applied")
-_POLICY_CALLS = counter("sim.policy_consultations")
-_BATCH = histogram("sim.batch_size")
 
 __all__ = ["simulate_stream", "simulate_sharded", "pod_of_switch", "middle_pools"]
 
@@ -62,7 +57,6 @@ def simulate_stream(
     max_time: Optional[float] = None,
     max_events: int = 1_000_000,
     failure_schedule=None,
-    engine: str = "auto",
 ) -> SimulationResult:
     """Run ``jobs`` under ``policy``, re-solving at most once per
     ``batch_window`` of simulated time.
@@ -77,265 +71,36 @@ def simulate_stream(
     whichever comes first.  Work accounting stays exact — only the rate
     *reassignment* is deferred, which is the real-world regime of a
     centralized allocator with a bounded update cadence (Shah & Xie's
-    centralized congestion control, PAPERS.md).
+    centralized congestion control, PAPERS.md).  A negative, NaN or
+    infinite ``batch_window`` raises :class:`ValueError`, as do the
+    malformed inputs :func:`~repro.sim.flowsim.simulate` rejects.
 
     The batch size (solver-visible changes absorbed per re-solve) is
     observed by the ``sim.batch_size`` histogram.
-
-    ``engine`` selects the event-loop implementation exactly as in
-    :func:`~repro.sim.flowsim.simulate` — ``"array"`` runs the NumPy
-    slot-store loop in :mod:`repro.sim.arraysim`, ``"auto"`` picks it
-    for large workloads, and ``REPRO_SHADOW`` cross-checks sampled
-    array runs against this object loop.
     """
-    if batch_window <= 0.0:
+    _check_inputs(jobs, max_time, batch_window)
+    if batch_window == 0.0:
         return simulate(
             jobs,
             policy,
             max_time=max_time,
             max_events=max_events,
             failure_schedule=failure_schedule,
-            engine=engine,
         )
-    from repro.sim import arraysim
-
-    chosen = arraysim.resolve_engine(engine, len(jobs))
     _RUNS.inc()
     with trace_span(
-        "sim.simulate_stream",
-        jobs=len(jobs),
-        batch_window=batch_window,
-        engine=chosen,
+        "sim.simulate_stream", jobs=len(jobs), batch_window=batch_window
     ) as span:
-        if chosen == "array":
-            result = arraysim.with_shadow(
-                lambda: arraysim._simulate_stream_array(
-                    jobs, policy, batch_window, max_time, max_events,
-                    failure_schedule,
-                ),
-                lambda ref: _simulate_stream(
-                    jobs, ref, batch_window, max_time, max_events,
-                    failure_schedule,
-                ),
-                policy,
-                context="sim.simulate_stream",
-            )
-        else:
-            result = _simulate_stream(
-                jobs, policy, batch_window, max_time, max_events,
-                failure_schedule,
-            )
+        result = _simulate_stream_array(
+            jobs, policy, batch_window, max_time, max_events,
+            failure_schedule,
+        )
         span.set(
             completed=len(result.completed),
             unfinished=len(result.unfinished),
             sim_end_time=result.end_time,
         )
     return result
-
-
-def _simulate_stream(
-    jobs: Sequence[FlowJob],
-    policy,
-    batch_window: float,
-    max_time: Optional[float],
-    max_events: int,
-    failure_schedule,
-) -> SimulationResult:
-    queue = EventQueue()
-    for job in jobs:
-        queue.push(job.arrival, "arrival", job)
-    if failure_schedule is not None:
-        if not hasattr(policy, "set_link_factors"):
-            raise SimulationError(
-                f"{type(policy).__name__} has no set_link_factors hook and "
-                "cannot replay a failure schedule"
-            )
-        load_failure_schedule(queue, failure_schedule)
-
-    active: Dict[int, FlowJob] = {}
-    #: Remaining size per job *as of* ``base_t`` (the last global
-    #: advance), under the standing ``rates``.
-    remaining: Dict[int, float] = {}
-    rates: Dict[int, float] = {}
-    completed: List[CompletedJob] = []
-    link_factors: Dict = {}
-    work_done = 0.0
-    now = 0.0
-    base_t = 0.0
-    events = 0
-    #: Completion events for the standing rates, pushed in sorted
-    #: ``(finish, job_id)`` order at each re-solve so the queue's
-    #: ``(time, sequence)`` ordering reproduces it; entries from before
-    #: the latest re-solve are cancelled and dropped lazily
-    #: (tombstones, see :meth:`repro.sim.events.EventQueue.cancel`).
-    #: Entries pop in push order, so the still-pending sequences are a
-    #: FIFO window over ``comp_seqs``.
-    completions = EventQueue()
-    comp_seqs: Deque[int] = deque()
-    #: Pending re-solve deadline and the change count it will absorb.
-    deadline: Optional[float] = None
-    pending = 0
-
-    def advance_to(target: float) -> None:
-        """Serve every job at its standing rate up to ``target``."""
-        nonlocal base_t, work_done
-        dt = target - base_t
-        if dt < -_TIME_EPS:
-            raise SimulationError(f"time went backwards: {base_t} -> {target}")
-        if dt > 0.0:
-            for jid, rate in rates.items():
-                if rate > 0 and jid in remaining:
-                    served = min(remaining[jid], rate * dt)
-                    remaining[jid] -= served
-                    work_done += served
-        base_t = target
-
-    def retire(jid: int, at: float, served: float) -> None:
-        nonlocal work_done
-        job = active.pop(jid)
-        remaining.pop(jid, None)
-        work_done += served
-        policy.forget(jid)
-        duration = at - job.arrival
-        completed.append(
-            CompletedJob(
-                job=job,
-                completion_time=at,
-                duration=duration,
-                slowdown=duration / job.size if job.size > 0 else 1.0,
-            )
-        )
-        _COMPLETIONS.inc()
-
-    def consult(at: float) -> None:
-        """The batch boundary: advance, re-solve, requeue completions."""
-        nonlocal rates, deadline, pending
-        advance_to(at)
-        # Retire anything that drained to zero exactly at the boundary
-        # (zero-size arrivals, simultaneous completions).
-        for jid in [j for j, left in remaining.items() if left <= _TIME_EPS]:
-            retire(jid, at, 0.0)
-        _POLICY_CALLS.inc()
-        _BATCH.observe(max(1, pending))
-        rates = policy.rates(active, remaining, at)
-        pending = 0
-        deadline = None
-        # Completions computed for the previous rates are stale: cancel
-        # their still-pending sequences (dropped lazily during pops)
-        # and push the new batch in (finish, job_id) order, so the
-        # queue's (time, sequence) ordering reproduces exactly the
-        # (finish, job_id) tie-breaking of the per-event loop.
-        while comp_seqs:
-            completions.cancel(comp_seqs.popleft())
-        for finish, jid in sorted(
-            (at + remaining[jid] / rate, jid)
-            for jid, rate in rates.items()
-            if rate > 0 and jid in remaining
-        ):
-            comp_seqs.append(completions.push(finish, "completion", jid))
-
-    def touch(at: float) -> None:
-        """Register one solver-visible change at time ``at``."""
-        nonlocal deadline, pending
-        pending += 1
-        candidate = at + batch_window
-        if deadline is None or candidate < deadline:
-            deadline = candidate
-
-    pending_arrivals = len(jobs)
-    while queue or active:
-        if not active and pending_arrivals == 0:
-            break  # only failure events remain; nothing left to serve
-        events += 1
-        _EVENTS.inc()
-        if events > max_events:
-            raise SimulationError(f"exceeded {max_events} events")
-        if max_time is not None and now >= max_time:
-            break
-
-        # Next thing that happens: queued event, valid completion, or
-        # the batch deadline.
-        upcoming_completion = completions.peek()
-        next_completion = (
-            upcoming_completion.time if upcoming_completion else None
-        )
-        next_event = queue.peek()
-        next_t = math.inf if max_time is None else max_time
-        if next_event is not None:
-            next_t = min(next_t, next_event.time)
-        if next_completion is not None:
-            next_t = min(next_t, next_completion)
-        if deadline is not None:
-            next_t = min(next_t, deadline)
-        if math.isinf(next_t):
-            raise SimulationError(
-                f"{len(active)} jobs active but none served; "
-                "the policy starved the residual workload"
-            )
-        if max_time is not None and next_t > max_time:
-            next_t = max_time
-        now = next_t
-        if max_time is not None and now >= max_time:
-            break
-
-        if next_completion is not None and next_completion <= now + _TIME_EPS:
-            event = completions.pop()
-            comp_seqs.popleft()
-            finish, jid = event.time, event.payload
-            # The job's full residual was served over [base_t, finish];
-            # account it directly and leave the others' lazily advanced
-            # state untouched (their rates are unchanged).
-            served = remaining.get(jid, 0.0)
-            if jid in active:
-                retire(jid, finish, served)
-                remaining.pop(jid, None)
-                touch(finish)  # freed capacity -> re-solve within window
-            continue
-
-        if next_event is not None and next_event.time <= now + _TIME_EPS:
-            event = queue.pop()
-            if event.kind == "failure":
-                link_factors[event.payload.link] = event.payload.factor
-                _FAILURES.inc()
-                while queue:
-                    upcoming = queue.peek()
-                    if (
-                        upcoming.kind != "failure"
-                        or upcoming.time > event.time + _TIME_EPS
-                    ):
-                        break
-                    failure = queue.pop().payload
-                    link_factors[failure.link] = failure.factor
-                    _FAILURES.inc()
-                policy.set_link_factors(dict(link_factors))
-                touch(event.time)
-                continue
-            job = event.payload
-            if job.size <= _TIME_EPS:
-                # Zero-size transfer: completes the instant it arrives,
-                # never contends — matching the per-event loop.
-                active[job.job_id] = job
-                pending_arrivals -= 1
-                retire(job.job_id, event.time, 0.0)
-                continue
-            active[job.job_id] = job
-            remaining[job.job_id] = job.size
-            pending_arrivals -= 1
-            touch(event.time)
-            continue
-
-        # The batch deadline is the earliest happening: re-solve.
-        consult(now)
-
-    advance_to(now)
-    for jid in [j for j, left in remaining.items() if left <= _TIME_EPS]:
-        retire(jid, now, 0.0)
-    return SimulationResult(
-        completed=completed,
-        unfinished=list(active.values()),
-        work_done=work_done,
-        end_time=now,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +136,6 @@ def _shard_simulate(
     max_time: Optional[float],
     max_events: int,
     failure_schedule,
-    engine: str,
 ) -> SimulationResult:
     """Simulate one pod shard with its pool-restricted policy."""
     from repro.sim.policies import MaxMinCongestionControl
@@ -390,7 +154,6 @@ def _shard_simulate(
         max_time=max_time,
         max_events=max_events,
         failure_schedule=failure_schedule,
-        engine=engine,
     )
 
 
@@ -408,7 +171,6 @@ def _shard_worker(
     max_time: Optional[float],
     max_events: int,
     failure_schedule,
-    engine: str,
 ) -> int:
     """Worker task for one pod: rebuild the shard's jobs from the shared
     input columns, simulate it, and scatter the completion columns back
@@ -424,7 +186,7 @@ def _shard_worker(
     )
     result = _shard_simulate(
         network, shard_jobs, pools[pod], batch_window, router, seed,
-        max_time, max_events, failure_schedule, engine,
+        max_time, max_events, failure_schedule,
     )
     status = shared_array("status")
     completion = shared_array("completion_time")
@@ -454,7 +216,6 @@ def simulate_sharded(
     max_time: Optional[float] = None,
     max_events: int = 1_000_000,
     failure_schedule=None,
-    engine: str = "auto",
     jobs: int = 1,
 ) -> SimulationResult:
     """Simulate a pod-local workload as ``pods`` independent shards.
@@ -485,8 +246,7 @@ def simulate_sharded(
     order, and ``work_done`` is summed in pod order — and with
     ``REPRO_OBS=1`` worker telemetry is shipped home and merged, so
     counters match the sequential run too.  ``failure_schedule`` is
-    replayed inside every shard; ``engine`` selects the event-loop
-    implementation per shard (see :func:`simulate_stream`).
+    replayed inside every shard.
 
     Results are merged deterministically: completions sorted by
     ``(completion_time, job_id)``, unfinished jobs by ``job_id``,
@@ -524,8 +284,7 @@ def simulate_sharded(
         if workers > 1:
             return _simulate_sharded_parallel(
                 network, shards, occupied, pools, batch_window, router,
-                seed, max_time, max_events, failure_schedule, engine,
-                workers,
+                seed, max_time, max_events, failure_schedule, workers,
             )
         completed: List[CompletedJob] = []
         unfinished: List[FlowJob] = []
@@ -534,7 +293,7 @@ def simulate_sharded(
         for pod in occupied:
             result = _shard_simulate(
                 network, shards[pod], pools[pod], batch_window, router,
-                seed, max_time, max_events, failure_schedule, engine,
+                seed, max_time, max_events, failure_schedule,
             )
             completed.extend(result.completed)
             unfinished.extend(result.unfinished)
@@ -561,7 +320,6 @@ def _simulate_sharded_parallel(
     max_time: Optional[float],
     max_events: int,
     failure_schedule,
-    engine: str,
     workers: int,
 ) -> SimulationResult:
     """The multi-process path of :func:`simulate_sharded` (same merge
@@ -598,7 +356,6 @@ def _simulate_sharded_parallel(
         max_time=max_time,
         max_events=max_events,
         failure_schedule=failure_schedule,
-        engine=engine,
     )
     with shared_arrays(columns) as block:
         parallel_map(worker, occupied, jobs=workers, chunksize=1,

@@ -14,9 +14,7 @@ batch changes *nothing* about the answers.
 
 from __future__ import annotations
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.chaos import random_instance
 from repro.core.batched import (

@@ -13,14 +13,6 @@ from repro.core.maxmin import max_min_fair
 from repro.errors import CertificateError
 from repro.validate import set_validation_level, validation
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    HAVE_NUMPY = False
-
-
 @pytest.fixture(autouse=True)
 def clean_state(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_VALIDATE", raising=False)

@@ -105,6 +105,24 @@ class TestMain:
     def test_run_is_case_insensitive(self, capsys):
         assert main(["run", "E1"]) == 0
 
+    def test_run_churn_window_zero_resolves_per_event(self, capsys):
+        """``--window 0`` means re-solve per event, not the default
+        window: the batched row consults as often as streaming."""
+        argv = ["run", "churn", "--n", "2", "--rate", "20", "--horizon", "1"]
+        assert main(argv + ["--window", "0"]) == 0
+        consults = {}
+        for line in capsys.readouterr().out.splitlines():
+            fields = line.split()
+            if fields and fields[0] in ("streaming", "batched"):
+                consults[fields[0]] = int(fields[-2]) + int(fields[-1])
+        assert consults["batched"] == consults["streaming"]
+        # The default window batches, so it consults less often.
+        assert main(argv) == 0
+        for line in capsys.readouterr().out.splitlines():
+            fields = line.split()
+            if fields and fields[0] == "batched":
+                assert int(fields[-2]) + int(fields[-1]) < consults["streaming"]
+
 
 @pytest.fixture
 def fake_experiments(monkeypatch):
@@ -329,7 +347,6 @@ class TestReplayCommand:
     def test_reproducing_bundle_exits_one_and_minimizes(
         self, capsys, quarantine_dir, clos2, monkeypatch
     ):
-        pytest.importorskip("numpy")
         import repro.core.vectorized as vectorized_module
         from repro.validate import validation
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.parallel import (
@@ -108,7 +109,6 @@ def _double_into_shared(i: int) -> int:
 
 
 def test_shared_arrays_round_trip_and_zero_copy():
-    np = pytest.importorskip("numpy")
     arrays = {
         "ints": np.arange(7, dtype=np.int64),
         "floats": np.linspace(0.0, 1.0, 5),
@@ -139,7 +139,6 @@ def test_shared_array_requires_attachment():
 
 
 def test_parallel_map_shared_results_identical_across_jobs():
-    np = pytest.importorskip("numpy")
     matrix = np.arange(20, dtype=np.float64).reshape(4, 5)
     expected = [float(matrix[i].sum()) for i in range(4)]
     with shared_arrays({"matrix": matrix}) as block:
@@ -150,7 +149,6 @@ def test_parallel_map_shared_results_identical_across_jobs():
 
 
 def test_parallel_map_shared_workers_write_disjoint_slices():
-    np = pytest.importorskip("numpy")
     data = np.arange(6, dtype=np.float64)
     with shared_arrays({"data": data, "out": np.zeros(6)}) as block:
         parallel_map(

@@ -403,9 +403,10 @@ class TestBenchDiff:
     def test_attribution_separates_one_sided_spans(self):
         from repro.bench import diff_attribution, format_attribution
 
-        # An --engine A/B: the two runs share "policy.consult" but the
-        # engines' own spans exist on one side only.  Those must not be
-        # attributed as movers (their "delta" would be the whole span).
+        # An A/B of two implementations: the runs share "policy.consult"
+        # but each implementation's own spans exist on one side only.
+        # Those must not be attributed as movers (their "delta" would
+        # be the whole span).
         base = _bench_doc(
             1.0,
             {

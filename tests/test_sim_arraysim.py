@@ -1,19 +1,22 @@
-"""Tests for the array-state simulator engines (PR 10).
+"""Tests for the simulator's event loops (:mod:`repro.sim.arraysim`).
 
-Covers engine selection, byte-identity of the array engines against the
-object engines (the property the ``REPRO_SHADOW`` cross-check enforces
-in production), parallel-shard determinism with merged telemetry, the
-shadow-quarantine path, and the chaos harness's engine parity check.
+Every parity test runs the production entry point
+(:func:`repro.sim.flowsim.simulate` or
+:func:`repro.sim.stream.simulate_stream`) and the per-job dict loop in
+``tests/sim_reference.py`` on the same input, and requires the oracle
+contract: ``completed``, ``unfinished`` and ``end_time`` exactly equal,
+``work_done`` within :data:`~tests.sim_reference.WORK_TOL` relative —
+or, for inputs the loops reject, the same exception type and message.
+Also covers parallel-shard determinism with merged telemetry.
 """
 
 import math
-import os
 import random
 
 import pytest
 
 from repro.core.topology import ClosNetwork
-from repro.errors import BackendUnavailableError
+from repro.errors import ReproError
 from repro.sim.flowsim import SimulationError, simulate
 from repro.sim.jobs import (
     JOB_COLUMNS,
@@ -27,16 +30,15 @@ from repro.sim.policies import (
     MatchingScheduler,
     MaxMinCongestionControl,
     ProcessorSharing,
+    ReroutingCongestionControl,
 )
 from repro.sim.stream import simulate_sharded, simulate_stream
 from repro.workloads.stochastic import churn_workload
 
-np = pytest.importorskip("numpy")
-
-from repro.sim import arraysim  # noqa: E402
-from repro.sim.arraysim import (  # noqa: E402
-    AUTO_THRESHOLD,
-    resolve_engine,
+from tests.sim_reference import (
+    WORK_TOL,
+    _simulate,
+    _simulate_stream,
     results_equivalent,
 )
 
@@ -46,55 +48,32 @@ def clos():
     return ClosNetwork(2)
 
 
-@pytest.fixture(autouse=True)
-def _quiet_shadow(monkeypatch, tmp_path):
-    monkeypatch.delenv("REPRO_SHADOW", raising=False)
-    monkeypatch.setenv("REPRO_QUARANTINE_DIR", str(tmp_path / "quarantine"))
+def _oracle(jobs, policy, max_time=None, failure_schedule=None):
+    return _simulate(jobs, policy, max_time, 1_000_000, failure_schedule)
 
 
-def _bundles(tmp_path):
-    directory = tmp_path / "quarantine"
-    if not directory.is_dir():
-        return []
-    return sorted(str(p) for p in directory.glob("q-*.json"))
+def _oracle_stream(jobs, policy, batch_window, max_time=None):
+    return _simulate_stream(
+        jobs, policy, batch_window, max_time, 1_000_000, None
+    )
 
 
-def _require_same(a, b):
-    """The full byte-identity contract between two engines' results."""
-    assert a.completed == b.completed
-    assert a.unfinished == b.unfinished
-    assert a.end_time == b.end_time
-    assert math.isclose(a.work_done, b.work_done, rel_tol=1e-9, abs_tol=1e-9)
-
-
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self, clos):
-        job = FlowJob(0, clos.sources[0], clos.destinations[0], 0.0, 1.0)
-        with pytest.raises(ValueError, match="engine"):
-            simulate([job], MaxMinCongestionControl(clos), engine="turbo")
-
-    def test_auto_picks_object_below_threshold(self):
-        assert resolve_engine("auto", AUTO_THRESHOLD - 1) == "object"
-        assert resolve_engine("auto", AUTO_THRESHOLD) == "array"
-
-    def test_explicit_engines_resolve_to_themselves(self):
-        assert resolve_engine("object", 10_000) == "object"
-        assert resolve_engine("array", 1) == "array"
-
-    def test_array_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(arraysim, "_numpy", lambda: None)
-        with pytest.raises(BackendUnavailableError):
-            resolve_engine("array", 1)
-        # auto degrades to the object engine instead of raising
-        assert resolve_engine("auto", 10_000) == "object"
+def _require_same(got, want):
+    """The full oracle contract between a production and an oracle run."""
+    assert got.completed == want.completed
+    assert got.unfinished == want.unfinished
+    assert got.end_time == want.end_time
+    assert math.isclose(
+        got.work_done, want.work_done, rel_tol=WORK_TOL, abs_tol=WORK_TOL
+    )
 
 
 class TestPerEventByteIdentity:
     @pytest.mark.parametrize("seed", range(4))
     def test_poisson_maxmin(self, clos, seed):
         jobs = poisson_workload(clos, rate=3.0, horizon=4.0, seed=seed)
-        want = simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+        want = _oracle(jobs, MaxMinCongestionControl(clos))
+        got = simulate(jobs, MaxMinCongestionControl(clos))
         _require_same(got, want)
 
     @pytest.mark.parametrize(
@@ -108,14 +87,44 @@ class TestPerEventByteIdentity:
     )
     def test_policies(self, clos, make_policy):
         jobs = poisson_workload(clos, rate=2.0, horizon=5.0, seed=7)
-        want = simulate(jobs, make_policy(clos), engine="object")
-        got = simulate(jobs, make_policy(clos), engine="array")
+        want = _oracle(jobs, make_policy(clos))
+        got = simulate(jobs, make_policy(clos))
+        _require_same(got, want)
+
+    def test_rerouting_next_wakeup(self, clos):
+        """The ``next_wakeup`` hook: re-route epochs wake the loop
+        between flow events (the E8 ``fct_scheduling`` path)."""
+        jobs = poisson_workload(clos, rate=3.0, horizon=8.0, seed=9)
+        assert len(jobs) < 64
+        want = _oracle(jobs, ReroutingCongestionControl(clos, interval=0.3))
+        got = simulate(jobs, ReroutingCongestionControl(clos, interval=0.3))
+        _require_same(got, want)
+
+    def test_rerouting_under_failure_schedule(self, clos):
+        from fractions import Fraction
+
+        from repro.failures.schedule import FailureSchedule
+
+        jobs = poisson_workload(clos, rate=2.0, horizon=6.0, seed=4)
+        schedule = FailureSchedule.random_flaps(
+            clos, count=3, horizon=4.0, seed=4, severity=Fraction(1, 4)
+        )
+        want = _oracle(
+            jobs,
+            ReroutingCongestionControl(clos, interval=0.5, seed=4),
+            failure_schedule=schedule,
+        )
+        got = simulate(
+            jobs,
+            ReroutingCongestionControl(clos, interval=0.5, seed=4),
+            failure_schedule=schedule,
+        )
         _require_same(got, want)
 
     def test_same_instant_burst(self, clos):
         jobs = incast_burst(clos, fan_in=4, arrival=1.0, size=2.0)
-        want = simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+        want = _oracle(jobs, MaxMinCongestionControl(clos))
+        got = simulate(jobs, MaxMinCongestionControl(clos))
         _require_same(got, want)
 
     def test_zero_size_jobs(self, clos):
@@ -123,18 +132,14 @@ class TestPerEventByteIdentity:
             FlowJob(0, clos.sources[0], clos.destinations[0], 0.5, 0.0),
             FlowJob(1, clos.sources[1], clos.destinations[1], 0.5, 1.0),
         ]
-        want = simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+        want = _oracle(jobs, MaxMinCongestionControl(clos))
+        got = simulate(jobs, MaxMinCongestionControl(clos))
         _require_same(got, want)
 
     def test_max_time_truncation(self, clos):
         jobs = poisson_workload(clos, rate=3.0, horizon=4.0, seed=2)
-        want = simulate(
-            jobs, MaxMinCongestionControl(clos), max_time=1.5, engine="object"
-        )
-        got = simulate(
-            jobs, MaxMinCongestionControl(clos), max_time=1.5, engine="array"
-        )
+        want = _oracle(jobs, MaxMinCongestionControl(clos), max_time=1.5)
+        got = simulate(jobs, MaxMinCongestionControl(clos), max_time=1.5)
         _require_same(got, want)
 
     def test_failure_schedule(self, clos):
@@ -146,61 +151,71 @@ class TestPerEventByteIdentity:
         schedule = FailureSchedule.random_flaps(
             clos, count=3, horizon=4.0, seed=5, severity=Fraction(1, 4)
         )
-        want = simulate(
+        want = _oracle(
             jobs,
             MaxMinCongestionControl(clos, seed=5),
             failure_schedule=schedule,
-            engine="object",
         )
         got = simulate(
             jobs,
             MaxMinCongestionControl(clos, seed=5),
             failure_schedule=schedule,
-            engine="array",
         )
         _require_same(got, want)
 
     def test_error_parity_negative_arrival(self, clos):
         jobs = [FlowJob(0, clos.sources[0], clos.destinations[0], -1.0, 1.0)]
-        with pytest.raises(ValueError) as obj_err:
-            simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        with pytest.raises(ValueError) as arr_err:
-            simulate(jobs, MaxMinCongestionControl(clos), engine="array")
-        assert str(obj_err.value) == str(arr_err.value)
+        with pytest.raises(ValueError) as oracle_err:
+            _oracle(jobs, MaxMinCongestionControl(clos))
+        with pytest.raises(ValueError) as err:
+            simulate(jobs, MaxMinCongestionControl(clos))
+        assert str(err.value) == str(oracle_err.value)
 
 
 class TestStreamByteIdentity:
     @pytest.mark.parametrize("window", [0.05, 0.5])
     def test_micro_batched(self, clos, window):
         jobs = poisson_workload(clos, rate=3.0, horizon=5.0, seed=3)
-        want = simulate_stream(
-            jobs,
-            MaxMinCongestionControl(clos, backend="streaming"),
-            batch_window=window,
-            engine="object",
+        want = _oracle_stream(
+            jobs, MaxMinCongestionControl(clos, backend="streaming"), window
         )
         got = simulate_stream(
             jobs,
             MaxMinCongestionControl(clos, backend="streaming"),
             batch_window=window,
-            engine="array",
         )
         _require_same(got, want)
 
     def test_max_time(self, clos):
         jobs = poisson_workload(clos, rate=3.0, horizon=5.0, seed=4)
-        kwargs = dict(batch_window=0.1, max_time=2.0)
-        want = simulate_stream(
+        want = _oracle_stream(
             jobs,
             MaxMinCongestionControl(clos, backend="streaming"),
-            engine="object",
-            **kwargs,
+            0.1,
+            max_time=2.0,
         )
         got = simulate_stream(
             jobs,
             MaxMinCongestionControl(clos, backend="streaming"),
-            engine="array",
-            **kwargs,
+            batch_window=0.1,
+            max_time=2.0,
+        )
+        _require_same(got, want)
+
+    def test_finish_ties_break_by_job_id(self, clos):
+        """Equal finish times retire in job-id order, not admission
+        order: ids here descend in admission order."""
+        jobs = [
+            FlowJob(9 - i, clos.sources[i], clos.destinations[i], 0.5, 1.0)
+            for i in range(4)
+        ]
+        want = _oracle_stream(
+            jobs, MaxMinCongestionControl(clos, backend="streaming"), 0.05
+        )
+        got = simulate_stream(
+            jobs,
+            MaxMinCongestionControl(clos, backend="streaming"),
+            batch_window=0.05,
         )
         _require_same(got, want)
 
@@ -210,14 +225,89 @@ class TestStreamByteIdentity:
             jobs,
             MaxMinCongestionControl(clos, backend="streaming"),
             batch_window=0.0,
-            engine="array",
         )
-        per_event = simulate(
-            jobs,
-            MaxMinCongestionControl(clos, backend="streaming"),
-            engine="array",
+        per_event = _oracle(
+            jobs, MaxMinCongestionControl(clos, backend="streaming")
         )
         _require_same(streamed, per_event)
+
+
+def _seeded_churn(seed):
+    """A seeded churn instance: Clos(2..4), one of three arrival rates,
+    and ``max_time`` either unset or 0.75."""
+    rng = random.Random((seed << 5) ^ 0x51AE)
+    n = rng.randint(2, 4)
+    network = ClosNetwork(n)
+    jobs = churn_workload(
+        network,
+        rate=rng.choice((30.0, 60.0, 120.0)),
+        horizon=rng.uniform(0.4, 1.2),
+        seed=seed,
+    )
+    max_time = rng.choice((None, None, 0.75))
+    return network, jobs, max_time
+
+
+def _outcome(run):
+    """``("ok", result)`` or ``("error", "<type>: <message>")``."""
+    try:
+        return "ok", run()
+    except (ReproError, SimulationError) as error:
+        return "error", f"{type(error).__name__}: {error}"
+
+
+class TestSeededChurn:
+    """Seeded churn workloads through both loops, per-event and
+    micro-batched: the results match the oracle, or both reject the
+    input with the same typed error."""
+
+    @pytest.mark.parametrize("mode", ["per-event", "batched"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_oracle(self, seed, mode):
+        network, jobs, max_time = _seeded_churn(seed)
+        if mode == "per-event":
+            backend = "vectorized"
+
+            def production():
+                return simulate(
+                    jobs,
+                    MaxMinCongestionControl(network, backend=backend),
+                    max_time=max_time,
+                )
+
+            def oracle():
+                return _oracle(
+                    jobs,
+                    MaxMinCongestionControl(network, backend=backend),
+                    max_time=max_time,
+                )
+
+        else:
+            backend = "streaming"
+
+            def production():
+                return simulate_stream(
+                    jobs,
+                    MaxMinCongestionControl(network, backend=backend),
+                    batch_window=0.02,
+                    max_time=max_time,
+                )
+
+            def oracle():
+                return _oracle_stream(
+                    jobs,
+                    MaxMinCongestionControl(network, backend=backend),
+                    0.02,
+                    max_time=max_time,
+                )
+
+        got_kind, got = _outcome(production)
+        want_kind, want = _outcome(oracle)
+        assert got_kind == want_kind, (got, want)
+        if got_kind == "error":
+            assert got == want
+        else:
+            _require_same(got, want)
 
 
 class TestShardedDeterminism:
@@ -287,65 +377,15 @@ class TestShardedDeterminism:
             for k, v in seq_delta.items()
             if isinstance(v, (int, float))
             and k.startswith("sim.")
-            and k != "sim.queue_peak"  # a gauge: merged last-write-wins
         }
         assert counters, "no simulator counters were recorded"
         for key, value in counters.items():
             assert par_delta.get(key) == value, (
                 f"{key}: jobs=4 {par_delta.get(key)} != jobs=1 {value}"
             )
-        # The peak gauge is per-process; the merged value is one
-        # shard's peak, bounded by the sequential all-shards peak.
-        assert 0 < par_delta["sim.queue_peak"] <= seq_delta["sim.queue_peak"]
-
-    def test_engine_forced_object_matches_array(self, network, workload):
-        want = simulate_sharded(
-            network, workload, pods=4, batch_window=0.05,
-            engine="object", jobs=1,
-        )
-        got = simulate_sharded(
-            network, workload, pods=4, batch_window=0.05,
-            engine="array", jobs=4,
-        )
-        _require_same(got, want)
-
-
-class TestShadowCrossCheck:
-    def test_divergence_quarantined_and_corrected(
-        self, clos, monkeypatch, tmp_path
-    ):
-        """A corrupted array engine is caught by the sampled shadow
-        re-run: the object result is returned and a ``sim-mismatch``
-        bundle is written."""
-        monkeypatch.setenv("REPRO_SHADOW", "1.0")
-        jobs = poisson_workload(clos, rate=2.0, horizon=3.0, seed=11)
-        honest = simulate(
-            jobs, MaxMinCongestionControl(clos), engine="object"
-        )
-
-        real = arraysim._simulate_array
-
-        def corrupted(*args, **kwargs):
-            result = real(*args, **kwargs)
-            return result._replace(end_time=result.end_time + 1.0)
-
-        monkeypatch.setattr(arraysim, "_simulate_array", corrupted)
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
-        assert got == honest  # the object engine out-voted the corruption
-        bundles = _bundles(tmp_path)
-        assert len(bundles) == 1
-        from repro.quarantine import load_bundle
-
-        bundle = load_bundle(bundles[0])
-        assert bundle.reason == "sim-mismatch"
-        assert bundle.backend == "array"
-        assert any("end_time" in line for line in bundle.failures)
-
-    def test_agreement_writes_nothing(self, clos, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SHADOW", "1.0")
-        jobs = poisson_workload(clos, rate=2.0, horizon=3.0, seed=12)
-        simulate(jobs, MaxMinCongestionControl(clos), engine="array")
-        assert _bundles(tmp_path) == []
+        # The micro-batching loop walks presorted arrival and completion
+        # lists, so the event-heap gauge is never set.
+        assert "sim.queue_peak" not in seq_delta
 
 
 class TestResultsEquivalent:
@@ -373,17 +413,3 @@ class TestJobArrays:
         arrays = jobs_to_arrays(jobs)
         assert set(arrays) == set(JOB_COLUMNS)
         assert jobs_from_arrays(*(arrays[c] for c in JOB_COLUMNS)) == jobs
-
-
-class TestChaosEngineCheck:
-    def test_seeded_workloads_clean(self):
-        from repro.chaos import sim_engine_check
-
-        for seed in range(3):
-            assert sim_engine_check(seed) == []
-
-    def test_fuzz_includes_engine_checks(self):
-        from repro.chaos import fuzz
-
-        report = fuzz(seeds=2, churn_every=1)
-        assert report.failures == []

@@ -301,8 +301,6 @@ class TestIncidenceStaleness:
     infinite must force a recompile, and plain brownouts (values change,
     membership does not) must refresh the capacity vector."""
 
-    pytest.importorskip("numpy")
-
     def _degraded_equal(self, schedule, jobs, clos, seed=0):
         reference = simulate(
             jobs,

@@ -8,9 +8,9 @@ but never loses work; and with one pod the sharded loop reduces exactly
 to the unsharded one.
 """
 
-import pytest
+import math
 
-pytest.importorskip("numpy")
+import pytest
 
 from repro import obs
 from repro.core.topology import ClosNetwork
@@ -132,6 +132,50 @@ class TestBatchedConservation:
         policy = MaxMinCongestionControl(clos, backend="streaming")
         with pytest.raises(SimulationError):
             simulate_stream(jobs, policy, batch_window=0.05, max_events=2)
+
+
+class TestMalformedInputs:
+    """Malformed inputs are rejected up front with ``ValueError``
+    instead of failing late or spinning until the event cap."""
+
+    @pytest.fixture
+    def jobs(self, clos):
+        jobs = poisson_workload(clos, rate=5.0, horizon=10.0, seed=1)[:10]
+        assert len(jobs) == 10
+        return jobs
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -0.05])
+    def test_bad_batch_window(self, clos, jobs, window):
+        with pytest.raises(ValueError, match="batch_window"):
+            simulate_stream(
+                jobs, MaxMinCongestionControl(clos), batch_window=window
+            )
+
+    @pytest.mark.parametrize("window", [0.0, 0.05])
+    def test_nan_max_time(self, clos, jobs, window):
+        with pytest.raises(ValueError, match="max_time"):
+            simulate_stream(
+                jobs,
+                MaxMinCongestionControl(clos),
+                batch_window=window,
+                max_time=math.nan,
+            )
+
+    @pytest.mark.parametrize("window", [0.0, 0.05])
+    def test_nan_arrival(self, clos, jobs, window):
+        jobs[3] = jobs[3]._replace(arrival=math.nan)
+        with pytest.raises(ValueError, match="negative event time: nan"):
+            simulate_stream(
+                jobs, MaxMinCongestionControl(clos), batch_window=window
+            )
+
+    @pytest.mark.parametrize("window", [0.0, 0.05])
+    def test_nan_size(self, clos, jobs, window):
+        jobs[3] = jobs[3]._replace(size=math.nan)
+        with pytest.raises(ValueError, match="NaN size"):
+            simulate_stream(
+                jobs, MaxMinCongestionControl(clos), batch_window=window
+            )
 
 
 class TestSharding:

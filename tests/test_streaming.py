@@ -18,15 +18,6 @@ from repro.core.flows import Flow
 from repro.core.routing import Routing
 from repro.errors import UnboundedRateError, UnknownLinkError
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 INF = float("inf")
 
 
@@ -84,7 +75,6 @@ def counter_gen():
         i += 1
 
 
-@needs_numpy
 class TestBitIdentity:
     """Streaming float rates must equal from-scratch vectorized rates
     bit-for-bit after every solve of a churn sequence."""
@@ -132,7 +122,6 @@ class TestBitIdentity:
 
 
 class TestExactMode:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="fabric helper uses float caps")
     def test_prefixes_match_reference_exactly(self):
         from repro.core.solve import solve_max_min
         from repro.core.streaming import StreamingMaxMin
@@ -153,7 +142,6 @@ class TestExactMode:
                 assert rates[flow] == reference.rate(flow), step
 
 
-@needs_numpy
 class TestCapacityChurn:
     """The PR 6 ``incidence_stale`` class: flipping a link between
     finite and infinite must recompile, value brownouts must not."""
@@ -241,7 +229,6 @@ class TestCapacityChurn:
             assert rates[flow] == fresh.rate(flow)
 
 
-@needs_numpy
 class TestMutationEdges:
     CAPS = {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "d"): INF}
 
@@ -313,7 +300,6 @@ class TestMutationEdges:
             assert alloc.rate(flow) == via_dispatch.rate(flow)
 
 
-@needs_numpy
 class TestShadowMismatch:
     """A forced disagreement must quarantine the event prefix under
     reason ``stream-mismatch``, answer with the reference rates, and
@@ -376,7 +362,6 @@ class TestShadowMismatch:
         assert list(tmp_path.iterdir()) == []
 
 
-@needs_numpy
 class TestCounters:
     def test_patched_and_fullsolve_counters(self):
         from repro import obs

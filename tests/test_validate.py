@@ -17,7 +17,7 @@ from repro.core.incremental import MoveEvaluator
 from repro.core.maxmin import max_min_fair
 from repro.core.solve import BACKENDS, EXACT_BACKENDS, solve_max_min
 from repro.core.topology import ClosNetwork
-from repro.errors import BackendUnavailableError, CertificateError
+from repro.errors import CertificateError
 from repro.validate import (
     ENV_VAR,
     allocation_failures,
@@ -99,14 +99,11 @@ class TestCorrectAllocationsCertify:
         routing = random_routing(clos3, flows, seed=11)
         capacities = clos3.graph.capacities()
         exact = backend in EXACT_BACKENDS
-        try:
-            with validation("full"):
-                allocation = solve_max_min(
-                    routing, capacities, backend=backend,
-                    exact=True if exact else False,
-                )
-        except BackendUnavailableError:
-            pytest.skip(f"{backend} unavailable")
+        with validation("full"):
+            allocation = solve_max_min(
+                routing, capacities, backend=backend,
+                exact=True if exact else False,
+            )
         assert len(allocation) == len(flows)
 
     def test_cache_hit_certifies_at_full(self, clos2):

@@ -25,19 +25,10 @@ from repro.core.quotient import build_quotient, quotient_max_min
 from repro.core.routing import Routing
 from repro.core.solve import BACKENDS, EXACT_BACKENDS, solve_max_min
 from repro.core.topology import ClosNetwork
-from repro.errors import BackendUnavailableError, UnboundedRateError
+from repro.errors import UnboundedRateError
 from repro.workloads.adversarial import lemma_4_6_routing, theorem_4_3
 
 from tests.helpers import random_flows, random_routing
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 @st.composite
@@ -109,7 +100,6 @@ class TestQuotientExactIdentity:
             quotient_max_min(routing, infinite)
 
 
-@needs_numpy
 class TestVectorizedAgreement:
     @settings(max_examples=60, deadline=None)
     @given(clos_instances())
@@ -211,8 +201,6 @@ class TestSolveDispatch:
         capacities = clos.graph.capacities()
         reference = solve_max_min(routing, capacities, backend="reference")
         for backend in BACKENDS:
-            if backend in ("vectorized", "streaming") and not HAVE_NUMPY:
-                continue
             alloc = solve_max_min(routing, capacities, backend=backend)
             for flow in routing.flows():
                 if backend in EXACT_BACKENDS:
@@ -221,15 +209,3 @@ class TestSolveDispatch:
                     assert alloc.rate(flow) == pytest.approx(
                         float(reference.rate(flow)), abs=1e-12
                     )
-
-    def test_vectorized_unavailable_without_numpy(self, monkeypatch):
-        """The numpy-missing path raises the typed error, not ImportError."""
-        import repro.core.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "_np", None)
-        clos = ClosNetwork(1)
-        routing = random_routing(clos, random_flows(clos, 2, seed=0), seed=0)
-        with pytest.raises(BackendUnavailableError):
-            vectorized.max_min_fair_vectorized(
-                routing, clos.graph.capacities()
-            )
