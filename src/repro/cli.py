@@ -71,6 +71,26 @@ def _parse_ints(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _checked(cast: Callable, ok: Callable, requirement: str) -> Callable:
+    """An argparse ``type`` that also rejects values failing ``ok``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # keeps "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
+
+
 # ----------------------------------------------------------------------
 # Experiment runners (thin printing wrappers over repro.experiments)
 # ----------------------------------------------------------------------
@@ -186,7 +206,7 @@ def run_e6(args: argparse.Namespace) -> None:
     from repro.experiments.ecmp_simulation import stochastic_comparison
 
     rows = stochastic_comparison(
-        n=args.n or 3,
+        n=3 if args.n is None else args.n,
         num_flows=30,
         seeds=range(3),
         backend=getattr(args, "backend", None),
@@ -412,15 +432,19 @@ def run_e10(args: argparse.Namespace) -> None:
 def run_churn(args: argparse.Namespace) -> None:
     from repro.experiments.churn import churn_comparison
 
-    # 0 is a real window (re-solve per event), so test for None.
-    window = getattr(args, "window", None)
+    # Test for None, never truthiness: 0 is a real --window (re-solve
+    # per event) and a real --jobs (all cores).
+    def arg(name: str, default):
+        value = getattr(args, name, None)
+        return default if value is None else value
+
     rows = churn_comparison(
-        n=args.n or 4,
-        rate=getattr(args, "rate", None) or 100.0,
-        horizon=getattr(args, "horizon", None) or 1.5,
-        batch_window=0.05 if window is None else window,
-        pods=getattr(args, "pods", None) or 1,
-        jobs=getattr(args, "jobs", None) or 1,
+        n=arg("n", 4),
+        rate=arg("rate", 100.0),
+        horizon=arg("horizon", 1.5),
+        batch_window=arg("window", 0.05),
+        pods=arg("pods", 1),
+        jobs=arg("jobs", 1),
     )
     print(
         format_table(
@@ -517,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--sizes", help="comma-separated network sizes (e3/e4)"
     )
-    profile.add_argument("--n", type=int, help="network size (e6)")
+    profile.add_argument(
+        "--n", type=_POSITIVE_INT, help="network size (e6; >= 1)"
+    )
     profile.add_argument(
         "--backend",
         choices=[
@@ -555,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--jobs",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=1,
         help="worker processes for sweep points (non-negative; 0 means "
         "all cores; worker telemetry is shipped back and merged)",
@@ -586,12 +612,19 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="e1..e16, 'churn', or 'all'")
     run.add_argument("--ks", help="comma-separated k values (e2)")
     run.add_argument("--sizes", help="comma-separated network sizes (e3/e4)")
-    run.add_argument("--n", type=int, help="network size (e6/churn)")
     run.add_argument(
-        "--rate", type=float, help="mean arrivals per time unit (churn)"
+        "--n", type=_POSITIVE_INT, help="network size (e6/churn; >= 1)"
     )
     run.add_argument(
-        "--horizon", type=float, help="arrival horizon in time units (churn)"
+        "--rate",
+        type=_POSITIVE_FLOAT,
+        help="mean arrivals per time unit (churn; > 0 — a Poisson "
+        "workload needs a positive rate, so 0 is a usage error)",
+    )
+    run.add_argument(
+        "--horizon",
+        type=_POSITIVE_FLOAT,
+        help="arrival horizon in time units (churn; > 0)",
     )
     run.add_argument(
         "--window",
@@ -601,8 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--pods",
-        type=int,
-        help="shard the churn workload into this many independent pods",
+        type=_POSITIVE_INT,
+        help="shard the churn workload into this many independent pods "
+        "(>= 1)",
     )
     run.add_argument(
         "--backend",
@@ -617,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--jobs",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=1,
         help="worker processes for sweep points (non-negative; 0 means "
         "all cores; results are identical to --jobs 1, just faster)",

@@ -19,24 +19,7 @@
 - A1/A2/A3 ``ablations``     — Doom-Switch dump policy; search strategies
 """
 
-from repro.experiments import (
-    ablations,
-    convergence,
-    ecmp_simulation,
-    example_2_3,
-    failure_degradation,
-    fattree_generality,
-    fct_scheduling,
-    konig_equivalence,
-    oversubscription,
-    planted_gadgets,
-    r1_price_of_fairness,
-    r2_starvation,
-    r3_doom_switch,
-    rearrangeability,
-    relative_fairness,
-    splittable_equivalence,
-)
+import importlib
 
 __all__ = [
     "ablations",
@@ -56,3 +39,10 @@ __all__ = [
     "relative_fairness",
     "splittable_equivalence",
 ]
+
+
+def __getattr__(name):
+    """Import ``repro.experiments.<name>`` on first access (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.flows import Flow, FlowCollection
 from repro.core.nodes import InputSwitch, MiddleSwitch, OutputSwitch
@@ -221,6 +220,8 @@ def splittable_feasible(
     interior link capacities as inequalities.  (Server-link constraints
     involve no routing choice and are checked directly.)
     """
+    from scipy.optimize import linprog
+
     n = network.num_middles
     flow_list = list(flows)
     if not flow_list:

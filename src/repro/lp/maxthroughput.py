@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.allocation import Allocation
 from repro.core.flows import Flow, FlowCollection
@@ -37,6 +36,8 @@ def max_throughput_lp(
     Returns ``(optimal throughput, an optimal allocation)``.  Rates are
     floats (scipy); use the combinatorial solvers for exact results.
     """
+    from scipy.optimize import linprog
+
     flows: List[Flow] = routing.flows()
     if not flows:
         return 0.0, Allocation({})
@@ -72,6 +73,8 @@ def max_throughput_lp_macro(flows: FlowCollection) -> float:
     source's and each destination's server link.  By LP integrality of
     bipartite matching the optimum equals ``T^MT`` (Lemma 3.2).
     """
+    from scipy.optimize import linprog
+
     flow_list = list(flows)
     if not flow_list:
         return 0.0

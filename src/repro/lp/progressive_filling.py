@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.allocation import Allocation
 from repro.core.flows import Flow
@@ -104,6 +103,8 @@ def max_min_fair_lp(
 
 def _max_common_level(flows, index, link_rows, frozen, unfrozen) -> float:
     """LP: maximize t s.t. unfrozen rates = t, frozen rates fixed."""
+    from scipy.optimize import linprog
+
     # Variables: one rate per flow, plus t (last).  Equality a_f = t for
     # unfrozen via two inequalities folded into bounds/equalities: we use
     # substitution instead — unfrozen flows' coefficient contributes to t.
@@ -128,6 +129,8 @@ def _max_single_flow(
     flows, index, link_rows, frozen, unfrozen, level, target: Flow
 ) -> float:
     """LP: maximize target's rate with other unfrozen flows at ≥ level."""
+    from scipy.optimize import linprog
+
     # Variables: rate of each unfrozen flow.  Others bounded below by
     # `level`, target unbounded above; frozen flows contribute constants.
     unfrozen_index = {f: i for i, f in enumerate(unfrozen)}

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.allocation import Allocation
 from repro.core.flows import Flow, FlowCollection
@@ -106,6 +105,8 @@ def splittable_max_min_fair(
     Float rates (LP-based); compare against exact references with a
     small tolerance.
     """
+    from scipy.optimize import linprog
+
     flow_list = list(flows)
     if not flow_list:
         return Allocation({})

@@ -124,6 +124,54 @@ class TestMain:
                 assert int(fields[-2]) + int(fields[-1]) < consults["streaming"]
 
 
+class TestArgumentBounds:
+    """Out-of-range sizes are usage errors, never silently defaulted."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "churn", "--n", "0"],
+            ["run", "e6", "--n", "0"],
+            ["profile", "e6", "--n", "0"],
+            ["run", "churn", "--rate", "-1"],
+            ["run", "churn", "--horizon", "0"],
+            ["run", "churn", "--horizon", "-0.5"],
+            ["run", "churn", "--pods", "0"],
+            ["run", "churn", "--jobs", "-1"],
+            ["profile", "e4", "--jobs", "-1"],
+        ],
+    )
+    def test_rejected_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_rate_zero_is_a_usage_error(self, capsys):
+        """A Poisson workload needs a positive rate: ``--rate 0`` used
+        to run the default rate 100; now it errors before any work."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "churn", "--n", "2", "--rate", "0"])
+        assert exc.value.code == 2
+        assert "argument --rate: must be > 0, got 0" in capsys.readouterr().err
+
+    def test_zero_window_and_jobs_reach_churn(self, capsys, monkeypatch):
+        """0 is a real ``--window`` and ``--jobs`` (all cores); explicit
+        values pass through unchanged."""
+        from repro.experiments import churn
+
+        seen = {}
+        monkeypatch.setattr(
+            churn, "churn_comparison", lambda **kw: seen.update(kw) or []
+        )
+        argv = ["run", "churn", "--n", "2", "--rate", "0.5",
+                "--horizon", "0.25", "--pods", "2", "--window", "0",
+                "--jobs", "0"]
+        assert main(argv) == 0
+        assert seen == {"n": 2, "rate": 0.5, "horizon": 0.25,
+                        "batch_window": 0.0, "pods": 2, "jobs": 0}
+
+
 @pytest.fixture
 def fake_experiments(monkeypatch):
     """Three tiny experiments, the middle one broken."""

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.maxmin import max_min_fair
+from repro.experiments.ecmp_simulation import _routers
 from repro.core.objectives import macro_switch_max_min
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork, MacroSwitch
@@ -14,7 +15,7 @@ from repro.routers.congestion_local_search import (
 )
 from repro.routers.ecmp import ecmp_routing, random_routing
 from repro.routers.greedy import greedy_least_congested, macro_switch_demands
-from repro.workloads.stochastic import permutation, uniform_random
+from repro.workloads.stochastic import hotspot, permutation, uniform_random
 
 from tests.helpers import random_flows
 
@@ -170,3 +171,43 @@ class TestRouterComparison:
             if macro.rate(f) > 0
         ]
         assert sum(ratios) / len(ratios) > 0.9
+
+
+class TestCongestionLowerBound:
+    """Known answers for E6's routers: no routing beats the trivial bound.
+
+    A flow's whole demand crosses one uplink and one downlink, and a
+    ToR's total load spreads over at most its ``n`` uplinks (or
+    downlinks), so every routing's max congestion is at least
+    ``max(largest demand, max ToR load / n)``.
+    """
+
+    @staticmethod
+    def _lower_bound(network, demands):
+        up, down = {}, {}
+        for flow, demand in demands.items():
+            up[flow.source.switch] = up.get(flow.source.switch, 0) + demand
+            down[flow.dest.switch] = down.get(flow.dest.switch, 0) + demand
+        tor_load = max(list(up.values()) + list(down.values()))
+        return max(max(demands.values()), tor_load / network.num_middles)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_router_respects_the_bound(self, n, seed):
+        network = ClosNetwork(n)
+        families = [permutation(network, seed=seed)] + [
+            family(network, num_flows, seed=seed)
+            for family in (uniform_random, hotspot)
+            for num_flows in (30, 40)
+        ]
+        for flows in families:
+            demands = macro_switch_demands(network, flows)
+            bound = self._lower_bound(network, demands)
+            assert isinstance(bound, Fraction)
+            routers = _routers(network, flows, seed)
+            assert sorted(routers) == [
+                "ecmp", "greedy", "local_search", "two_choice"
+            ]
+            for name, routing in routers.items():
+                congestion = max_congestion(network, routing, demands)
+                assert congestion >= bound, (name, congestion, bound)
