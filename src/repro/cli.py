@@ -7,7 +7,6 @@ Usage::
     python -m repro run e2 --ks 1,2,4,8  # R1 sweep with custom k values
     python -m repro run e4 --jobs 4      # sweep points across 4 processes
     python -m repro run all              # everything (minutes)
-    python -m repro bench --against BENCH_baseline.json  # perf gate
 
 ``--jobs N`` computes sweep points in ``N`` worker processes
 (``--jobs 0`` = all cores).  Results — tables, manifests, exit codes —
@@ -42,9 +41,8 @@ ranks spans in an exported JSONL trace by self time::
     python -m repro profile e4 --jobs 4 --trace e4.jsonl
     python -m repro top e4.jsonl
 
-``bench`` gains regression *attribution*: ``repro bench diff A.json
-B.json`` explains per-scenario wall-clock movement span by span
-(self-time deltas and their share of the total delta).
+Performance is measured outside the package, by ``perfbench/run.py``
+(see ``docs/PERFORMANCE.md``).
 
 Self-checking runtime (see :mod:`repro.validate` and
 ``docs/ROBUSTNESS.md``): the global ``--validate {off,cheap,full}``
@@ -89,6 +87,20 @@ def _checked(cast: Callable, ok: Callable, requirement: str) -> Callable:
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
+
+
+def _backend_names(text: str) -> List[str]:
+    """An argparse ``type`` for ``fuzz --backends``: names that
+    :func:`repro.core.solve.solve_max_min` accepts, at least one."""
+    from repro.core.solve import BACKENDS
+
+    allowed = BACKENDS + ("auto",)
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names or any(name not in allowed for name in names):
+        raise argparse.ArgumentTypeError(
+            f"expected backends from {', '.join(allowed)}, got {text!r}"
+        )
+    return names
 
 
 # ----------------------------------------------------------------------
@@ -697,54 +709,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop at the first failing experiment",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the micro-benchmark suite; optionally gate on a baseline",
-    )
-    bench.add_argument(
-        "-o", "--output", help="write results to this JSON file"
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=5, help="timed runs per scenario"
-    )
-    bench.add_argument(
-        "--against",
-        metavar="BASELINE",
-        help="compare against a baseline JSON; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed median slowdown vs the baseline (0.25 = 25%%)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_action")
-    bench_diff = bench_sub.add_parser(
-        "diff",
-        help="attribute wall-clock deltas between two bench documents "
-        "to the spans that moved",
-    )
-    bench_diff.add_argument("baseline", help="older BENCH_*.json")
-    bench_diff.add_argument("current", help="newer BENCH_*.json")
-    bench_diff.add_argument(
-        "--top",
-        type=int,
-        default=3,
-        help="span movements itemized per scenario (default 3)",
-    )
-
     fuzz = sub.add_parser(
         "fuzz",
         help="chaos-fuzz the solver backends; quarantine any disagreement",
     )
     fuzz.add_argument(
         "--seeds",
-        type=int,
+        type=_POSITIVE_INT,
         default=50,
-        help="number of deterministic fuzz seeds to explore (default 50)",
+        help="number of deterministic fuzz seeds to explore "
+        "(default 50; >= 1)",
     )
     fuzz.add_argument(
         "--backends",
+        type=_backend_names,
         help="comma-separated backends to cross-check "
         "(default: every non-reference backend)",
     )
@@ -815,21 +793,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "top":
         return _top_command(args)
 
-    if args.command == "bench":
-        if getattr(args, "bench_action", None) == "diff":
-            from repro.bench import diff_command
-
-            return diff_command(args.baseline, args.current, top=args.top)
-
-        from repro.bench import bench_command
-
-        return bench_command(
-            output=args.output,
-            repeat=args.repeat,
-            against=args.against,
-            tolerance=args.tolerance,
-        )
-
     if args.command == "fuzz":
         return _fuzz_command(args)
 
@@ -845,14 +808,9 @@ def _fuzz_command(args: argparse.Namespace) -> int:
     instances; exit 1 if any disagreement or certificate failure."""
     from repro.chaos import fuzz
 
-    backends = (
-        [b.strip() for b in args.backends.split(",") if b.strip()]
-        if args.backends
-        else None
-    )
     report = fuzz(
         args.seeds,
-        backends=backends,
+        backends=args.backends,
         directory=args.quarantine_dir,
         churn_every=5 if args.churn else 0,
     )

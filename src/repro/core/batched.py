@@ -38,7 +38,8 @@ solves a contiguous scenario range directly into a shared output rates
 array, so only ``(first, last)`` index pairs ever cross the pipe.
 
 See ``docs/PERFORMANCE.md`` ("Batched multi-scenario solving") for
-measured crossover points and the bench scenario ``batched_sweep``.
+measured crossover points and the CI gate that holds the batched
+kernel to ≥10× over per-instance solves.
 """
 
 from __future__ import annotations

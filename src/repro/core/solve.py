@@ -9,7 +9,7 @@
   instances.
 - ``"vectorized"`` — :func:`repro.core.vectorized.max_min_fair_vectorized`;
   float, NumPy array kernel, fastest for dense instances (thousands of
-  flows over few links).  Requires NumPy.
+  flows over few links).
 - ``"quotient"`` — :func:`repro.core.quotient.quotient_max_min`; exact
   ``Fraction`` rates via symmetry reduction, the only exact option that
   scales to the n ≥ 64 adversarial constructions.
@@ -37,7 +37,7 @@
   (``solver.shadow.disagreements``), and answered with the reference
   result.
 
-All four concrete backends return the same allocation: exactly for the
+All five concrete backends return the same allocation: exactly for the
 exact backends, within 1e-12 between the float backends
 (property-tested in ``tests/test_vectorized_quotient.py``).  See
 ``docs/PERFORMANCE.md`` ("Scaling to large n") for measured crossover

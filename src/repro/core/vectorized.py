@@ -360,8 +360,7 @@ def _check_waterfill(compiled: CompiledRouting, caps, rates) -> None:
     the bottleneck certificate needs flow/link objects and lives in the
     :class:`~repro.core.allocation.Allocation`-returning entry points).
     NaN/overflow detection and per-link feasibility are pure array ops
-    so the check stays inside the bench budget on the hot simulation
-    path.
+    so the check stays cheap on the hot simulation path.
     """
     from repro import validate as _validate
 

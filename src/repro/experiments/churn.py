@@ -27,9 +27,8 @@ consultations, and the streaming solver's patched/full split.
 
 from __future__ import annotations
 
-import random
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.core.topology import ClosNetwork
 from repro.sim.flowsim import SimulationResult, simulate
@@ -133,110 +132,3 @@ def churn_comparison(
         )
     return rows
 
-
-def churn_event_sequence(
-    network: ClosNetwork,
-    rate: float = 100000.0,
-    horizon: float = 0.5,
-    mean_size: float = 0.01,
-    max_live: int = 2000,
-    seed: int = 0,
-) -> List[Tuple[str, object, Optional[Tuple]]]:
-    """The pinned add/remove event stream a simulator would hand the
-    allocator: Poisson arrivals with ECMP-hashed middle pins, departures
-    interleaved (oldest-biased random) to cap the live-flow count at
-    ``max_live``.  This isolates the *allocation service* — no
-    discrete-event bookkeeping — so absorbing it measures pure solver
-    event throughput (:func:`absorb_churn`)."""
-    from repro.routers.ecmp import _flow_hash
-    from repro.sim.policies import _job_flow
-
-    jobs = churn_workload(
-        network, rate=rate, horizon=horizon, mean_size=mean_size, seed=seed
-    )
-    rng = random.Random(seed)
-    num_middles = network.num_middles
-    events: List[Tuple[str, object, Optional[Tuple]]] = []
-    live: List[object] = []
-    for job in jobs:
-        flow = _job_flow(job)
-        middle = (_flow_hash(flow, seed) % num_middles) + 1
-        events.append(
-            ("add", flow, network.path_via(job.source, job.dest, middle))
-        )
-        live.append(flow)
-        while len(live) > max_live:
-            events.append(
-                ("remove", live.pop(rng.randrange(len(live))), None)
-            )
-    return events
-
-
-def absorb_churn(
-    capacities,
-    events: Sequence[Tuple[str, object, Optional[Tuple]]],
-    batch: int = 4096,
-    per_event: bool = False,
-    limit: Optional[int] = None,
-) -> Dict[str, object]:
-    """Feed ``events`` into the allocator and return throughput stats.
-
-    ``per_event=False`` (the streaming service): one
-    :class:`~repro.core.streaming.StreamingMaxMin` absorbing ``batch``
-    events per solve.  ``per_event=True`` (the classic loop the tentpole
-    displaces): a from-scratch vectorized solve after *every* event —
-    pass ``limit`` to run it on a prefix of the same sequence, since at
-    data-center scale that loop is exactly what's too slow to finish.
-
-    Returns ``{"events", "wall_s", "events_per_sec", "solves", "stats"}``
-    (``stats`` is the streaming solver's lifetime split, else ``None``).
-    """
-    from repro.obs import counter
-
-    if limit is not None:
-        events = events[:limit]
-    events_counter = counter("bench.churn.events")
-    solves = 0
-    stats = None
-    start = time.perf_counter()
-    if per_event:
-        from repro.core.routing import Routing
-        from repro.core.vectorized import max_min_fair_vectorized
-
-        paths = {}
-        for kind, flow, path in events:
-            if kind == "add":
-                paths[flow] = path
-            else:
-                del paths[flow]
-            if paths:
-                max_min_fair_vectorized(Routing(dict(paths)), capacities)
-            solves += 1
-    else:
-        from repro.core.streaming import StreamingMaxMin
-
-        solver = StreamingMaxMin(capacities)
-        pending = 0
-        for kind, flow, path in events:
-            if kind == "add":
-                solver.add(flow, path)
-            else:
-                solver.remove(flow)
-            pending += 1
-            if pending >= batch:
-                solver.solve()
-                solves += 1
-                pending = 0
-        if pending:
-            solver.solve()
-            solves += 1
-        stats = solver.stats
-    wall_s = time.perf_counter() - start
-    events_counter.inc(len(events))
-    return {
-        "events": len(events),
-        "wall_s": wall_s,
-        "events_per_sec": len(events) / wall_s if wall_s > 0 else 0.0,
-        "solves": solves,
-        "stats": stats,
-    }

@@ -22,8 +22,7 @@ prior siblings.  Relative layout and all durations are faithful; only
 the absolute epoch is invented.
 
 :func:`aggregate_spans` folds a span forest into a per-name
-self-time/cumulative-time table — the engine behind ``repro top`` and
-``repro bench diff`` attribution.
+self-time/cumulative-time table — the engine behind ``repro top``.
 """
 
 from __future__ import annotations
@@ -198,7 +197,7 @@ def prometheus_text(
 
 
 # ----------------------------------------------------------------------
-# Per-span aggregation (repro top / bench diff attribution)
+# Per-span aggregation (repro top)
 # ----------------------------------------------------------------------
 def aggregate_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
     """Fold a span forest into per-name totals.

@@ -8,7 +8,7 @@ produce "the max-min fair allocation"; this module certifies a result
 - ``cheap`` — structural sanity: every routed flow has a rate, rates are
   non-negative / finite / not NaN, and no link is loaded beyond its
   capacity (within tolerance).  O(flows · path length), cheap enough
-  for hot loops and the CI bench gate.
+  for hot loops.
 - ``full``  — everything ``cheap`` checks, plus routing well-formedness
   (each path joins its flow's endpoints) and the bottleneck-saturation
   certificate of max-min *optimality* (Lemma 2.2, via

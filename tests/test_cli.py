@@ -139,6 +139,8 @@ class TestArgumentBounds:
             ["run", "churn", "--pods", "0"],
             ["run", "churn", "--jobs", "-1"],
             ["profile", "e4", "--jobs", "-1"],
+            ["fuzz", "--seeds", "-2"],
+            ["fuzz", "--seeds", "0"],
         ],
     )
     def test_rejected_with_usage_error(self, argv, capsys):
@@ -170,6 +172,40 @@ class TestArgumentBounds:
         assert main(argv) == 0
         assert seen == {"n": 2, "rate": 0.5, "horizon": 0.25,
                         "batch_window": 0.0, "pods": 2, "jobs": 0}
+
+    @pytest.mark.parametrize("names", ["bogus", "heap,bogus", "batched", ","])
+    def test_fuzz_rejects_unknown_backends(self, names, capsys, monkeypatch):
+        """An unknown backend is a usage error before any seed runs,
+        not a traceback at the first solve."""
+        from repro import chaos
+
+        monkeypatch.setattr(chaos, "fuzz", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--seeds", "1", "--backends", names])
+        assert exc.value.code == 2
+        assert "argument --backends: expected backends from" in (
+            capsys.readouterr().err
+        )
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        """Performance is measured by perfbench; ``repro bench`` is not
+        a command any more."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_fuzz_backends_reach_the_harness(self, monkeypatch):
+        from repro import chaos
+
+        seen = {}
+        monkeypatch.setattr(
+            chaos, "fuzz",
+            lambda seeds, **kw: seen.update(kw, seeds=seeds)
+            or chaos.FuzzReport(seeds=seeds, instances=0, checks=0, failures=[]),
+        )
+        assert main(["fuzz", "--seeds", "2", "--backends", " heap, auto"]) == 0
+        assert seen["seeds"] == 2 and seen["backends"] == ["heap", "auto"]
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 Covers payload serialize/merge round trips, the `parallel_map` shipping
 contract (jobs>1 counter totals identical to jobs=1, silence when
-disabled), sampling/ring bounds, the Chrome/Prometheus exporters, the
-`bench diff` attribution math, and the disabled-mode overhead guard.
+disabled), sampling/ring bounds, the Chrome/Prometheus exporters, and
+the disabled-mode overhead guard.
 """
 
 import json
@@ -357,107 +357,6 @@ class TestExporters:
         assert table["a"]["cum_s"] == 1.0
         assert table["a"]["self_s"] == pytest.approx(0.4)
         assert table["b"]["self_s"] == pytest.approx(0.6)
-
-
-def _bench_doc(median, spans):
-    return {
-        "format": "repro-bench",
-        "version": 1,
-        "scenarios": {
-            "vectorized_waterfill": {
-                "wall_s_best": median,
-                "wall_s_median": median,
-                "repeat": 3,
-                "metrics": {},
-                "spans": spans,
-            }
-        },
-    }
-
-
-class TestBenchDiff:
-    def test_attribution_finds_injected_slowdown(self):
-        from repro.bench import diff_attribution
-
-        base = _bench_doc(
-            1.0,
-            {
-                "csr.compile": {"count": 1, "cum_s": 0.4, "self_s": 0.4},
-                "waterfill": {"count": 1, "cum_s": 0.55, "self_s": 0.55},
-            },
-        )
-        # inject a synthetic 0.5s slowdown into csr.compile
-        curr = _bench_doc(
-            1.5,
-            {
-                "csr.compile": {"count": 1, "cum_s": 0.9, "self_s": 0.9},
-                "waterfill": {"count": 1, "cum_s": 0.56, "self_s": 0.56},
-            },
-        )
-        (row,) = diff_attribution(base, curr)
-        assert row["delta_s"] == pytest.approx(0.5)
-        top = row["spans"][0]
-        assert top["span"] == "csr.compile"
-        assert top["share"] >= 0.90
-
-    def test_attribution_separates_one_sided_spans(self):
-        from repro.bench import diff_attribution, format_attribution
-
-        # An A/B of two implementations: the runs share "policy.consult"
-        # but each implementation's own spans exist on one side only.
-        # Those must not be attributed as movers (their "delta" would
-        # be the whole span).
-        base = _bench_doc(
-            1.0,
-            {
-                "sim.object": {"count": 1, "cum_s": 0.7, "self_s": 0.7},
-                "policy.consult": {"count": 5, "cum_s": 0.2, "self_s": 0.2},
-            },
-        )
-        curr = _bench_doc(
-            0.4,
-            {
-                "sim.array": {"count": 1, "cum_s": 0.15, "self_s": 0.15},
-                "policy.consult": {"count": 5, "cum_s": 0.18, "self_s": 0.18},
-            },
-        )
-        (row,) = diff_attribution(base, curr)
-        assert [s["span"] for s in row["spans"]] == ["policy.consult"]
-        assert row["only_baseline"] == [{"span": "sim.object", "self_s": 0.7}]
-        assert row["only_current"] == [{"span": "sim.array", "self_s": 0.15}]
-        text = format_attribution([row])
-        assert "sim.object" in text and "baseline only" in text
-        assert "sim.array" in text and "current only" in text
-        assert "no span breakdown" not in text
-
-    def test_diff_command_end_to_end(self, tmp_path, capsys):
-        base = _bench_doc(
-            1.0, {"csr.compile": {"count": 1, "cum_s": 0.4, "self_s": 0.4}}
-        )
-        curr = _bench_doc(
-            1.2, {"csr.compile": {"count": 1, "cum_s": 0.6, "self_s": 0.6}}
-        )
-        a = tmp_path / "BENCH_a.json"
-        b = tmp_path / "BENCH_b.json"
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(curr))
-        assert main(["bench", "diff", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "vectorized_waterfill" in out
-        assert "csr.compile" in out
-        assert "% of delta" in out
-
-    def test_diff_command_rejects_non_bench_files(self, tmp_path, capsys):
-        bad = tmp_path / "nope.json"
-        bad.write_text("{}")
-        assert main(["bench", "diff", str(bad), str(bad)]) == 2
-
-    def test_plain_bench_parser_still_works(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench", "--repeat", "2"])
-        assert args.command == "bench"
-        assert getattr(args, "bench_action", None) is None
 
 
 class TestCliFrontEnds:
