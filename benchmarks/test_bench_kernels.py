@@ -72,25 +72,3 @@ def test_bench_topology_construction(benchmark):
     clos = benchmark(ClosNetwork, 16)
     assert clos.graph.num_links() == 4 * 16 * 16 * 2
 
-
-def test_bench_water_filling_fast(benchmark, big_instance):
-    """Heap-accelerated float water-filling (vs the reference above)."""
-    from repro.core.fastmaxmin import max_min_fair_fast
-
-    clos, flows = big_instance
-    routing = ecmp_routing(clos, flows)
-    capacities = clos.graph.capacities()
-    alloc = benchmark(max_min_fair_fast, routing, capacities)
-    assert len(alloc) == 400
-
-
-def test_bench_water_filling_fast_xl(benchmark):
-    """C_16 with 2000 flows — the scale the heap variant exists for."""
-    from repro.core.fastmaxmin import max_min_fair_fast
-
-    clos = ClosNetwork(16)
-    flows = uniform_random(clos, 2000, seed=0)
-    routing = ecmp_routing(clos, flows)
-    capacities = clos.graph.capacities()
-    alloc = benchmark(max_min_fair_fast, routing, capacities)
-    assert len(alloc) == 2000

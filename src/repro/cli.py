@@ -53,7 +53,7 @@ bundle and delta-debugs it down to a minimal reproducer::
 
     python -m repro --validate full run e4
     python -m repro fuzz --seeds 200
-    python -m repro replay quarantine/q-shadow-0123abcd4567.json
+    python -m repro replay quarantine/q-fuzz-disagreement-0123abcd4567.json
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ _POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
 def _backend_names(text: str) -> List[str]:
     """An argparse ``type`` for ``fuzz --backends``: names that
     :func:`repro.core.solve.solve_max_min` accepts, at least one."""
-    from repro.core.solve import BACKENDS
+    from repro.core.solve import BACKENDS as allowed
 
-    allowed = BACKENDS + ("auto",)
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names or any(name not in allowed for name in names):
         raise argparse.ArgumentTypeError(
@@ -559,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--backend",
         choices=[
-            "reference", "heap", "vectorized", "quotient", "streaming",
+            "reference", "vectorized", "quotient", "streaming",
             "batched",
         ],
         help="max-min solver backend for e4/e5/e6 "
@@ -653,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         choices=[
-            "reference", "heap", "vectorized", "quotient", "streaming",
+            "reference", "vectorized", "quotient", "streaming",
             "batched",
         ],
         help="max-min solver backend for e4/e5/e6 "
@@ -839,12 +838,19 @@ def _replay_command(args: argparse.Namespace) -> int:
     """The ``replay`` subcommand: re-run a bundle; exit 1 if it still
     reproduces on this machine."""
     from repro.io.serialize import ScenarioError
-    from repro.quarantine import load_bundle, replay
+    from repro.quarantine import REPLAY_BACKENDS, load_bundle, replay
 
     try:
         bundle = load_bundle(args.bundle)
     except (OSError, ScenarioError) as error:
         print(f"cannot load bundle: {error}", file=sys.stderr)
+        return 2
+    if bundle.backend not in REPLAY_BACKENDS:
+        print(
+            f"cannot replay bundle: backend {bundle.backend!r} is not one "
+            f"of {', '.join(REPLAY_BACKENDS)}",
+            file=sys.stderr,
+        )
         return 2
 
     print(

@@ -49,8 +49,6 @@ from repro.errors import (
 )
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
-from repro.core.heapfill import Rat as _Rat
-from repro.core.heapfill import lazy_heap_fill
 from repro.core.routing import Link, Routing
 from repro.obs import counter, trace_span
 
@@ -61,6 +59,28 @@ _SOLVES = counter("maxmin.solves")
 _ROUNDS = counter("maxmin.rounds")
 _SATURATIONS = counter("maxmin.saturated_links")
 _FREEZES = counter("maxmin.flows_frozen")
+
+
+class _Rat:
+    """A minimal unnormalized rational used as a heap key.
+
+    :class:`~fractions.Fraction` pays gcd normalization on construction
+    and ABC dispatch on every comparison — per profile, most of the
+    exact-mode water-fill.  Heap keys only ever need ``<`` (and ties
+    fall through to the tiebreak counter), so a bare cross-multiplied
+    comparison on a slotted pair suffices.  Denominators are positive by
+    construction.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int) -> None:
+        self.n = n
+        self.d = d
+
+    def __lt__(self, other: "_Rat") -> bool:
+        return self.n * other.d < other.n * self.d
+
 
 __all__ = [
     "UnboundedRateError",
@@ -304,24 +324,58 @@ def _fill_generic(
     unfrozen_count: Dict[Link, int],
     zero: Rate,
 ) -> int:
-    """Float-mode (or custom numeric) water-fill on the rate type itself.
+    """Float-mode water-fill on the rate type itself (see :func:`_fill`)."""
+    # (level, tiebreak, link): links are heterogeneous tuples that do
+    # not compare with each other, so a monotone counter breaks ties.
+    tiebreak = itertools.count()
+    heap: List[Tuple] = [
+        (residual[link] / count, next(tiebreak), link)
+        for link, count in unfrozen_count.items()
+        if count
+    ]
+    heapq.heapify(heap)
 
-    The loop itself lives in :func:`repro.core.heapfill.lazy_heap_fill`,
-    shared with :mod:`repro.core.fastmaxmin`; this wrapper only binds the
-    reference implementation's observability counters.
-    """
-    return lazy_heap_fill(
-        flows,
-        link_flows,
-        flow_links,
-        rates,
-        residual,
-        unfrozen_count,
-        zero=zero,
-        rounds_counter=_ROUNDS,
-        saturations=_SATURATIONS,
-        freezes=_FREEZES,
-    )
+    frozen: Set[Flow] = set()
+    total = len(flows)
+    rounds = 0
+    last_level = None
+    while len(frozen) < total:
+        if not heap:
+            # Cannot happen: every unfrozen flow sits on at least one
+            # finite link with a positive unfrozen count (itself).
+            raise AssertionError("water-filling invariant violated")
+        level, _, link = heapq.heappop(heap)
+        count = unfrozen_count[link]
+        if count == 0:
+            continue  # stale: the link fully froze after the push
+        current = residual[link] / count
+        if current > level:
+            # Stale: freezes since the push raised this link's level.
+            heapq.heappush(heap, (current, next(tiebreak), link))
+            continue
+        if current < zero:
+            # Float rounding can leave a residual at -1e-16; clamp so
+            # the resulting rates stay non-negative.
+            current = zero
+
+        if last_level is None or current > last_level:
+            rounds += 1
+            _ROUNDS.inc()
+            last_level = current
+        _SATURATIONS.inc()
+
+        # Freeze every unfrozen flow on the saturating link at `current`.
+        newly_frozen = [f for f in link_flows[link] if f not in frozen]
+        _FREEZES.inc(len(newly_frozen))
+        for flow in newly_frozen:
+            rates[flow] = current
+            frozen.add(flow)
+            for other in flow_links[flow]:
+                if other in residual:
+                    residual[other] -= current
+                    unfrozen_count[other] -= 1
+
+    return rounds
 
 
 def max_min_fair_for_network(

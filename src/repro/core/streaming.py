@@ -45,7 +45,7 @@ allocation is unique).
 
 Every solve can be cross-checked against the exact reference solver —
 ``shadow=`` a fraction, or the ambient ``REPRO_SHADOW`` environment
-variable exactly as ``solve_max_min(backend="auto")`` honors it.  A
+variable (:data:`SHADOW_ENV`; streaming is its only reader).  A
 disagreement is quarantined (reason ``stream-mismatch``) with the event
 prefix that produced it, counted, answered with the reference rates, and
 the next solve is forced full.
@@ -53,6 +53,7 @@ the next solve is forced full.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -82,11 +83,32 @@ _RECOMPILES = counter("solver.stream.recompiles")
 _SHADOW_CHECKS = counter("solver.stream.shadow_checks")
 _MISMATCHES = counter("solver.stream.mismatches")
 
+#: Environment variable: fraction of streaming solves shadow-checked
+#: against the exact reference (0 disables; 1 checks every solve) when
+#: no ``shadow=`` is given.
+SHADOW_ENV = "REPRO_SHADOW"
+
 __all__ = ["StreamingMaxMin", "streaming_max_min"]
 
 
 def _path_links(path) -> List[Link]:
     return list(zip(path, path[1:]))
+
+
+def _shadow_interval() -> int:
+    """Shadow every N-th solve (0 = shadow checking disabled)."""
+    raw = os.environ.get(SHADOW_ENV, "").strip()
+    if not raw:
+        return 0
+    try:
+        fraction = float(raw)
+    except ValueError:
+        raise ValueError(
+            f"{SHADOW_ENV} must be a fraction in [0, 1], got {raw!r}"
+        ) from None
+    if fraction <= 0:
+        return 0
+    return max(1, round(1.0 / min(fraction, 1.0)))
 
 
 def _fmt_event(event) -> str:
@@ -1059,8 +1081,6 @@ class StreamingMaxMin:
             if fraction <= 0:
                 return 0
             return max(1, round(1.0 / min(fraction, 1.0)))
-        from repro.core.solve import _shadow_interval
-
         return _shadow_interval()
 
     def _maybe_shadow(self, rates: Dict[Flow, Rate]) -> Dict[Flow, Rate]:

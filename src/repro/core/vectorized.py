@@ -1,9 +1,9 @@
 """NumPy-vectorized float water-filling (the ``vectorized`` backend).
 
-The heap solvers (:mod:`repro.core.maxmin`, :mod:`repro.core.fastmaxmin`)
-walk flows and links one Python object at a time.  For the large float
-simulations — thousands of flows over a few dozen Clos links — the
-interpreter loop dominates.  This module compiles a routing *once* into a
+The reference heap solver (:mod:`repro.core.maxmin`) walks flows and
+links one Python object at a time.  For the large float simulations —
+thousands of flows over a few dozen Clos links — the interpreter loop
+dominates.  This module compiles a routing *once* into a
 CSR-style sparse flow×link incidence (plain int arrays) and then runs
 water-filling as a handful of array operations per round:
 
@@ -309,7 +309,7 @@ def waterfill(compiled: CompiledRouting, caps) -> "Sequence[float]":
     and divide-rounding twins), freeze their unfrozen flows at ``λ``, and
     decrement residuals/counts on all links those flows cross via one
     ``bincount``.  Freeze levels are non-decreasing, so the result is the
-    max-min fair allocation — agreeing with the heap solvers to well
+    max-min fair allocation — agreeing with the reference solver to well
     under 1e-12.
     """
     n_flows = len(compiled.flows)

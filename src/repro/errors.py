@@ -16,7 +16,6 @@ The hierarchy::
     ├── InfeasibleRoutingError (ValueError)    routing cannot be realized
     │   ├── UnknownFlowError (KeyError)        flow not in the routing
     │   └── DisconnectedFlowError              no surviving path at all
-    ├── BackendUnavailableError (RuntimeError) solver backend cannot run here
     ├── CertificateError                       solver output failed validation
     │   └── SolverDisagreementError            backends returned different rates
     └── ExperimentError                        resilient-runner failures
@@ -85,11 +84,6 @@ class DisconnectedFlowError(InfeasibleRoutingError):
         super().__init__(
             message or f"no surviving path for flows: {self.flows!r}"
         )
-
-
-class BackendUnavailableError(ReproError, RuntimeError):
-    """A requested solver backend cannot run in this environment;
-    ``solve_max_min(backend="auto")`` falls back to the next backend."""
 
 
 class CertificateError(ReproError):

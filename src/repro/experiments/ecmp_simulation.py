@@ -108,8 +108,8 @@ def _compare(
     """Solve the routing's allocation and score it against the macro.
 
     ``backend`` optionally selects a solver from
-    :data:`repro.core.solve.BACKENDS`.  Float backends (``heap``,
-    ``vectorized``) compare against the exact macro allocation with a
+    :data:`repro.core.solve.BACKENDS`.  Float backends (``vectorized``,
+    ``streaming``) compare against the exact macro allocation with a
     1e-9 lexicographic tolerance; exact backends compare exactly.
     """
     if backend is not None:
@@ -162,7 +162,7 @@ def stochastic_comparison(
 ) -> List[RouterComparisonRow]:
     """E6, stochastic half: three routers across three workload families.
 
-    ``backend="vectorized"`` (or ``"heap"``) solves the per-router
+    ``backend="vectorized"`` (or ``"streaming"``) solves the per-router
     allocations in floats, the right trade for large ``num_flows``; the
     macro-switch reference allocation stays exact either way.
     ``backend="batched"`` solves *all* (workload, router, seed) cells'

@@ -35,6 +35,7 @@ from repro.errors import CertificateError, ReproError
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
+from repro.core.solve import BACKENDS, solve_max_min
 from repro.failures.schedule import _node_from_data, _node_to_data
 from repro.io.serialize import ScenarioError, read_json, write_json_atomic
 from repro.obs import counter, get_logger
@@ -42,12 +43,17 @@ from repro.obs import counter, get_logger
 FORMAT_NAME = "repro-quarantine"
 FORMAT_VERSION = 1
 
+#: Backend names a bundle can be replayed on: every
+#: :func:`repro.core.solve.solve_max_min` backend plus ``"batched"``
+#: (:func:`repro.core.batched.solve_max_min_batch`).
+REPLAY_BACKENDS = BACKENDS + ("batched",)
+
 #: Environment variable overriding the bundle directory.
 ENV_DIR = "REPRO_QUARANTINE_DIR"
 DEFAULT_DIR = "quarantine"
 
 #: Float-vs-exact comparison tolerance for replay disagreement checks —
-#: matching the shadow-check tolerance in :mod:`repro.core.solve`.
+#: matching the shadow-check tolerance in :mod:`repro.core.streaming`.
 REPLAY_TOL = 1e-6
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
@@ -60,6 +66,7 @@ __all__ = [
     "DEFAULT_DIR",
     "ENV_DIR",
     "QuarantineBundle",
+    "REPLAY_BACKENDS",
     "ReplayResult",
     "bundle_to_dict",
     "ddmin",
@@ -342,11 +349,18 @@ def _raw_solve(
     backend: str,
     exact: Optional[bool],
 ) -> Allocation:
-    """One uncertified solve on ``backend`` (validation forced off)."""
-    from repro.core.solve import solve_max_min
+    """One uncertified solve on ``backend`` (validation forced off);
+    ``"batched"`` bundles re-run as a batch of one."""
     from repro.validate import validation
 
     with validation("off"):
+        if backend == "batched":
+            from repro.core.batched import solve_max_min_batch
+
+            (allocation,) = solve_max_min_batch(
+                [(routing, capacities)], exact=exact
+            )
+            return allocation
         return solve_max_min(routing, capacities, backend=backend, exact=exact)
 
 

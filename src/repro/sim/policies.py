@@ -61,8 +61,7 @@ class MaxMinCongestionControl:
     are remembered for the job's lifetime.
 
     ``backend`` selects the float solver: ``"reference"`` (the default,
-    :func:`repro.core.maxmin.max_min_fair`), ``"heap"``
-    (:func:`repro.core.fastmaxmin.max_min_fair_fast`),
+    :func:`repro.core.maxmin.max_min_fair` with ``exact=False``),
     ``"vectorized"`` (:mod:`repro.core.vectorized`), or ``"streaming"``
     (:class:`repro.core.streaming.StreamingMaxMin`).  The vectorized
     backend compiles the routing to incidence arrays and reuses the
@@ -93,10 +92,10 @@ class MaxMinCongestionControl:
         backend: str = "reference",
         middle_pool=None,
     ):
-        if backend not in ("reference", "heap", "vectorized", "streaming"):
+        if backend not in ("reference", "vectorized", "streaming"):
             raise ValueError(
                 f"unknown float backend {backend!r}; expected "
-                "'reference', 'heap', 'vectorized', or 'streaming'"
+                "'reference', 'vectorized', or 'streaming'"
             )
         self.network = network
         self.router = router
@@ -203,12 +202,7 @@ class MaxMinCongestionControl:
             _job_flow(job): self._pinned[jid] for jid, job in active.items()
         }
         routing = Routing.from_middles(self.network, flows, middles)
-        if self.backend == "heap":
-            from repro.core.fastmaxmin import max_min_fair_fast
-
-            alloc = max_min_fair_fast(routing, self._capacities)
-        else:
-            alloc = max_min_fair(routing, self._capacities, exact=False)
+        alloc = max_min_fair(routing, self._capacities, exact=False)
         return {job.tag: alloc.rate(job) for job in flows}
 
     def _rates_vectorized(self, active: Mapping[int, FlowJob]) -> Dict[int, float]:

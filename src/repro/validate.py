@@ -1,8 +1,8 @@
 """Invariant certificates for solver outputs — the self-checking runtime.
 
-Four backends, an LRU cache, and an incremental move evaluator can all
-produce "the max-min fair allocation"; this module certifies a result
-*before* experiments and theorem checks consume it.  Three levels:
+Five solver backends, an LRU cache, and an incremental move evaluator
+can all produce "the max-min fair allocation"; this module certifies a
+result *before* experiments and theorem checks consume it.  Three levels:
 
 - ``off``   — no checking (the default; zero overhead).
 - ``cheap`` — structural sanity: every routed flow has a rate, rates are
@@ -19,9 +19,8 @@ The level is resolved per check from, in priority order: an explicit
 ``level=`` argument, the process-wide override set by
 :func:`set_validation_level` (what ``--validate`` uses), then the
 ``REPRO_VALIDATE`` environment variable.  Violations raise
-:class:`~repro.errors.CertificateError` carrying the full defect list —
-which the ``backend="auto"`` dispatch chain (:mod:`repro.core.solve`)
-catches to fall back to the exact reference solver, and the quarantine
+:class:`~repro.errors.CertificateError` carrying the full defect list,
+which the chaos fuzzer (:mod:`repro.chaos`) records and the quarantine
 layer (:mod:`repro.quarantine`) serializes for replay.
 
 Tolerances: exact (``Fraction``/``int``) rates are checked with

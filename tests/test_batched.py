@@ -92,9 +92,9 @@ def test_batched_exact_matches_reference():
 
 def test_batched_other_backend_dispatches_per_instance():
     pairs = _workload_pairs(scenarios=3)
-    via_batch = solve_max_min_batch(pairs, backend="heap")
+    via_batch = solve_max_min_batch(pairs, backend="quotient")
     for (routing, capacities), alloc in zip(pairs, via_batch):
-        single = solve_max_min(routing, capacities, backend="heap")
+        single = solve_max_min(routing, capacities, backend="quotient")
         assert alloc.rates() == single.rates()
 
 

@@ -75,11 +75,11 @@ class TestCrossCheck:
     def test_corrupt_backend_detected_and_quarantined(
         self, clos2, monkeypatch, tmp_path
     ):
-        import repro.core.fastmaxmin as fastmaxmin_module
+        import repro.core.vectorized as vectorized_module
 
-        original = fastmaxmin_module.max_min_fair_fast
+        original = vectorized_module.max_min_fair_vectorized
 
-        def skewed(routing, capacities):
+        def skewed(routing, capacities, compiled=None):
             allocation = original(routing, capacities)
             rates = allocation.rates()
             victim = next(iter(rates))
@@ -87,27 +87,27 @@ class TestCrossCheck:
             return type(allocation)(rates)
 
         monkeypatch.setattr(
-            fastmaxmin_module, "max_min_fair_fast", skewed
+            vectorized_module, "max_min_fair_vectorized", skewed
         )
         instance = random_instance(0)
-        failures = cross_check(instance, backends=["heap"])
+        failures = cross_check(instance, backends=["vectorized"])
         assert failures
-        assert all(f["backend"] == "heap" for f in failures)
+        assert all(f["backend"] == "vectorized" for f in failures)
         assert all(f["bundle"] for f in failures)
         kinds = {f["kind"] for f in failures}
         assert kinds <= {"certificate", "disagreement"}
 
     def test_error_mismatch_detected(self, monkeypatch):
-        import repro.core.fastmaxmin as fastmaxmin_module
+        import repro.core.vectorized as vectorized_module
         from repro.errors import UnboundedRateError
 
-        def refuses(routing, capacities):
+        def refuses(routing, capacities, compiled=None):
             raise UnboundedRateError("injected refusal")
 
         monkeypatch.setattr(
-            fastmaxmin_module, "max_min_fair_fast", refuses
+            vectorized_module, "max_min_fair_vectorized", refuses
         )
-        failures = cross_check(random_instance(0), backends=["heap"])
+        failures = cross_check(random_instance(0), backends=["vectorized"])
         assert len(failures) == 1
         assert failures[0]["kind"] == "error-mismatch"
 
@@ -130,15 +130,15 @@ class TestFuzz:
             fuzz(-1)
 
     def test_corrupt_backend_fails_the_run(self, monkeypatch):
-        import repro.core.fastmaxmin as fastmaxmin_module
+        import repro.core.vectorized as vectorized_module
         from repro.errors import UnboundedRateError
 
-        def refuses(routing, capacities):
+        def refuses(routing, capacities, compiled=None):
             raise UnboundedRateError("injected refusal")
 
         monkeypatch.setattr(
-            fastmaxmin_module, "max_min_fair_fast", refuses
+            vectorized_module, "max_min_fair_vectorized", refuses
         )
-        report = fuzz(2, backends=["heap"], churn_every=0)
+        report = fuzz(2, backends=["vectorized"], churn_every=0)
         assert report.failures
         assert report.bundles  # every failure quarantined for replay

@@ -173,7 +173,9 @@ class TestArgumentBounds:
         assert seen == {"n": 2, "rate": 0.5, "horizon": 0.25,
                         "batch_window": 0.0, "pods": 2, "jobs": 0}
 
-    @pytest.mark.parametrize("names", ["bogus", "heap,bogus", "batched", ","])
+    @pytest.mark.parametrize(
+        "names", ["bogus", "heap,bogus", "batched", ",", "heap", "auto"]
+    )
     def test_fuzz_rejects_unknown_backends(self, names, capsys, monkeypatch):
         """An unknown backend is a usage error before any seed runs,
         not a traceback at the first solve."""
@@ -186,6 +188,13 @@ class TestArgumentBounds:
         assert "argument --backends: expected backends from" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_heap_backend_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "e6", "--backend", "heap"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'heap'" in capsys.readouterr().err
 
     def test_bench_subcommand_is_gone(self, capsys):
         """Performance is measured by perfbench; ``repro bench`` is not
@@ -204,8 +213,10 @@ class TestArgumentBounds:
             lambda seeds, **kw: seen.update(kw, seeds=seeds)
             or chaos.FuzzReport(seeds=seeds, instances=0, checks=0, failures=[]),
         )
-        assert main(["fuzz", "--seeds", "2", "--backends", " heap, auto"]) == 0
-        assert seen["seeds"] == 2 and seen["backends"] == ["heap", "auto"]
+        argv = ["fuzz", "--seeds", "2", "--backends", " vectorized, quotient"]
+        assert main(argv) == 0
+        assert seen["seeds"] == 2
+        assert seen["backends"] == ["vectorized", "quotient"]
 
 
 @pytest.fixture
@@ -386,24 +397,26 @@ class TestFuzzCommand:
     def test_corrupt_backend_exits_nonzero(
         self, capsys, quarantine_dir, monkeypatch
     ):
-        import repro.core.fastmaxmin as fastmaxmin_module
+        import repro.core.vectorized as vectorized_module
 
-        original = fastmaxmin_module.max_min_fair_fast
+        original = vectorized_module.max_min_fair_vectorized
 
-        def skewed(routing, capacities):
+        def skewed(routing, capacities, compiled=None):
             allocation = original(routing, capacities)
             rates = allocation.rates()
             victim = next(iter(rates))
             rates[victim] = rates[victim] * 3 + 0.25
             return type(allocation)(rates)
 
-        monkeypatch.setattr(fastmaxmin_module, "max_min_fair_fast", skewed)
+        monkeypatch.setattr(
+            vectorized_module, "max_min_fair_vectorized", skewed
+        )
         code = main(
-            ["fuzz", "--seeds", "2", "--backends", "heap", "--no-churn"]
+            ["fuzz", "--seeds", "2", "--backends", "vectorized", "--no-churn"]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert "heap" in captured.err
+        assert "vectorized" in captured.err
         assert list(quarantine_dir.glob("*.json"))
 
 
@@ -442,21 +455,67 @@ class TestReplayCommand:
             return rates * 2.0
 
         monkeypatch.setattr(vectorized_module, "waterfill", doubled)
-        from repro.core.solve import solve_max_min
-        from repro.validate import validation
+        from repro.chaos import ChaosInstance, cross_check
         from tests.helpers import random_flows, random_routing
 
         flows = random_flows(clos2, 5, seed=8)
         routing = random_routing(clos2, flows, seed=8)
-        with validation("full"):
-            solve_max_min(
-                routing, clos2.graph.capacities(),
-                backend="auto", exact=False,
-            )
-        bundles = list(quarantine_dir.glob("q-certificate-*.json"))
+        cross_check(
+            ChaosInstance("corrupt", 8, routing, clos2.graph.capacities()),
+            backends=["vectorized"],
+        )
+        bundles = list(quarantine_dir.glob("q-fuzz-certificate-*.json"))
         assert len(bundles) == 1
         code = main(["replay", str(bundles[0])])
         out = capsys.readouterr().out
         assert code == 1
         assert "still fails" in out
         assert "minimized to 1 flow(s)" in out
+
+    def test_batched_bundle_replays_through_the_batch_solver(
+        self, capsys, quarantine_dir, clos2, monkeypatch
+    ):
+        """``batched_cross_check`` names its bundles' backend
+        ``"batched"``, which ``solve_max_min`` does not take; replay
+        re-runs them as a batch of one."""
+        import repro.core.batched as batched_module
+        from repro.chaos import ChaosInstance, batched_cross_check
+        from tests.helpers import random_flows, random_routing
+
+        original = batched_module.waterfill_batch
+
+        def doubled(batch, **kwargs):
+            return original(batch, **kwargs) * 2.0
+
+        monkeypatch.setattr(batched_module, "waterfill_batch", doubled)
+        flows = random_flows(clos2, 5, seed=8)
+        routing = random_routing(clos2, flows, seed=8)
+        batched_cross_check(
+            [ChaosInstance("corrupt", 8, routing, clos2.graph.capacities())]
+        )
+        (bundle,) = quarantine_dir.glob("q-fuzz-*.json")
+        assert main(["replay", "--no-minimize", str(bundle)]) == 1
+        out = capsys.readouterr().out
+        assert "backend='batched'" in out and "still fails" in out
+
+        monkeypatch.undo()
+        assert main(["replay", str(bundle)]) == 0
+        assert "does not reproduce" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", ["heap", "auto", "magic"])
+    def test_unknown_backend_bundle_exits_two(
+        self, capsys, quarantine_dir, clos2, backend
+    ):
+        from repro.quarantine import write_bundle
+        from tests.helpers import random_flows, random_routing
+
+        flows = random_flows(clos2, 3, seed=2)
+        routing = random_routing(clos2, flows, seed=2)
+        path = write_bundle(
+            routing, clos2.graph.capacities(), "old", backend, False
+        )
+        assert main(["replay", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"cannot replay bundle: backend {backend!r}" in captured.err

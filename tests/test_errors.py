@@ -18,7 +18,6 @@ from repro.errors import (
     UnknownLinkError,
 )
 from repro.core.flows import Flow, FlowCollection
-from repro.core.fastmaxmin import max_min_fair_fast
 from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork, MacroSwitch
@@ -90,18 +89,6 @@ class TestSolverEntryPoints:
         capacities[routing.links_of(flows[0])[0]] = "fast"
         with pytest.raises(CapacityValidationError):
             max_min_fair(routing, capacities)
-
-    def test_fastmaxmin_missing_links(self, clos):
-        flows, routing = _one_flow_routing(clos)
-        with pytest.raises(UnknownLinkError):
-            max_min_fair_fast(routing, {})
-
-    def test_fastmaxmin_negative_capacity(self, clos):
-        flows, routing = _one_flow_routing(clos)
-        capacities = clos.graph.capacities()
-        capacities[routing.links_of(flows[0])[0]] = -0.5
-        with pytest.raises(CapacityValidationError):
-            max_min_fair_fast(routing, capacities)
 
     def test_unbounded_rate_is_typed(self, clos):
         flows, routing = _one_flow_routing(clos)

@@ -118,6 +118,29 @@ class TestNumericModes:
         alloc = max_min_fair(routing, clos.graph.capacities(), exact=False)
         assert all(isinstance(r, float) for r in alloc.rates().values())
 
+    def test_float_mode_failed_link_freezes_flows_at_zero(self):
+        from repro.core.nodes import InputSwitch, MiddleSwitch
+        from repro.failures import fail_links
+
+        clos = ClosNetwork(2)
+        f1 = Flow(clos.source(1, 1), clos.destination(3, 1))
+        f2 = Flow(clos.source(2, 1), clos.destination(4, 1))
+        routing = Routing.from_middles(
+            clos, FlowCollection([f1, f2]), {f1: 1, f2: 2}
+        )
+        degraded = fail_links(
+            clos.graph.capacities(), [(InputSwitch(1), MiddleSwitch(1))]
+        )
+        alloc = max_min_fair(routing, degraded, exact=False)
+        assert alloc.rates() == {f1: 0.0, f2: 1.0}
+
+    def test_float_mode_fractional_capacities(self):
+        clos = ClosNetwork(2, interior_capacity=Fraction(1, 2))
+        f1 = Flow(clos.source(1, 1), clos.destination(3, 1))
+        routing = Routing.uniform(clos, FlowCollection([f1]), 1)
+        alloc = max_min_fair(routing, clos.graph.capacities(), exact=False)
+        assert alloc.rates() == {f1: 0.5}
+
     @pytest.mark.parametrize("seed", range(5))
     def test_modes_agree(self, seed):
         clos = ClosNetwork(2)

@@ -234,11 +234,11 @@ class TestWaterFillingCounters:
     paper's sorted vectors.
     """
 
-    def _solve(self, routing, capacities):
+    def _solve(self, routing, capacities, exact=True):
         from repro.core.maxmin import max_min_fair
 
         obs.reset()
-        alloc = max_min_fair(routing, capacities)
+        alloc = max_min_fair(routing, capacities, exact=exact)
         return alloc, obs.metrics_snapshot(), obs.tracer().collect()
 
     def test_example_2_3_round_counts(self, observing):
@@ -261,21 +261,25 @@ class TestWaterFillingCounters:
         assert spans_b[0].attrs["rounds"] == 3
         assert snap_b["maxmin.rounds"] == len(set(alloc_b.sorted_vector()))
 
-    def test_fast_solver_counters(self, observing):
-        from repro.core.fastmaxmin import max_min_fair_fast
-        from repro.routers.ecmp import ecmp_routing
-        from repro.core.topology import ClosNetwork
-        from repro.workloads.stochastic import permutation
+    def test_float_mode_counters(self, observing):
+        """The float heap fill increments the same ``maxmin.*`` counters
+        as the exact fill.  Its round count is the number of distinct
+        *float* levels, so an ulp apart can count as two rounds."""
+        from repro.workloads.adversarial import example_2_3, example_2_3_routings
 
-        clos = ClosNetwork(3)
-        flows = permutation(clos, seed=1)
-        routing = ecmp_routing(clos, flows)
-        obs.reset()
-        alloc = max_min_fair_fast(routing, clos.graph.capacities())
-        snap = obs.metrics_snapshot()
-        assert snap["fastmaxmin.solves"] == 1
-        assert snap["fastmaxmin.flows_frozen"] == len(alloc)
-        assert snap["fastmaxmin.heap_pops"] >= 1
+        instance = example_2_3()
+        capacities = instance.clos.graph.capacities()
+        for routing in example_2_3_routings(instance):
+            _, exact, _ = self._solve(routing, capacities)
+            alloc, floats, spans = self._solve(
+                routing, capacities, exact=False
+            )
+            assert floats["maxmin.solves"] == 1
+            assert floats["maxmin.flows_frozen"] == 6
+            assert floats["maxmin.rounds"] == spans[0].attrs["rounds"]
+            assert floats["maxmin.rounds"] == len(set(alloc.sorted_vector()))
+            assert floats["maxmin.rounds"] >= exact["maxmin.rounds"]
+            assert floats["maxmin.saturated_links"] >= floats["maxmin.rounds"]
 
 
 class TestRunnerManifests:

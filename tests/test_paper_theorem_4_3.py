@@ -19,6 +19,7 @@ import pytest
 from repro.core.bottleneck import certify_max_min_fair
 from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min
+from repro.core.solve import solve_max_min
 from repro.core.theorems import theorem_4_3 as predict
 from repro.experiments.r2_starvation import claim_4_5_integer_solutions
 from repro.search.local_search import is_local_optimum
@@ -123,6 +124,41 @@ class TestLemma46:
         instance = theorem_4_3(3)
         routing = lemma_4_6_routing(instance)
         assert is_local_optimum(instance.clos, routing, objective="lex")
+
+
+class TestFloatKernelsKnownAnswer:
+    """Every float water-fill reproduces Lemma 4.6's exact per-type
+    rates on the posited routing: the float error of each kernel,
+    bounded against a known answer rather than another kernel."""
+
+    @pytest.fixture(scope="class", params=[8, 16, 24, 32])
+    def large(self, request):
+        n = request.param
+        instance = theorem_4_3(n)
+        routing = lemma_4_6_routing(instance)
+        return n, instance, routing, instance.clos.graph.capacities()
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda r, c: max_min_fair(r, c, exact=False),
+            lambda r, c: solve_max_min(r, c, backend="vectorized"),
+            lambda r, c: solve_max_min(r, c, backend="streaming"),
+        ],
+        ids=["reference", "vectorized", "streaming"],
+    )
+    def test_rates_match_lemma_4_6(self, large, solve):
+        n, instance, routing, capacities = large
+        alloc = solve(routing, capacities)
+        expected = predict(n).lex_max_min_rates
+        for kind in ("type1", "type2", "type3"):
+            want = float(expected[kind])
+            for flow in instance.types[kind]:
+                rate = alloc.rate(flow)
+                assert isinstance(rate, float)
+                assert rate == pytest.approx(want, rel=1e-12, abs=0), (
+                    kind, flow,
+                )
 
 
 class TestHeadline:

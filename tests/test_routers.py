@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.coloring.konig import edge_coloring
 from repro.core.maxmin import max_min_fair
 from repro.experiments.ecmp_simulation import _routers
 from repro.core.objectives import macro_switch_max_min
@@ -191,16 +192,19 @@ class TestCongestionLowerBound:
         tor_load = max(list(up.values()) + list(down.values()))
         return max(max(demands.values()), tor_load / network.num_middles)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_every_router_respects_the_bound(self, n, seed):
-        network = ClosNetwork(n)
-        families = [permutation(network, seed=seed)] + [
+    @staticmethod
+    def _families(network, seed):
+        return [permutation(network, seed=seed)] + [
             family(network, num_flows, seed=seed)
             for family in (uniform_random, hotspot)
             for num_flows in (30, 40)
         ]
-        for flows in families:
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_router_respects_the_bound(self, n, seed):
+        network = ClosNetwork(n)
+        for flows in self._families(network, seed):
             demands = macro_switch_demands(network, flows)
             bound = self._lower_bound(network, demands)
             assert isinstance(bound, Fraction)
@@ -211,3 +215,22 @@ class TestCongestionLowerBound:
             for name, routing in routers.items():
                 congestion = max_congestion(network, routing, demands)
                 assert congestion >= bound, (name, congestion, bound)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_konig_coloring_meets_the_unit_demand_bound(self, n, seed):
+        """With unit demands the bound is attained: a ToR with Δ flows
+        puts at least ⌈Δ/n⌉ on some uplink, and a König Δ-colouring of
+        ``G^C`` with colour c sent to middle (c mod n) + 1 puts at most
+        ⌈Δ/n⌉ colours, one flow each, on every interior link."""
+        network = ClosNetwork(n)
+        for flows in self._families(network, seed):
+            graph = flows.demand_graph_clos()
+            delta = graph.max_degree()
+            colors = edge_coloring(graph)
+            middles = {flow: color % n + 1 for flow, color in colors.items()}
+            routing = Routing.from_middles(network, flows, middles)
+            demands = {flow: Fraction(1) for flow in flows}
+            bound = self._lower_bound(network, demands)
+            assert bound == max(Fraction(1), Fraction(delta, n))
+            assert max_congestion(network, routing, demands) == -(-delta // n)

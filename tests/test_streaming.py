@@ -361,6 +361,27 @@ class TestShadowMismatch:
         assert solver.last_bundle is None
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fraction, checks", [("1.0", 4), ("0.5", 2), ("0", 0)])
+    def test_env_fraction_samples_solves(self, monkeypatch, fraction, checks):
+        """Without ``shadow=``, ``REPRO_SHADOW`` picks every N-th solve."""
+        from repro.core.streaming import StreamingMaxMin
+
+        monkeypatch.setenv("REPRO_SHADOW", fraction)
+        solver = StreamingMaxMin({("a", "b"): 3.0})
+        for i in range(4):
+            solver.add(Flow("a", "b", tag=str(i)), ("a", "b"))
+            solver.solve()
+        assert solver.stats["shadow_checks"] == checks
+
+    def test_bad_env_fraction_rejected(self, monkeypatch):
+        from repro.core.streaming import StreamingMaxMin
+
+        monkeypatch.setenv("REPRO_SHADOW", "lots")
+        solver = StreamingMaxMin({("a", "b"): 3.0})
+        solver.add(Flow("a", "b"), ("a", "b"))
+        with pytest.raises(ValueError, match="REPRO_SHADOW"):
+            solver.solve()
+
 
 class TestCounters:
     def test_patched_and_fullsolve_counters(self):

@@ -5,11 +5,11 @@ The two contracts from the backend design:
 - ``quotient_max_min`` returns rates **identical** (``Fraction``
   equality, not approximate) to the exact reference solver on any
   instance — symmetry reduction is an optimization, never a relaxation;
-- ``waterfill`` agrees with the heap float solver to within 1e-12 on
-  random float instances.
+- ``waterfill`` agrees with the exact reference solver to within 1e-12
+  on random instances.
 
-Plus the ``solve_max_min`` dispatch surface: backend names, exact-mode
-mismatches, and the numpy-missing error path.
+Plus the ``solve_max_min`` dispatch surface: backend names and
+exact-mode mismatches.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastmaxmin import max_min_fair_fast
 from repro.core.flows import FlowCollection
 from repro.core.maxmin import max_min_fair
 from repro.core.quotient import build_quotient, quotient_max_min
@@ -103,16 +102,16 @@ class TestQuotientExactIdentity:
 class TestVectorizedAgreement:
     @settings(max_examples=60, deadline=None)
     @given(clos_instances())
-    def test_agrees_with_heap_within_1e12(self, instance):
+    def test_agrees_with_exact_reference_within_1e12(self, instance):
         clos, routing = instance
         capacities = clos.graph.capacities()
-        heap = max_min_fair_fast(routing, capacities)
+        exact = max_min_fair(routing, capacities)
         from repro.core.vectorized import max_min_fair_vectorized
 
         vectorized = max_min_fair_vectorized(routing, capacities)
         for flow in routing.flows():
             assert vectorized.rate(flow) == pytest.approx(
-                heap.rate(flow), abs=1e-12
+                exact.rate(flow), abs=1e-12
             )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -123,13 +122,13 @@ class TestVectorizedAgreement:
             clos, random_flows(clos, 400, seed=seed), seed=seed
         )
         capacities = clos.graph.capacities()
-        heap = max_min_fair_fast(routing, capacities)
+        exact = max_min_fair(routing, capacities)
         from repro.core.vectorized import max_min_fair_vectorized
 
         vectorized = max_min_fair_vectorized(routing, capacities)
         for flow in routing.flows():
             assert vectorized.rate(flow) == pytest.approx(
-                heap.rate(flow), abs=1e-12
+                exact.rate(flow), abs=1e-12
             )
 
     def test_compiled_incidence_reusable_across_capacities(self):
@@ -177,7 +176,14 @@ class TestSolveDispatch:
         with pytest.raises(ValueError, match="unknown backend"):
             solve_max_min(routing, clos.graph.capacities(), backend="magic")
 
-    @pytest.mark.parametrize("backend", ["heap", "vectorized"])
+    @pytest.mark.parametrize("backend", ["heap", "auto"])
+    def test_retired_backends_are_unknown(self, backend):
+        clos = ClosNetwork(1)
+        routing = random_routing(clos, random_flows(clos, 2, seed=0), seed=0)
+        with pytest.raises(ValueError, match="unknown backend"):
+            solve_max_min(routing, clos.graph.capacities(), backend=backend)
+
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_float_backend_rejects_exact(self, backend):
         clos = ClosNetwork(1)
         routing = random_routing(clos, random_flows(clos, 2, seed=0), seed=0)
