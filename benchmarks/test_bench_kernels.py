@@ -72,3 +72,31 @@ def test_bench_topology_construction(benchmark):
     clos = benchmark(ClosNetwork, 16)
     assert clos.graph.num_links() == 4 * 16 * 16 * 2
 
+
+
+def test_bench_clos_array_compile(benchmark):
+    """Clos routing → CSR incidence from int arrays (no Flow/Path objects)."""
+    import random
+
+    import numpy as np
+
+    from repro.core.vectorized import LinkTable, clos_link_ids, compile_link_ids
+
+    clos = ClosNetwork(8)
+    capacities = clos.graph.capacities()
+    flows = list(uniform_random(clos, 4000, seed=0))
+    rng = random.Random(0)
+    columns = [
+        np.array([f.source.switch for f in flows]),
+        np.array([f.source.server for f in flows]),
+        np.array([f.dest.switch for f in flows]),
+        np.array([f.dest.server for f in flows]),
+        np.array([rng.randint(1, clos.num_middles) for _ in flows]),
+    ]
+
+    def compile_arrays():
+        ids = clos_link_ids(clos, *columns)
+        return compile_link_ids(ids, LinkTable(capacities, capacities), flows)
+
+    compiled = benchmark(compile_arrays)
+    assert len(compiled) == 4000

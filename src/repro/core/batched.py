@@ -52,6 +52,7 @@ from repro.core.allocation import Allocation, Rate
 from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
     CompiledRouting,
+    _csr_gather,
     _row_hits,
     capacity_vector,
     compile_routing,
@@ -300,23 +301,8 @@ def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
             sat_idx = np.nonzero(
                 levels <= lam_links + band * (1.0 + lam_links)
             )[0]
-            # Gather the saturated links' member rows without a Python
-            # loop: for each saturated link j, the row is
-            # link_flow[starts[j]:starts[j]+lens[j]]; the repeat/arange
-            # construction enumerates those index ranges back to back,
-            # in the same order a per-link concatenation would.
-            if sat_idx.size:
-                starts = link_ptr[sat_idx + la]
-                lens = link_ptr[sat_idx + la + 1] - starts
-                total = int(lens.sum())
-                ends = np.cumsum(lens)
-                idx = (
-                    np.arange(total, dtype=np.int64)
-                    + np.repeat(starts - (ends - lens), lens)
-                )
-                members = link_flow[idx] - fa
-            else:
-                members = np.zeros(0, dtype=np.int64)
+            # The saturated links' member rows, back to back.
+            members = _csr_gather(link_ptr, link_flow, sat_idx + la) - fa
             candidates = members[active[members]]
             if candidates.size == 0:
                 raise AssertionError("water-filling invariant violated")

@@ -21,7 +21,9 @@ Implementation notes:
   true level and can be re-pushed without missing the global minimum.
   Freeze levels therefore come out in non-decreasing order, and the
   reported round count is the number of distinct levels — the same
-  quantity the historical per-round min-scan reported.
+  quantity the historical per-round min-scan reported.  Float mode
+  counts levels within one saturation band (``_BAND``) as one, so an
+  exact tie that rounding splits by an ulp is still one round.
 - The algorithm is generic over the rate type.  With ``exact=True``
   capacities are coerced to :class:`fractions.Fraction` and the result is
   exact — this is what every theorem-verification path uses, since the
@@ -53,6 +55,13 @@ from repro.core.routing import Link, Routing
 from repro.obs import counter, trace_span
 
 _INF = float("inf")
+
+#: Relative width of the float saturation band: levels within
+#: ``level + _BAND·(1 + level)`` of a round's first level belong to that
+#: round.  Wide enough to absorb divide rounding, narrow enough (≪ the
+#: 1e-12 agreement contract) not to move any rate observably.  Shared by
+#: every float water-fill, so they count rounds alike.
+_BAND = 1e-14
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _SOLVES = counter("maxmin.solves")
@@ -214,7 +223,7 @@ def _fill(
 ) -> int:
     """The water-filling loop; mutates ``rates`` (and the bookkeeping
     dicts) in place and returns the number of rounds (distinct freeze
-    levels).
+    levels, up to the float saturation band).
 
     Saturation levels are tracked in a lazy-deletion min-heap.  An entry
     is stale when the link has fully frozen (count 0) or when freezes
@@ -358,7 +367,12 @@ def _fill_generic(
             # the resulting rates stay non-negative.
             current = zero
 
-        if last_level is None or current > last_level:
+        if last_level is None or current > last_level + _BAND * (
+            1 + last_level
+        ):
+            # A new round only once the level leaves the previous
+            # round's saturation band (the vectorized kernel's rule),
+            # so an exact tie split by an ulp stays one round.
             rounds += 1
             _ROUNDS.inc()
             last_level = current

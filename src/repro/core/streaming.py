@@ -67,6 +67,7 @@ from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
     _BAND,
     _INF,
+    _csr_gather,
     _row_hits,
     _run_rounds,
 )
@@ -869,24 +870,11 @@ class StreamingMaxMin:
                 self._flow_ptr[alive_slots + 1] - self._flow_ptr[alive_slots]
             )
             n_links = self._nlinks
-            hit = _row_hits(
-                self._flow_ptr,
-                self._flow_link,
-                alive_slots,
-                n_links,
-            )
-            weights = np.repeat(rates, lens)
-            idx = (
-                np.repeat(self._flow_ptr[alive_slots], lens)
-                + np.arange(int(lens.sum()), dtype=np.int64)
-                - np.repeat(np.cumsum(lens) - lens, lens)
-            )
             loads = np.bincount(
-                self._flow_link[idx],
-                weights=weights,
+                _csr_gather(self._flow_ptr, self._flow_link, alive_slots),
+                weights=np.repeat(rates, lens),
                 minlength=n_links,
             )
-            del hit
             caps = self._caps_arr[:n_links]
             slack = caps + _validate.FLOAT_TOL * (1.0 + np.abs(caps))
             over = np.nonzero(loads > slack)[0]

@@ -18,32 +18,35 @@ of per-element Python.  The dense adversarial instances — ``Clos(3)``
 carries thousands of flows over 72 finite links — finish in tens of
 rounds regardless of flow count, which is where the kernel shines.
 
-Compilation (:func:`compile_routing`) is pure-Python and costs one pass
-over the routing; callers that re-solve the same routing under changing
-capacities (the flow-level simulator during link degradations) should
-compile once, then call :func:`waterfill` per capacity vector.
+Compilation has two entry points over one array core.  A Clos routing
+is a middle switch per flow, so :func:`clos_link_ids` derives each
+flow's four link ids by arithmetic and :func:`compile_link_ids` lowers
+those int rows with array operations only (a :class:`LinkTable` drops
+the infinite links; the transpose is one stable ``argsort`` plus one
+``bincount``).  Any other routing goes through :func:`compile_routing`,
+which numbers the traversed links in one Python pass over the paths
+and then shares the same core.  Callers that re-solve one routing under
+changing capacities should compile once, then call :func:`waterfill`
+per capacity vector.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import UnboundedRateError
+from repro.errors import InfeasibleRoutingError, UnboundedRateError
 from repro.core.allocation import Allocation, Rate
-from repro.core.flows import Flow
-from repro.core.maxmin import validate_capacities
+from repro.core.maxmin import _BAND, validate_capacities
 from repro.core.routing import Link, Routing
 from repro.obs import counter, trace_span
 
 _INF = float("inf")
 
-#: Relative width of the saturation band: links within
-#: ``level + _BAND·(1 + level)`` of the round's minimum freeze together.
-#: Wide enough to absorb divide rounding, narrow enough (≪ the 1e-12
-#: agreement contract) not to move any rate observably.
-_BAND = 1e-14
+#: :class:`LinkTable` remap codes for links that are not finite.
+_INFINITE = -1
+_INVALID = -2  # missing from the capacity map, negative or non-numeric
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _SOLVES = counter("vectorized.solves")
@@ -52,6 +55,9 @@ _ROUNDS = counter("vectorized.rounds")
 
 __all__ = [
     "CompiledRouting",
+    "LinkTable",
+    "clos_link_ids",
+    "compile_link_ids",
     "compile_routing",
     "capacity_vector",
     "incidence_stale",
@@ -68,9 +74,9 @@ class CompiledRouting:
     are dropped at compile time).  ``flow_link[flow_ptr[i]:flow_ptr[i+1]]``
     are the link indices on flow ``i``'s path; ``link_flow`` /
     ``link_ptr`` is the transpose.  ``infinite_links`` records the
-    traversed links that were *infinite* at compile time (and hence
-    dropped from the incidence) so :func:`incidence_stale` can detect a
-    later capacity change flipping the finite-link membership.
+    links that were *infinite* at compile time (and hence dropped from
+    the incidence) so :func:`incidence_stale` can detect a later
+    capacity change flipping the finite-link membership.
     """
 
     __slots__ = (
@@ -85,7 +91,7 @@ class CompiledRouting:
 
     def __init__(
         self,
-        flows: List[Flow],
+        flows: Sequence,
         links: List[Link],
         flow_ptr,
         flow_link,
@@ -111,6 +117,126 @@ class CompiledRouting:
         )
 
 
+class LinkTable:
+    """Global link ids → finite-link indices under one capacity map.
+
+    ``links[g]`` is the link with global id ``g``; ``remap[g]`` is its
+    index among the finite links (``finite_links``, in global-id order,
+    with float capacities ``caps``), or a negative code for an infinite
+    link (dropped from every incidence compiled through this table) or
+    one whose capacity is missing, negative or non-numeric (compiling a
+    flow across it raises the reference solver's error).  Build one per
+    capacity map and reuse it for every compile under that map.
+    """
+
+    __slots__ = (
+        "links", "capacities", "remap", "finite_links", "infinite_links",
+        "caps",
+    )
+
+    def __init__(
+        self, links: Sequence[Link], capacities: Mapping[Link, Rate]
+    ) -> None:
+        self.links = list(links)
+        self.capacities = capacities
+        remap: List[int] = []
+        finite: List[Link] = []
+        infinite: List[Link] = []
+        caps: List[float] = []
+        for link in self.links:
+            capacity = capacities.get(link)
+            try:
+                invalid = capacity is None or capacity < 0
+            except TypeError:
+                invalid = True
+            if invalid:
+                remap.append(_INVALID)
+                continue
+            value = float(capacity)
+            if value == _INF:
+                remap.append(_INFINITE)
+                infinite.append(link)
+            else:
+                remap.append(len(finite))
+                finite.append(link)
+                caps.append(value)
+        self.remap = np.asarray(remap, dtype=np.int64)
+        self.finite_links = finite
+        self.infinite_links = frozenset(infinite)
+        self.caps = np.asarray(caps, dtype=np.float64)
+
+
+def clos_link_ids(
+    network, src_switch, src_server, dst_switch, dst_server, middles
+):
+    """Each Clos flow's four link ids, as an ``(F, 4)`` int array.
+
+    Arguments are equal-length sequences of 1-based indices as in the
+    paper's ``s_i^j → M_m → t_k^l``: source ToR ``i`` and server ``j``,
+    destination ToR ``k`` and server ``l``, middle switch ``m``.  Row
+    ``f`` lists flow ``f``'s links in path order (server uplink,
+    ToR→middle, middle→ToR, server downlink); the ids index
+    ``list(network.graph.capacities())``, the order in which
+    :class:`~repro.core.topology.ClosNetwork` builds its links (sources,
+    destinations, ``I×M``, ``M×O``; ``num_middles`` may differ from
+    ``n``).  Out-of-range indices raise
+    :class:`~repro.errors.InfeasibleRoutingError`, as
+    :meth:`~repro.core.topology.ClosNetwork.path_via` does.
+    """
+    n, m = network.n, network.num_middles
+    tors, servers = 2 * n, 2 * n * n
+    fields = np.array(
+        [src_switch, src_server, dst_switch, dst_server, middles],
+        dtype=np.int64,
+    ).reshape(5, -1) - 1
+    tops = np.array([[tors], [n], [tors], [n], [m]], dtype=np.int64)
+    bad = (fields < 0) | (fields >= tops)
+    if bad.any():
+        row = int(bad.any(axis=1).argmax())
+        name = ("source ToR", "source server", "destination ToR",
+                "destination server", "middle switch")[row]
+        raise InfeasibleRoutingError(
+            f"{name} index out of range [1, {int(tops[row, 0])}]: "
+            f"{(fields[row][bad[row]] + 1)[:5].tolist()}"
+        )
+    # One affine map of the 0-based (i, j, k, l, m) columns: each link
+    # block's offset plus its row-major index within the block.
+    weights = np.array(
+        [
+            [n, 1, 0, 0, 0],  # s_i^j → I_i
+            [m, 0, 0, 0, 1],  # I_i → M_m
+            [0, 0, 1, 0, tors],  # M_m → O_k
+            [0, 0, n, 1, 0],  # O_k → t_k^l
+        ],
+        dtype=np.int64,
+    )
+    offsets = np.array(
+        [0, 2 * servers, 2 * servers + tors * m, servers], dtype=np.int64
+    )
+    return fields.T @ weights.T + offsets
+
+
+def compile_link_ids(
+    link_ids, table: LinkTable, flows: Sequence
+) -> CompiledRouting:
+    """Lower fixed-width rows of global link ids to incidence arrays.
+
+    ``link_ids`` is an ``(F, k)`` int array (one row per flow, e.g. from
+    :func:`clos_link_ids`); ``flows`` labels the rows (``compiled.flows``)
+    and ``table`` maps the ids to finite links.  Array operations only —
+    no per-flow Python.  Raises what :func:`compile_routing` raises on
+    the same routing: :class:`~repro.errors.UnknownLinkError` /
+    :class:`~repro.errors.CapacityValidationError` for a traversed link
+    the capacity map lacks or rejects, and
+    :class:`~repro.errors.UnboundedRateError` for a flow crossing only
+    infinite links.
+    """
+    link_ids = np.asarray(link_ids, dtype=np.int64)
+    n_flows, width = link_ids.shape
+    row_ptr = np.arange(0, n_flows * width + 1, width, dtype=np.int64)
+    return _compile(row_ptr, link_ids.reshape(-1), table, flows)
+
+
 def compile_routing(
     routing: Routing, capacities: Mapping[Link, Rate]
 ) -> CompiledRouting:
@@ -119,56 +245,71 @@ def compile_routing(
     ``capacities`` is consulted only to decide which links are finite —
     the compiled structure stays valid across capacity *changes* (link
     degradations) as long as no finite link becomes infinite or vice
-    versa.  Raises :class:`~repro.errors.UnboundedRateError` if some flow
-    crosses only infinite links.
+    versa.  Links are numbered in first-traversal order, flows in
+    routing order.  Raises :class:`~repro.errors.UnboundedRateError` if
+    some flow crosses only infinite links.
     """
-    link_flows = routing.flows_per_link()
-    validate_capacities(link_flows, capacities)
+    link_index: Dict[Link, int] = {}
+    row_ptr = [0]
+    ids: List[int] = []
+    for _, path in routing.items():
+        for link in zip(path, path[1:]):
+            ids.append(link_index.setdefault(link, len(link_index)))
+        row_ptr.append(len(ids))
+    return _compile(
+        np.asarray(row_ptr, dtype=np.int64),
+        np.asarray(ids, dtype=np.int64),
+        LinkTable(link_index, capacities),
+        routing.flows(),
+    )
 
-    flows = routing.flows()
-    links = [
-        link for link in link_flows if float(capacities[link]) != _INF
-    ]
-    infinite = [
-        link for link in link_flows if float(capacities[link]) == _INF
-    ]
-    link_index: Dict[Link, int] = {link: j for j, link in enumerate(links)}
-    flow_index: Dict[Flow, int] = {flow: i for i, flow in enumerate(flows)}
 
-    flow_ptr = np.zeros(len(flows) + 1, dtype=np.int64)
-    flow_link_ids: List[int] = []
-    unbounded: List[Flow] = []
-    for i, flow in enumerate(flows):
-        finite = [
-            link_index[link]
-            for link in routing.links_of(flow)
-            if link in link_index
-        ]
-        if not finite:
-            unbounded.append(flow)
-        flow_link_ids.extend(finite)
-        flow_ptr[i + 1] = len(flow_link_ids)
-    if unbounded:
+def _compile(row_ptr, link_ids, table: LinkTable, flows) -> CompiledRouting:
+    """The array core of both compile entry points: ragged rows of
+    global link ids (``link_ids[row_ptr[i]:row_ptr[i+1]]``) → finite
+    incidence arrays."""
+    local = table.remap[link_ids]
+    if local.size and int(local.min()) == _INVALID:
+        # Same error, naming the same links in the same order, as the
+        # reference solver's check over the traversed links.
+        ids, first = np.unique(link_ids, return_index=True)
+        traversed = [table.links[g] for g in ids[np.argsort(first)]]
+        validate_capacities(dict.fromkeys(traversed), table.capacities)
+    keep = local >= 0
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    keep.cumsum(out=kept[1:])
+    flow_ptr = kept[row_ptr]
+    empty = flow_ptr[1:] == flow_ptr[:-1]
+    if empty.any():
         raise UnboundedRateError(
-            f"flows with no finite-capacity link on their path: {unbounded!r}"
+            "flows with no finite-capacity link on their path: "
+            f"{[flows[i] for i in empty.nonzero()[0]]!r}"
         )
-
-    link_ptr = np.zeros(len(links) + 1, dtype=np.int64)
-    link_flow_ids: List[int] = []
-    for j, link in enumerate(links):
-        link_flow_ids.extend(flow_index[f] for f in link_flows[link])
-        link_ptr[j + 1] = len(link_flow_ids)
-
+    flow_link = local[keep]
+    n_links = len(table.finite_links)
+    link_ptr, link_flow = _csr_transpose(flow_ptr, flow_link, n_links)
     _COMPILES.inc()
     return CompiledRouting(
         flows,
-        links,
+        table.finite_links,
         flow_ptr,
-        np.asarray(flow_link_ids, dtype=np.int64),
+        flow_link,
         link_ptr,
-        np.asarray(link_flow_ids, dtype=np.int64),
-        infinite_links=infinite,
+        link_flow,
+        infinite_links=table.infinite_links,
     )
+
+
+def _csr_transpose(flow_ptr, flow_link, n_links):
+    """The link → flows CSR of a flow → links CSR: one stable
+    ``argsort`` (each link's flows stay in ascending flow order) plus
+    one ``bincount`` for the row pointers."""
+    rows = np.arange(flow_ptr.size - 1, dtype=np.int64).repeat(
+        flow_ptr[1:] - flow_ptr[:-1]
+    )
+    link_ptr = np.zeros(n_links + 1, dtype=np.int64)
+    np.bincount(flow_link, minlength=n_links).cumsum(out=link_ptr[1:])
+    return link_ptr, rows[flow_link.argsort(kind="stable")]
 
 
 def incidence_stale(
@@ -203,6 +344,18 @@ def capacity_vector(
     )
 
 
+def _csr_gather(ptr, values, rows):
+    """``values[ptr[r]:ptr[r+1]]`` for every ``r`` in ``rows``, back to
+    back, without a Python loop: a repeat/arange construction enumerates
+    the index ranges in the order a per-row concatenation would."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = lens.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    offsets = (starts - (ends - lens)).repeat(lens)
+    return values[np.arange(total, dtype=np.int64) + offsets]
+
+
 def _row_hits(flow_ptr, flow_link, frozen_ids, n_links, link_base=0):
     """Per-link occurrence counts over ``frozen_ids``' CSR rows.
 
@@ -214,15 +367,7 @@ def _row_hits(flow_ptr, flow_link, frozen_ids, n_links, link_base=0):
     ``link_base`` to translate global block-diagonal link ids into the
     chunk-local range ``[0, n_links)``).
     """
-    lens = flow_ptr[frozen_ids + 1] - flow_ptr[frozen_ids]
-    total = int(lens.sum())
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    idx = (
-        np.repeat(flow_ptr[frozen_ids], lens)
-        + np.arange(total, dtype=np.int64)
-        - offsets
-    )
-    columns = flow_link[idx]
+    columns = _csr_gather(flow_ptr, flow_link, frozen_ids)
     if link_base:
         columns = columns - link_base
     return np.bincount(columns, minlength=n_links)
@@ -256,6 +401,7 @@ def _run_rounds(
     (trace recording).  Neither hook may mutate the arrays.
     """
     levels = np.empty(n_links, dtype=np.float64)
+    mark = np.zeros(active.size, dtype=bool)
     rnd = start_round
     while remaining > 0:
         alive = count > 0
@@ -278,13 +424,16 @@ def _run_rounds(
         # round touches only those links' member slices (not the
         # whole incidence), so total gather work across all rounds
         # is O(nnz).
-        members = gather_members(sat_idx)
-        frozen_ids = members[active[members]]
+        # Sorted-unique active members via a reusable scatter mask —
+        # the same ascending ids as ``np.unique`` without its sort.
+        mark[gather_members(sat_idx)] = True
+        mark &= active
+        frozen_ids = mark.nonzero()[0]
         if frozen_ids.size == 0:
             # Every member of the argmin link was already frozen —
             # impossible while its count stays positive.
             raise AssertionError("water-filling invariant violated")
-        frozen_ids = np.unique(frozen_ids)
+        mark[frozen_ids] = False
         rates[frozen_ids] = lam
         active[frozen_ids] = False
         remaining -= int(frozen_ids.size)
@@ -330,9 +479,7 @@ def waterfill(compiled: CompiledRouting, caps) -> "Sequence[float]":
     link_ptr, link_flow = compiled.link_ptr, compiled.link_flow
 
     def gather_members(sat_idx):
-        return np.concatenate(
-            [link_flow[link_ptr[j]:link_ptr[j + 1]] for j in sat_idx]
-        )
+        return _csr_gather(link_ptr, link_flow, sat_idx)
 
     _SOLVES.inc()
     with trace_span("maxmin.water_fill_vectorized", flows=n_flows) as span:

@@ -64,10 +64,11 @@ class MaxMinCongestionControl:
     :func:`repro.core.maxmin.max_min_fair` with ``exact=False``),
     ``"vectorized"`` (:mod:`repro.core.vectorized`), or ``"streaming"``
     (:class:`repro.core.streaming.StreamingMaxMin`).  The vectorized
-    backend compiles the routing to incidence arrays and reuses the
-    compilation across events while the active job set (and its pinning)
-    is unchanged — only capacity *values* change under link failures,
-    which costs one vector rebuild, not a recompile.  The streaming
+    backend keeps each pinned job's four Clos link ids for the job's
+    lifetime and compiles every consultation straight from those int
+    rows (:func:`repro.core.vectorized.compile_link_ids`); capacity
+    changes cost one :class:`~repro.core.vectorized.LinkTable` rebuild
+    per failure event, no per-flow objects.  The streaming
     backend goes further: it diffs the active set against the previous
     consultation and re-solves only the affected suffix of water-fill
     rounds, so sustained churn costs far less than a solve per event
@@ -118,12 +119,12 @@ class MaxMinCongestionControl:
         self._pinned: Dict[int, int] = {}  # job id -> middle switch
         self._capacities = network.graph.capacities()
         self._caps_version = 0
-        # Vectorized-backend compilation cache: valid while the
-        # (job id, middle) assignment set is unchanged.
-        self._compiled = None
-        self._compiled_key = None
-        self._compiled_caps_version = None
-        self._caps_vector = None
+        # Vectorized-backend state: each pinned job's link-id row, and
+        # the finite-link table of the current capacity version.
+        self._rows: Dict[int, List[int]] = {}
+        self._links = list(network.graph.capacities())
+        self._table = None
+        self._table_version = None
         # Streaming-backend state: the incremental solver plus the job
         # set it currently tracks, diffed against each consultation.
         self._stream = None
@@ -206,47 +207,36 @@ class MaxMinCongestionControl:
         return {job.tag: alloc.rate(job) for job in flows}
 
     def _rates_vectorized(self, active: Mapping[int, FlowJob]) -> Dict[int, float]:
-        """Vectorized solve with incidence reuse across events.
+        """Vectorized solve compiled straight from cached link-id rows.
 
-        The compiled incidence depends only on which jobs are active and
-        where they are pinned; an event that only changes capacities
-        (failure batches) or job *sizes* reuses it wholesale.
+        A job's row depends only on its endpoints and pinned middle, so
+        it is derived once; a capacity change rebuilds the link table
+        (which decides the finite links) and nothing else.
         """
         from repro.core import vectorized as _vz
 
-        key = tuple(sorted((jid, self._pinned[jid]) for jid in active))
-        recompile = self._compiled is None or self._compiled_key != key
-        if (
-            not recompile
-            and self._compiled_caps_version != self._caps_version
-            and _vz.incidence_stale(self._compiled, self._capacities)
-        ):
-            # A failure event changed capacity *values* without changing
-            # the active set, which normally reuses the incidence — but
-            # if the change flipped a traversed link between finite and
-            # infinite, the compiled finite-link membership is stale and
-            # water-filling over it would silently mis-allocate.
-            recompile = True
-        if recompile:
-            flows = FlowCollection(_job_flow(job) for job in active.values())
-            middles = {
-                _job_flow(job): self._pinned[jid]
-                for jid, job in active.items()
-            }
-            routing = Routing.from_middles(self.network, flows, middles)
-            self._compiled = _vz.compile_routing(routing, self._capacities)
-            self._compiled_key = key
-            self._compiled_caps_version = None
-        if self._compiled_caps_version != self._caps_version:
-            self._caps_vector = _vz.capacity_vector(
-                self._compiled, self._capacities
+        rows = self._rows
+        new = [job for jid, job in active.items() if jid not in rows]
+        if new:
+            ids = _vz.clos_link_ids(
+                self.network,
+                [job.source.switch for job in new],
+                [job.source.server for job in new],
+                [job.dest.switch for job in new],
+                [job.dest.server for job in new],
+                [self._pinned[job.job_id] for job in new],
             )
-            self._compiled_caps_version = self._caps_version
-        rates = _vz.waterfill(self._compiled, self._caps_vector)
-        return {
-            flow.tag: float(rate)
-            for flow, rate in zip(self._compiled.flows, rates)
-        }
+            for job, row in zip(new, ids.tolist()):
+                rows[job.job_id] = row
+        if self._table_version != self._caps_version:
+            self._table = _vz.LinkTable(self._links, self._capacities)
+            self._table_version = self._caps_version
+        jids = list(active)
+        compiled = _vz.compile_link_ids(
+            [rows[jid] for jid in jids], self._table, jids
+        )
+        rates = _vz.waterfill(compiled, self._table.caps)
+        return dict(zip(jids, rates.tolist()))
 
     def _rates_streaming(self, active: Mapping[int, FlowJob]) -> Dict[int, float]:
         """Incremental solve: diff the active set, patch, re-solve the
@@ -284,6 +274,7 @@ class MaxMinCongestionControl:
     def forget(self, job_id: int) -> None:
         """Drop routing state for a completed job."""
         self._pinned.pop(job_id, None)
+        self._rows.pop(job_id, None)
 
 
 class MatchingScheduler:

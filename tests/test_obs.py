@@ -263,22 +263,22 @@ class TestWaterFillingCounters:
 
     def test_float_mode_counters(self, observing):
         """The float heap fill increments the same ``maxmin.*`` counters
-        as the exact fill.  Its round count is the number of distinct
-        *float* levels, so an ulp apart can count as two rounds."""
+        as the exact fill, and counts the same rounds: levels inside
+        one saturation band are one round, so an exact tie that float
+        rounding splits by an ulp (Example 2.3 routing B) is not two."""
         from repro.workloads.adversarial import example_2_3, example_2_3_routings
 
         instance = example_2_3()
         capacities = instance.clos.graph.capacities()
         for routing in example_2_3_routings(instance):
             _, exact, _ = self._solve(routing, capacities)
-            alloc, floats, spans = self._solve(
+            _, floats, spans = self._solve(
                 routing, capacities, exact=False
             )
             assert floats["maxmin.solves"] == 1
             assert floats["maxmin.flows_frozen"] == 6
             assert floats["maxmin.rounds"] == spans[0].attrs["rounds"]
-            assert floats["maxmin.rounds"] == len(set(alloc.sorted_vector()))
-            assert floats["maxmin.rounds"] >= exact["maxmin.rounds"]
+            assert floats["maxmin.rounds"] == exact["maxmin.rounds"]
             assert floats["maxmin.saturated_links"] >= floats["maxmin.rounds"]
 
 
