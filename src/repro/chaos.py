@@ -502,7 +502,7 @@ def stream_churn_check(
     runs with ``shadow=1.0`` (cross-checked against the exact reference)
     under full validation, with randomized batch sizes, capacity
     degradations, and the occasional finite↔infinite capacity flip (the
-    PR 6 ``incidence_stale`` regression class).  Disagreements are
+    stale-incidence regression class).  Disagreements are
     quarantined by the solver (reason ``stream-mismatch``, including the
     event prefix); this function converts them — and certificate
     failures — into fuzz failure records.

@@ -444,7 +444,7 @@ def run_churn(args: argparse.Namespace) -> None:
     from repro.experiments.churn import churn_comparison
 
     # Test for None, never truthiness: 0 is a real --window (re-solve
-    # per event) and a real --jobs (all cores).
+    # per event).
     def arg(name: str, default):
         value = getattr(args, name, None)
         return default if value is None else value
@@ -454,8 +454,6 @@ def run_churn(args: argparse.Namespace) -> None:
         rate=arg("rate", 100.0),
         horizon=arg("horizon", 1.5),
         batch_window=arg("window", 0.05),
-        pods=arg("pods", 1),
-        jobs=arg("jobs", 1),
     )
     print(
         format_table(
@@ -642,12 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="micro-batch window in simulated time units (churn; "
         "0 = re-solve per event)",
-    )
-    run.add_argument(
-        "--pods",
-        type=_POSITIVE_INT,
-        help="shard the churn workload into this many independent pods "
-        "(>= 1)",
     )
     run.add_argument(
         "--backend",

@@ -36,12 +36,12 @@ streaming rates are *byte-identical* to fresh
 (property-tested in ``tests/test_streaming.py``).
 
 Structural changes fall back safely: capacity-value changes invalidate
-the trace (next solve is full), a finite↔infinite membership flip (the
-PR 6 ``incidence_stale`` regression class) or an accumulated backlog of
-dead slots triggers a recompile of the incidence itself.  ``exact=True``
-switches to a ``Fraction`` implementation of the same prefix-reuse
-argument (order never matters for exact arithmetic — the max-min
-allocation is unique).
+the trace (next solve is full), a finite↔infinite membership flip
+(which would leave a stale compiled incidence) or an accumulated
+backlog of dead slots triggers a recompile of the incidence itself.
+``exact=True`` switches to a ``Fraction`` implementation of the same
+prefix-reuse argument (order never matters for exact arithmetic — the
+max-min allocation is unique).
 
 Every solve can be cross-checked against the exact reference solver —
 ``shadow=`` a fraction, or the ambient ``REPRO_SHADOW`` environment
@@ -203,9 +203,10 @@ class StreamingMaxMin:
         self._caps: Dict[Link, Rate] = {}
         self._finite_set = frozenset()
         # Lazy link registry: only links actually traversed by a
-        # compiled flow get an array slot.  A pod-sharded solver over a
-        # 32k-link fabric then carries ~2k-wide arrays instead of
-        # rebuilding full-fabric state on every (re)compile.
+        # compiled flow get an array slot, so a solver whose flows touch
+        # a small corner of a large fabric carries arrays sized to that
+        # corner instead of rebuilding full-fabric state on every
+        # (re)compile.
         self._link_index: Dict[Link, int] = {}
         self._link_of: List[Link] = []
         self._nlinks = 0
@@ -297,7 +298,7 @@ class StreamingMaxMin:
 
         Value-only changes keep the compiled incidence and cost one full
         re-solve; a change to *which* links are finite (a total failure
-        modeled as infinite, or vice versa — the ``incidence_stale``
+        modeled as infinite, or vice versa — the stale-incidence
         class) additionally recompiles the incidence.
         """
         caps = dict(capacities)

@@ -60,7 +60,6 @@ __all__ = [
     "compile_link_ids",
     "compile_routing",
     "capacity_vector",
-    "incidence_stale",
     "waterfill",
     "max_min_fair_vectorized",
 ]
@@ -73,10 +72,7 @@ class CompiledRouting:
     link with index ``j`` (infinite-capacity links never constrain and
     are dropped at compile time).  ``flow_link[flow_ptr[i]:flow_ptr[i+1]]``
     are the link indices on flow ``i``'s path; ``link_flow`` /
-    ``link_ptr`` is the transpose.  ``infinite_links`` records the
-    links that were *infinite* at compile time (and hence dropped from
-    the incidence) so :func:`incidence_stale` can detect a later
-    capacity change flipping the finite-link membership.
+    ``link_ptr`` is the transpose.
     """
 
     __slots__ = (
@@ -86,7 +82,6 @@ class CompiledRouting:
         "flow_link",
         "link_ptr",
         "link_flow",
-        "infinite_links",
     )
 
     def __init__(
@@ -97,7 +92,6 @@ class CompiledRouting:
         flow_link,
         link_ptr,
         link_flow,
-        infinite_links=(),
     ) -> None:
         self.flows = flows
         self.links = links
@@ -105,7 +99,6 @@ class CompiledRouting:
         self.flow_link = flow_link
         self.link_ptr = link_ptr
         self.link_flow = link_flow
-        self.infinite_links = frozenset(infinite_links)
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -129,10 +122,7 @@ class LinkTable:
     capacity map and reuse it for every compile under that map.
     """
 
-    __slots__ = (
-        "links", "capacities", "remap", "finite_links", "infinite_links",
-        "caps",
-    )
+    __slots__ = ("links", "capacities", "remap", "finite_links", "caps")
 
     def __init__(
         self, links: Sequence[Link], capacities: Mapping[Link, Rate]
@@ -141,7 +131,6 @@ class LinkTable:
         self.capacities = capacities
         remap: List[int] = []
         finite: List[Link] = []
-        infinite: List[Link] = []
         caps: List[float] = []
         for link in self.links:
             capacity = capacities.get(link)
@@ -155,14 +144,12 @@ class LinkTable:
             value = float(capacity)
             if value == _INF:
                 remap.append(_INFINITE)
-                infinite.append(link)
             else:
                 remap.append(len(finite))
                 finite.append(link)
                 caps.append(value)
         self.remap = np.asarray(remap, dtype=np.int64)
         self.finite_links = finite
-        self.infinite_links = frozenset(infinite)
         self.caps = np.asarray(caps, dtype=np.float64)
 
 
@@ -290,13 +277,7 @@ def _compile(row_ptr, link_ids, table: LinkTable, flows) -> CompiledRouting:
     link_ptr, link_flow = _csr_transpose(flow_ptr, flow_link, n_links)
     _COMPILES.inc()
     return CompiledRouting(
-        flows,
-        table.finite_links,
-        flow_ptr,
-        flow_link,
-        link_ptr,
-        link_flow,
-        infinite_links=table.infinite_links,
+        flows, table.finite_links, flow_ptr, flow_link, link_ptr, link_flow
     )
 
 
@@ -310,28 +291,6 @@ def _csr_transpose(flow_ptr, flow_link, n_links):
     link_ptr = np.zeros(n_links + 1, dtype=np.int64)
     np.bincount(flow_link, minlength=n_links).cumsum(out=link_ptr[1:])
     return link_ptr, rows[flow_link.argsort(kind="stable")]
-
-
-def incidence_stale(
-    compiled: CompiledRouting, capacities: Mapping[Link, Rate]
-) -> bool:
-    """Whether ``capacities`` invalidates ``compiled``'s link membership.
-
-    The compiled incidence freezes *which* links are finite; capacity
-    changes that only rescale finite links keep it valid, but a link
-    crossing the finite/infinite boundary (a total link failure modeled
-    as infinite, or an infinite interior link acquiring a budget) does
-    not.  Callers re-solving under evolving capacities (the flow-level
-    simulator replaying a :class:`~repro.failures.schedule.FailureSchedule`)
-    must recompile when this returns True.
-    """
-    for link in compiled.links:
-        if float(capacities[link]) == _INF:
-            return True
-    for link in compiled.infinite_links:
-        if float(capacities[link]) != _INF:
-            return True
-    return False
 
 
 def capacity_vector(

@@ -16,8 +16,7 @@ churn_workload`):
   (``MaxMinCongestionControl(backend="streaming")``); results are
   byte-identical to ``per-event``.
 - ``batched`` — the micro-batching loop on top of the streaming solver
-  (:func:`repro.sim.stream.simulate_stream`, optionally pod-sharded via
-  :func:`repro.sim.stream.simulate_sharded`): re-solve at most once per
+  (:func:`repro.sim.stream.simulate_stream`): re-solve at most once per
   ``batch_window`` of simulated time.
 
 Each row reports wall-clock seconds, arrival-event throughput
@@ -33,7 +32,7 @@ from typing import List, NamedTuple, Optional, Sequence
 from repro.core.topology import ClosNetwork
 from repro.sim.flowsim import SimulationResult, simulate
 from repro.sim.policies import MaxMinCongestionControl
-from repro.sim.stream import simulate_sharded, simulate_stream
+from repro.sim.stream import simulate_stream
 from repro.workloads.stochastic import churn_workload
 
 
@@ -60,28 +59,21 @@ def churn_comparison(
     rate: float = 200.0,
     horizon: float = 2.0,
     batch_window: float = 0.05,
-    pods: int = 1,
     seed: int = 0,
     configs: Sequence[str] = ("per-event", "streaming", "batched"),
-    jobs: int = 1,
 ) -> List[ChurnRow]:
     """Run the churn workload under each configuration; one row each.
 
     ``per-event`` and ``streaming`` produce byte-identical
     :class:`~repro.sim.flowsim.SimulationResult`\\ s (asserted here);
     ``batched`` trades bounded rate staleness (≤ ``batch_window``) for
-    throughput, and with ``pods > 1`` additionally shards the (then
-    pod-local) workload into independent blocks.  ``jobs`` is the
-    worker-process count for the sharded config.
+    throughput.
     """
     network = ClosNetwork(n)
-    workload = churn_workload(
-        network, rate=rate, horizon=horizon, pods=pods, seed=seed
-    )
+    workload = churn_workload(network, rate=rate, horizon=horizon, seed=seed)
     rows: List[ChurnRow] = []
     baseline: Optional[SimulationResult] = None
     for config in configs:
-        policy: Optional[MaxMinCongestionControl] = None
         t0 = time.perf_counter()
         if config == "per-event":
             policy = MaxMinCongestionControl(network, backend="vectorized")
@@ -90,18 +82,10 @@ def churn_comparison(
             policy = MaxMinCongestionControl(network, backend="streaming")
             result = simulate(workload, policy)
         elif config == "batched":
-            if pods > 1:
-                result = simulate_sharded(
-                    network, workload, pods=pods,
-                    batch_window=batch_window, seed=0, jobs=jobs,
-                )
-            else:
-                policy = MaxMinCongestionControl(
-                    network, backend="streaming"
-                )
-                result = simulate_stream(
-                    workload, policy, batch_window=batch_window
-                )
+            policy = MaxMinCongestionControl(network, backend="streaming")
+            result = simulate_stream(
+                workload, policy, batch_window=batch_window
+            )
         else:
             raise ValueError(f"unknown churn config {config!r}")
         wall_s = time.perf_counter() - t0
@@ -114,7 +98,7 @@ def churn_comparison(
                     f"{config} diverged from the per-event baseline"
                 )
         flow_events = len(workload) + len(result.completed)
-        stream = getattr(policy, "_stream", None)
+        stream = policy._stream
         stats = stream.stats if stream is not None else None
         rows.append(
             ChurnRow(

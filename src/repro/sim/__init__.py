@@ -17,7 +17,7 @@ from repro.sim.policies import (
     ProcessorSharing,
     ReroutingCongestionControl,
 )
-from repro.sim.stream import simulate_sharded, simulate_stream
+from repro.sim.stream import simulate_stream
 
 __all__ = [
     "CompletedJob",
@@ -36,6 +36,5 @@ __all__ = [
     "incast_burst",
     "poisson_workload",
     "simulate",
-    "simulate_sharded",
     "simulate_stream",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple
 
 from repro.core.nodes import Destination, Source
 from repro.core.topology import ClosNetwork
@@ -114,69 +114,3 @@ def incast_burst(
         for i, s in enumerate(sources)
     ]
 
-
-# ----------------------------------------------------------------------
-# Column-array transport (for zero-copy shard dispatch)
-# ----------------------------------------------------------------------
-#: Column order of the packed job arrays: five int64 identity columns
-#: and two float64 payload columns per job.
-JOB_COLUMNS = (
-    "job_id", "src_switch", "src_server", "dst_switch", "dst_server",
-    "arrival", "size",
-)
-
-
-def jobs_to_arrays(jobs: Sequence[FlowJob]):
-    """Pack jobs into named column arrays (see :data:`JOB_COLUMNS`).
-
-    The columns capture a job exactly — :func:`jobs_from_arrays` round-
-    trips to equal ``FlowJob`` tuples — so shard workers can rebuild
-    their slice from a :class:`repro.parallel.SharedArrays` block
-    without any job object crossing the process pipe.
-    """
-    import numpy as np
-
-    n = len(jobs)
-    return {
-        "job_id": np.fromiter(
-            (job.job_id for job in jobs), dtype=np.int64, count=n
-        ),
-        "src_switch": np.fromiter(
-            (job.source.switch for job in jobs), dtype=np.int64, count=n
-        ),
-        "src_server": np.fromiter(
-            (job.source.server for job in jobs), dtype=np.int64, count=n
-        ),
-        "dst_switch": np.fromiter(
-            (job.dest.switch for job in jobs), dtype=np.int64, count=n
-        ),
-        "dst_server": np.fromiter(
-            (job.dest.server for job in jobs), dtype=np.int64, count=n
-        ),
-        "arrival": np.fromiter(
-            (job.arrival for job in jobs), dtype=np.float64, count=n
-        ),
-        "size": np.fromiter(
-            (job.size for job in jobs), dtype=np.float64, count=n
-        ),
-    }
-
-
-def jobs_from_arrays(
-    job_id, src_switch, src_server, dst_switch, dst_server, arrival, size
-) -> List[FlowJob]:
-    """Rebuild :func:`jobs_to_arrays` columns into ``FlowJob`` tuples."""
-    return [
-        FlowJob(
-            job_id=int(jid),
-            source=Source(int(ssw), int(ssv)),
-            dest=Destination(int(dsw), int(dsv)),
-            arrival=float(at),
-            size=float(sz),
-        )
-        for jid, ssw, ssv, dsw, dsv, at, sz in zip(
-            job_id.tolist(), src_switch.tolist(), src_server.tolist(),
-            dst_switch.tolist(), dst_server.tolist(),
-            arrival.tolist(), size.tolist(),
-        )
-    ]

@@ -73,11 +73,6 @@ class MaxMinCongestionControl:
     consultation and re-solves only the affected suffix of water-fill
     rounds, so sustained churn costs far less than a solve per event
     (rates stay bit-identical to the vectorized backend).
-
-    ``middle_pool`` optionally restricts ECMP pinning to a subset of
-    middle-switch indices — the pod-sharding hook used by
-    :func:`repro.sim.stream.simulate_sharded`.  A pool of all middles
-    ``(1, …, n)`` is hash-identical to the unrestricted default.
     """
 
     #: Rates depend only on the active job set, pinning, and capacities —
@@ -91,7 +86,6 @@ class MaxMinCongestionControl:
         router: str = "ecmp",
         seed: int = 0,
         backend: str = "reference",
-        middle_pool=None,
     ):
         if backend not in ("reference", "vectorized", "streaming"):
             raise ValueError(
@@ -102,20 +96,6 @@ class MaxMinCongestionControl:
         self.router = router
         self.seed = seed
         self.backend = backend
-        self.middle_pool = (
-            None if middle_pool is None else tuple(middle_pool)
-        )
-        if self.middle_pool is not None:
-            bad = [
-                m
-                for m in self.middle_pool
-                if not 1 <= m <= network.num_middles
-            ]
-            if bad or not self.middle_pool:
-                raise ValueError(
-                    f"middle_pool must be non-empty indices in "
-                    f"1..{network.num_middles}, got {middle_pool!r}"
-                )
         self._pinned: Dict[int, int] = {}  # job id -> middle switch
         self._capacities = network.graph.capacities()
         self._caps_version = 0
@@ -150,17 +130,7 @@ class MaxMinCongestionControl:
         unpinned = [job for jid, job in active.items() if jid not in self._pinned]
         if not unpinned:
             return
-        if self.router == "ecmp" and self.middle_pool is not None:
-            # Pool-restricted ECMP: hash into the pool directly.  With a
-            # full pool ``(1, …, n)`` this reproduces ecmp_routing's
-            # ``(hash % n) + 1`` choice bit-for-bit.
-            from repro.routers.ecmp import _flow_hash
-
-            pool = self.middle_pool
-            for job in unpinned:
-                digest = _flow_hash(_job_flow(job), self.seed)
-                self._pinned[job.job_id] = pool[digest % len(pool)]
-        elif self.router == "ecmp":
+        if self.router == "ecmp":
             # Same middle ecmp_routing would pick — its choice is a pure
             # per-flow hash, so pin from the digest directly instead of
             # materializing a FlowCollection + Routing (full Path
@@ -174,10 +144,9 @@ class MaxMinCongestionControl:
             _ECMP_DECISIONS.inc(len(unpinned))
         elif self.router == "least_loaded":
             # pin to the middle currently carrying the fewest pinned jobs
-            load = {m: 0 for m in range(1, self.network.n + 1)}
+            load = {m: 0 for m in range(1, self.network.num_middles + 1)}
             for m in self._pinned.values():
-                if m in load:
-                    load[m] += 1
+                load[m] += 1
             for job in sorted(unpinned, key=lambda j: j.job_id):
                 m = min(load, key=lambda key: (load[key], key))
                 self._pinned[job.job_id] = m

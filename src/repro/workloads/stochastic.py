@@ -161,56 +161,18 @@ def churn_workload(
     horizon: float,
     mean_size: float = 1.0,
     size_distribution: str = "exponential",
-    pods: int = 1,
     seed: int = 0,
 ):
-    """An open-loop Poisson churn sequence of finite flow jobs.
+    """The open-loop Poisson churn sequence of the ``churn`` experiment.
 
-    Like :func:`repro.sim.jobs.poisson_workload`, but endpoints are
-    drawn *pod-locally*: the ToR switches are split into ``pods``
-    contiguous groups and each job's destination is sampled from its
-    source's group.  With ``pods=1`` this is plain uniform sampling;
-    with more pods the flow×link incidence is block-diagonal and
-    :func:`repro.sim.stream.simulate_sharded` can simulate each pod
-    independently.  Returns a list of
-    :class:`~repro.sim.jobs.FlowJob`\\ s sorted by arrival.
+    Endpoints are uniform over the network's sources and destinations,
+    so this is :func:`repro.sim.jobs.poisson_workload` with the same
+    arguments.  Returns a list of :class:`~repro.sim.jobs.FlowJob`\\ s
+    sorted by arrival.
     """
-    from repro.sim.jobs import FlowJob, _draw_size
+    from repro.sim.jobs import poisson_workload
 
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate}")
-    if mean_size <= 0:
-        raise ValueError(f"mean size must be positive, got {mean_size}")
-    num_switches = 2 * network.n
-    if not 1 <= pods <= min(num_switches, network.num_middles):
-        raise ValueError(
-            f"pods must be in 1..{min(num_switches, network.num_middles)}, "
-            f"got {pods}"
-        )
-    rng = random.Random(seed)
-    sources, destinations = _servers(network)
-    # Destination buckets per pod, matching simulate_sharded's partition
-    # of ToR switches: switch i -> pod (i-1)*pods // num_switches.
-    dest_pods: List[List[Destination]] = [[] for _ in range(pods)]
-    for dest in destinations:
-        dest_pods[(dest.switch - 1) * pods // num_switches].append(dest)
-    jobs = []
-    time = 0.0
-    job_id = 0
-    while True:
-        time += rng.expovariate(rate)
-        if time > horizon:
-            break
-        source = rng.choice(sources)
-        pod = (source.switch - 1) * pods // num_switches
-        jobs.append(
-            FlowJob(
-                job_id=job_id,
-                source=source,
-                dest=rng.choice(dest_pods[pod]),
-                arrival=time,
-                size=_draw_size(rng, mean_size, size_distribution),
-            )
-        )
-        job_id += 1
-    return jobs
+    return poisson_workload(
+        network, rate, horizon, mean_size=mean_size,
+        size_distribution=size_distribution, seed=seed,
+    )

@@ -136,7 +136,7 @@ class TestArgumentBounds:
             ["run", "churn", "--rate", "-1"],
             ["run", "churn", "--horizon", "0"],
             ["run", "churn", "--horizon", "-0.5"],
-            ["run", "churn", "--pods", "0"],
+            ["run", "churn", "--rate", "nan"],
             ["run", "churn", "--jobs", "-1"],
             ["profile", "e4", "--jobs", "-1"],
             ["fuzz", "--seeds", "-2"],
@@ -157,9 +157,10 @@ class TestArgumentBounds:
         assert exc.value.code == 2
         assert "argument --rate: must be > 0, got 0" in capsys.readouterr().err
 
-    def test_zero_window_and_jobs_reach_churn(self, capsys, monkeypatch):
-        """0 is a real ``--window`` and ``--jobs`` (all cores); explicit
-        values pass through unchanged."""
+    def test_zero_window_reaches_churn(self, capsys, monkeypatch):
+        """0 is a real ``--window`` (re-solve per event) and passes
+        through unchanged; ``--jobs`` is a sweep knob churn does not
+        take."""
         from repro.experiments import churn
 
         seen = {}
@@ -167,11 +168,16 @@ class TestArgumentBounds:
             churn, "churn_comparison", lambda **kw: seen.update(kw) or []
         )
         argv = ["run", "churn", "--n", "2", "--rate", "0.5",
-                "--horizon", "0.25", "--pods", "2", "--window", "0",
-                "--jobs", "0"]
+                "--horizon", "0.25", "--window", "0", "--jobs", "0"]
         assert main(argv) == 0
         assert seen == {"n": 2, "rate": 0.5, "horizon": 0.25,
-                        "batch_window": 0.0, "pods": 2, "jobs": 0}
+                        "batch_window": 0.0}
+
+    def test_pods_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "churn", "--pods", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pods" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "names", ["bogus", "heap,bogus", "batched", ",", "heap", "auto"]

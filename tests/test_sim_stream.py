@@ -1,11 +1,10 @@
-"""Tests for the micro-batching stream loop and pod sharding.
+"""Tests for the micro-batching stream loop.
 
 The contract under test: ``simulate_stream(batch_window=0)`` *is*
 :func:`repro.sim.flowsim.simulate`; the ``streaming`` policy backend is
 byte-identical to ``vectorized`` at every consult (so whole-simulation
-results match exactly); batching trades rate staleness for throughput
-but never loses work; and with one pod the sharded loop reduces exactly
-to the unsharded one.
+results match exactly); and batching trades rate staleness for
+throughput but never loses work.
 """
 
 import math
@@ -17,12 +16,7 @@ from repro.core.topology import ClosNetwork
 from repro.sim.flowsim import SimulationError, simulate
 from repro.sim.jobs import FlowJob, poisson_workload
 from repro.sim.policies import MaxMinCongestionControl
-from repro.sim.stream import (
-    middle_pools,
-    pod_of_switch,
-    simulate_sharded,
-    simulate_stream,
-)
+from repro.sim.stream import simulate_stream
 from repro.workloads.stochastic import churn_workload
 
 
@@ -176,48 +170,6 @@ class TestMalformedInputs:
             simulate_stream(
                 jobs, MaxMinCongestionControl(clos), batch_window=window
             )
-
-
-class TestSharding:
-    def test_one_pod_reduces_to_stream(self, clos):
-        jobs = churn_workload(clos, rate=20.0, horizon=3.0, pods=1, seed=7)
-        policy = MaxMinCongestionControl(
-            clos, backend="streaming", middle_pool=tuple(
-                range(1, clos.num_middles + 1)
-            )
-        )
-        unsharded = simulate_stream(jobs, policy, batch_window=0.05)
-        sharded = simulate_sharded(
-            clos, jobs, pods=1, batch_window=0.05, seed=0
-        )
-        assert sharded == unsharded
-
-    def test_sharded_conserves_work(self):
-        clos = ClosNetwork(4)
-        jobs = churn_workload(clos, rate=30.0, horizon=3.0, pods=2, seed=8)
-        result = simulate_sharded(clos, jobs, pods=2, batch_window=0.05)
-        assert not result.unfinished
-        assert result.work_done == pytest.approx(sum(j.size for j in jobs))
-
-    def test_cross_pod_job_rejected(self):
-        clos = ClosNetwork(4)
-        # switch 1 is pod 0, switch 8 is pod 1 under pods=2.
-        job = FlowJob(0, clos.source(1, 1), clos.destination(8, 1), 0.0, 1.0)
-        with pytest.raises(SimulationError, match="crosses pods"):
-            simulate_sharded(clos, [job], pods=2, batch_window=0.05)
-
-    def test_pod_of_switch_partitions(self):
-        # 8 ToR switches into 2 pods: 1-4 -> 0, 5-8 -> 1.
-        assert [pod_of_switch(s, 8, 2) for s in range(1, 9)] == [
-            0, 0, 0, 0, 1, 1, 1, 1,
-        ]
-
-    def test_middle_pools_partition(self):
-        pools = middle_pools(4, 2)
-        assert pools == [(1, 2), (3, 4)]
-        assert middle_pools(3, 1) == [(1, 2, 3)]
-        with pytest.raises(ValueError):
-            middle_pools(2, 3)
 
 
 class TestBatchSizeHistogram:

@@ -5,8 +5,8 @@ The load-bearing property: after *every* prefix of a random
 arrival/departure sequence, the streaming solver's rates are
 bit-identical (float mode) to a from-scratch vectorized solve of the
 same flow set, and ``Fraction``-identical (exact mode) to the reference
-solver.  Plus the PR 6 ``incidence_stale`` regression class (a
-finite↔infinite capacity flip), validation edges, and the
+solver.  Plus the stale-incidence regression class (a finite↔infinite
+capacity flip), validation edges, and the
 ``stream-mismatch`` quarantine path.
 """
 
@@ -143,8 +143,8 @@ class TestExactMode:
 
 
 class TestCapacityChurn:
-    """The PR 6 ``incidence_stale`` class: flipping a link between
-    finite and infinite must recompile, value brownouts must not."""
+    """The stale-incidence class: flipping a link between finite and
+    infinite must recompile, value brownouts must not."""
 
     def test_finite_infinite_flip(self):
         from repro.core.streaming import StreamingMaxMin

@@ -1,9 +1,12 @@
 """Tests for the stochastic workload generators."""
 
+import hashlib
+
 import pytest
 
 from repro.core.topology import ClosNetwork
 from repro.workloads.stochastic import (
+    churn_workload,
     elephant_mice,
     hotspot,
     incast,
@@ -164,3 +167,22 @@ class TestRackLocal:
     def test_invalid_locality(self, clos):
         with pytest.raises(ValueError):
             rack_local(clos, 10, locality=1.5)
+
+
+class TestChurnWorkload:
+    #: Digest of the job sequences for n in {2, 4} and seeds 0-9 at
+    #: rate 20, horizon 2; pinned so the churn experiment and its
+    #: benchmark keep drawing the same jobs.
+    DIGEST = "5fa284d09ea8466747d5efb14a4acb929c6f75973df591e7341bbcdbd17af6c6"
+
+    def test_draw_sequence_pinned(self):
+        digest = hashlib.sha256()
+        for n in (2, 4):
+            for seed in range(10):
+                jobs = churn_workload(
+                    ClosNetwork(n), rate=20.0, horizon=2.0, seed=seed
+                )
+                for job in jobs:
+                    digest.update(repr(tuple(job)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
