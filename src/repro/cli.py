@@ -10,7 +10,9 @@ Usage::
 
 ``--jobs N`` computes sweep points in ``N`` worker processes
 (``--jobs 0`` = all cores).  Results — tables, manifests, exit codes —
-are identical to a sequential run; see :mod:`repro.parallel`.
+are identical to a sequential run; see :mod:`repro.parallel`.  A
+``--backend batched`` sweep is one in-process solve, so ``--jobs``
+does not change its work.
 
 Each experiment prints the same measured-vs-paper table its benchmark
 target prints, so the CLI is the interactive face of the harness.
@@ -593,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_NON_NEGATIVE_INT,
         default=1,
         help="worker processes for sweep points (non-negative; 0 means "
-        "all cores; worker telemetry is shipped back and merged)",
+        "all cores; worker telemetry is shipped back and merged; a "
+        "--backend batched sweep is one in-process solve either way)",
     )
 
     stats = sub.add_parser(
@@ -657,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_NON_NEGATIVE_INT,
         default=1,
         help="worker processes for sweep points (non-negative; 0 means "
-        "all cores; results are identical to --jobs 1, just faster)",
+        "all cores; results are identical to --jobs 1; a --backend "
+        "batched sweep is one in-process solve either way)",
     )
     run.add_argument(
         "--timeout",

@@ -31,11 +31,10 @@ dispatched per-instance to the reference solver — still through the one
 :func:`solve_max_min_batch` front door, so callers keep a single entry
 point for both modes.
 
-With ``jobs > 1`` the batch is compiled once in the parent and the
-stacked arrays are placed in :mod:`multiprocessing.shared_memory` via
-:func:`repro.parallel.shared_arrays`; workers attach zero-copy and each
-solves a contiguous scenario range directly into a shared output rates
-array, so only ``(first, last)`` index pairs ever cross the pipe.
+The whole batch is compiled and water-filled in the calling process.
+Compilation, not the water-fill, is most of a batched sweep's cost, so
+splitting the kernel over worker processes never paid for itself;
+``--jobs`` spreads sweep points only on the per-point backends.
 
 See ``docs/PERFORMANCE.md`` ("Batched multi-scenario solving") for
 measured crossover points and the CI gate that holds the batched
@@ -44,7 +43,7 @@ kernel to ≥10× over per-instance solves.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,22 +66,7 @@ _SOLVES = counter("batched.solves")
 _SCENARIOS = counter("batched.scenarios")
 _ROUNDS = counter("batched.rounds")
 
-#: Names (and stacking order) of the arrays a :class:`CompiledBatch`
-#: carries — the schema of the shared-memory transport.
-ARRAY_NAMES = (
-    "flow_ptr",
-    "flow_link",
-    "link_ptr",
-    "link_flow",
-    "scn_flow_ptr",
-    "scn_link_ptr",
-    "scn_of_flow",
-    "scn_of_link",
-    "caps",
-)
-
 __all__ = [
-    "ARRAY_NAMES",
     "CompiledBatch",
     "compile_batch",
     "solve_max_min_batch",
@@ -102,17 +86,26 @@ class CompiledBatch:
     ``scn_of_flow``/``scn_of_link`` map global ids back to scenarios.
 
     ``parts`` holds each scenario's :class:`CompiledRouting` so rate
-    arrays can be lifted back to :class:`Allocation` objects; a batch
-    rebuilt from bare arrays in a worker process (:meth:`from_arrays`)
-    has ``parts is None`` — the kernel never needs the objects.
+    arrays can be lifted back to :class:`Allocation` objects.
     """
 
-    __slots__ = ("parts",) + ARRAY_NAMES
+    __slots__ = (
+        "parts",
+        "flow_ptr",
+        "flow_link",
+        "link_ptr",
+        "link_flow",
+        "scn_flow_ptr",
+        "scn_link_ptr",
+        "scn_of_flow",
+        "scn_of_link",
+        "caps",
+    )
 
-    def __init__(self, parts: Optional[List[CompiledRouting]], arrays) -> None:
+    def __init__(self, parts: List[CompiledRouting], **arrays) -> None:
         self.parts = parts
-        for name in ARRAY_NAMES:
-            setattr(self, name, arrays[name])
+        for name, array in arrays.items():
+            setattr(self, name, array)
 
     @property
     def num_scenarios(self) -> int:
@@ -121,15 +114,6 @@ class CompiledBatch:
     @property
     def num_flows(self) -> int:
         return int(self.scn_flow_ptr[-1])
-
-    def as_arrays(self) -> Dict[str, Any]:
-        """The bare-array view (the shared-memory transport payload)."""
-        return {name: getattr(self, name) for name in ARRAY_NAMES}
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, Any]) -> "CompiledBatch":
-        """Rebuild a kernel-ready batch from bare arrays (worker side)."""
-        return cls(None, arrays)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -155,13 +139,7 @@ def compile_batch(
         compiled = compile_routing(routing, capacities)
         parts.append(compiled)
         caps_vectors.append(capacity_vector(compiled, capacities))
-    return _stack_parts(parts, caps_vectors)
 
-
-def _stack_parts(
-    parts: List[CompiledRouting], caps_vectors: List[Any]
-) -> CompiledBatch:
-    """Stack already-compiled scenarios into one block-diagonal batch."""
     S = len(parts)
     flow_counts = np.asarray([len(p.flows) for p in parts], dtype=np.int64)
     link_counts = np.asarray([len(p.links) for p in parts], dtype=np.int64)
@@ -191,83 +169,49 @@ def _stack_parts(
             return np.zeros(0, dtype=dtype)
         return np.concatenate(chunks).astype(dtype, copy=False)
 
-    arrays = {
-        "flow_ptr": _concat(flow_ptr_parts, np.int64),
-        "flow_link": _concat(flow_link_parts, np.int64),
-        "link_ptr": _concat(link_ptr_parts, np.int64),
-        "link_flow": _concat(link_flow_parts, np.int64),
-        "scn_flow_ptr": scn_flow_ptr,
-        "scn_link_ptr": scn_link_ptr,
-        "scn_of_flow": np.repeat(np.arange(S, dtype=np.int64), flow_counts),
-        "scn_of_link": np.repeat(np.arange(S, dtype=np.int64), link_counts),
-        "caps": _concat(caps_vectors, np.float64),
-    }
     _SCENARIOS.inc(S)
-    return CompiledBatch(parts, arrays)
+    return CompiledBatch(
+        parts,
+        flow_ptr=_concat(flow_ptr_parts, np.int64),
+        flow_link=_concat(flow_link_parts, np.int64),
+        link_ptr=_concat(link_ptr_parts, np.int64),
+        link_flow=_concat(link_flow_parts, np.int64),
+        scn_flow_ptr=scn_flow_ptr,
+        scn_link_ptr=scn_link_ptr,
+        scn_of_flow=np.repeat(np.arange(S, dtype=np.int64), flow_counts),
+        scn_of_link=np.repeat(np.arange(S, dtype=np.int64), link_counts),
+        caps=_concat(caps_vectors, np.float64),
+    )
 
 
-def _round_estimates(parts: List[CompiledRouting], caps_vectors) -> List[int]:
-    """Estimated water-filling round count per scenario.
+def waterfill_batch(batch: CompiledBatch):
+    """Water-fill every scenario of ``batch`` simultaneously.
 
-    Each round freezes every link sitting at the current water level, so
-    the number of rounds a scenario takes is at most — and in practice
-    close to — its number of *distinct initial fill levels*
-    ``capacity / degree`` over links with at least one flow.  The
-    estimate only drives scheduling (:func:`solve_max_min_batch`'s
-    ``sub_batches=`` ordering); it never touches the arithmetic.
-    """
-    estimates: List[int] = []
-    for compiled, caps in zip(parts, caps_vectors):
-        degree = np.diff(np.asarray(compiled.link_ptr, dtype=np.int64))
-        loaded = degree > 0
-        if not loaded.any():
-            estimates.append(0)
-            continue
-        levels = np.asarray(caps, dtype=np.float64)[loaded] / degree[loaded]
-        estimates.append(int(np.unique(levels).size))
-    return estimates
-
-
-def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
-    """Water-fill scenarios ``[first, last)`` of ``batch`` simultaneously.
-
-    Returns the float rate array for the range's flows (a view into
-    ``out`` when given — the shared-memory path passes the global
-    output array and each worker writes only its own slice).  Every
-    per-element float operation matches the per-instance
+    Returns the float rate array over the batch's global flow ids.
+    Every per-element float operation matches the per-instance
     :func:`~repro.core.vectorized.waterfill` kernel exactly, so the
     rates are byte-identical to solving each scenario alone.
     """
-    if last is None:
-        last = batch.num_scenarios
-    fa = int(batch.scn_flow_ptr[first])
-    fb = int(batch.scn_flow_ptr[last])
-    la = int(batch.scn_link_ptr[first])
-    lb = int(batch.scn_link_ptr[last])
-    n_flows, n_links, S = fb - fa, lb - la, last - first
-
-    if out is None:
-        rates = np.zeros(n_flows, dtype=np.float64)
-    else:
-        rates = out[fa:fb]
-        rates[:] = 0.0
+    n_flows = batch.num_flows
+    n_links = len(batch.caps)
+    S = batch.num_scenarios
+    rates = np.zeros(n_flows, dtype=np.float64)
     if n_flows == 0:
         return rates
 
     flow_ptr, flow_link = batch.flow_ptr, batch.flow_link
     link_ptr, link_flow = batch.link_ptr, batch.link_flow
-    residual = np.asarray(batch.caps[la:lb], dtype=np.float64).copy()
-    count = np.diff(batch.link_ptr[la:lb + 1]).astype(np.float64)
+    residual = np.asarray(batch.caps, dtype=np.float64).copy()
+    count = np.diff(link_ptr).astype(np.float64)
     active = np.ones(n_flows, dtype=bool)
-    remaining = np.diff(batch.scn_flow_ptr[first:last + 1]).astype(np.int64)
-    scn_link = np.asarray(batch.scn_of_link[la:lb], dtype=np.int64) - first
-    scn_flow = np.asarray(batch.scn_of_flow[fa:fb], dtype=np.int64) - first
+    remaining = np.diff(batch.scn_flow_ptr).astype(np.int64)
+    scn_link = batch.scn_of_link
+    scn_flow = batch.scn_of_flow
     # Segment starts for the per-scenario min; a scenario with no links
     # (no flows) never activates, but its degenerate segment must not
     # index out of bounds or swallow a neighbor's minimum.
-    seg_start = np.asarray(batch.scn_link_ptr[first:last], dtype=np.int64) - la
-    empty_seg = np.diff(batch.scn_link_ptr[first:last + 1]) == 0
-    reduce_at = np.minimum(seg_start, max(n_links - 1, 0))
+    empty_seg = np.diff(batch.scn_link_ptr) == 0
+    reduce_at = np.minimum(batch.scn_link_ptr[:-1], max(n_links - 1, 0))
 
     levels = np.empty(n_links, dtype=np.float64)
     delta = np.empty(n_links, dtype=np.float64)
@@ -302,7 +246,7 @@ def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
                 levels <= lam_links + band * (1.0 + lam_links)
             )[0]
             # The saturated links' member rows, back to back.
-            members = _csr_gather(link_ptr, link_flow, sat_idx + la) - fa
+            members = _csr_gather(link_ptr, link_flow, sat_idx)
             candidates = members[active[members]]
             if candidates.size == 0:
                 raise AssertionError("water-filling invariant violated")
@@ -315,9 +259,7 @@ def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
             active[frozen] = False
             remaining -= np.bincount(scn_flow[frozen], minlength=S)
 
-            hit = _row_hits(
-                flow_ptr, flow_link, frozen + fa, n_links, link_base=la
-            )
+            hit = _row_hits(flow_ptr, flow_link, frozen, n_links)
             # ``lam[scn_link] * hit`` would be -inf·0 = NaN on finished
             # scenarios' untouched links; masking the multiply leaves
             # those deltas at 0.0, so ``residual -= delta`` is
@@ -331,29 +273,25 @@ def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
             rounds += 1
         span.set(rounds=rounds)
     _ROUNDS.inc(rounds)
-    _check_batch(batch, first, last, rates)
+    _check_batch(batch, rates)
     return rates
 
 
-def _check_batch(batch: CompiledBatch, first: int, last: int, rates) -> None:
-    """The cheap-level certificate over the solved range, vectorized.
+def _check_batch(batch: CompiledBatch, rates) -> None:
+    """The cheap-level certificate over the whole batch, vectorized.
 
     Mirrors :func:`repro.core.vectorized._check_waterfill` on the
-    stacked arrays; failure messages cite scenario/flow *indices*
-    because worker-side batches carry no flow objects.
+    stacked arrays; failure messages cite scenario/flow *indices*, the
+    unit the stacked arrays are addressed in.
     """
     from repro import validate as _validate
 
     if _validate.validation_level() == "off":
         return
-    fa = int(batch.scn_flow_ptr[first])
-    fb = int(batch.scn_flow_ptr[last])
-    la = int(batch.scn_link_ptr[first])
-    lb = int(batch.scn_link_ptr[last])
     failures = []
     if not np.isfinite(rates).all():
         bad = np.nonzero(~np.isfinite(rates))[0][:5]
-        scenarios = batch.scn_of_flow[bad + fa]
+        scenarios = batch.scn_of_flow[bad]
         failures.append(
             "non-finite (NaN/inf) rates for flow indices "
             f"{bad.tolist()!r} (scenarios {scenarios.tolist()!r})"
@@ -361,83 +299,20 @@ def _check_batch(batch: CompiledBatch, first: int, last: int, rates) -> None:
     elif rates.size and float(rates.min()) < 0.0:
         failures.append(f"negative rates (min {float(rates.min())!r})")
     else:
-        row_lens = np.diff(batch.flow_ptr[fa:fb + 1])
-        weights = np.repeat(rates, row_lens)
-        base = int(batch.flow_ptr[fa])
-        columns = batch.flow_link[base:int(batch.flow_ptr[fb])] - la
-        loads = np.bincount(columns, weights=weights, minlength=lb - la)
-        caps = np.asarray(batch.caps[la:lb], dtype=np.float64)
+        weights = np.repeat(rates, np.diff(batch.flow_ptr))
+        caps = np.asarray(batch.caps, dtype=np.float64)
+        loads = np.bincount(
+            batch.flow_link, weights=weights, minlength=len(caps)
+        )
         slack = caps + _validate.FLOAT_TOL * (1.0 + np.abs(caps))
         over = np.nonzero(loads > slack)[0]
         for j in over[:5]:
             failures.append(
                 f"link index {int(j)} (scenario "
-                f"{int(batch.scn_of_link[j + la])}) overloaded: load "
+                f"{int(batch.scn_of_link[j])}) overloaded: load "
                 f"{float(loads[j])!r} > capacity {float(caps[j])!r}"
             )
     _validate.record_check("cheap", "maxmin.batched", failures)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory parallel solving
-# ----------------------------------------------------------------------
-def _solve_shared_chunk(task: Tuple[int, int]) -> int:
-    """Worker: solve scenarios ``[first, last)`` from the shared batch.
-
-    The stacked arrays (and the output rates array) live in the
-    parent's shared-memory block — attached zero-copy by
-    :func:`repro.parallel.shared_array`; only this ``(first, last)``
-    pair crossed the pipe.
-    """
-    from repro.parallel import shared_array
-
-    first, last = task
-    batch = CompiledBatch.from_arrays(
-        {name: shared_array(name) for name in ARRAY_NAMES}
-    )
-    waterfill_batch(batch, first=first, last=last, out=shared_array("rates"))
-    return last - first
-
-
-def _sub_batch_ranges(S: int, sub_batches: int) -> List[Tuple[int, int]]:
-    """Split ``S`` scenarios into ``sub_batches`` contiguous near-equal
-    ranges (fewer when ``S < sub_batches``)."""
-    k = max(1, min(sub_batches, S))
-    bounds = [round(S * i / k) for i in range(k + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
-def _batch_rates_parallel(
-    batch: CompiledBatch,
-    jobs: int,
-    chunksize: Optional[int],
-    tasks: Optional[List[Tuple[int, int]]] = None,
-):
-    """Solve the whole batch across worker processes, zero-copy.
-
-    The parent compiled once; workers attach to the shared block and
-    write disjoint slices of the shared ``rates`` array, so results
-    need no transport at all.  Scenario ranges are contiguous — a
-    range of a block-diagonal batch is itself a valid batch.  ``tasks``
-    overrides the default even chunking (the ``sub_batches=`` path
-    passes its round-sorted ranges directly).
-    """
-    from repro import parallel
-
-    S = batch.num_scenarios
-    if tasks is None:
-        if chunksize is None:
-            # A few chunks per worker evens out uneven scenario sizes
-            # without drowning in per-task dispatch.
-            chunksize = max(1, -(-S // (jobs * 4)))
-        tasks = [(a, min(a + chunksize, S)) for a in range(0, S, chunksize)]
-    arrays = dict(batch.as_arrays())
-    arrays["rates"] = np.zeros(batch.num_flows, dtype=np.float64)
-    with parallel.shared_arrays(arrays) as block:
-        parallel.parallel_map(
-            _solve_shared_chunk, tasks, jobs=jobs, shared=block
-        )
-        return block["rates"].copy()
 
 
 # ----------------------------------------------------------------------
@@ -447,29 +322,16 @@ def solve_max_min_batch(
     instances: Sequence[Tuple[Routing, Mapping[Link, Rate]]],
     backend: str = "batched",
     exact: Optional[bool] = None,
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    sub_batches: int = 1,
 ) -> List[Allocation]:
     """Max-min fair allocations for N independent instances at once.
 
     ``instances`` is a sequence of ``(routing, capacities)`` pairs;
     the result list is index-aligned with it.
 
-    - ``backend="batched"`` (default) stacks all float scenarios into
-      one block-diagonal incidence and water-fills them simultaneously;
-      rates are byte-identical to per-instance ``vectorized`` solves.
-      ``jobs > 1`` splits the batch across worker processes over
-      shared memory (``chunksize`` scenarios per task); results stay
-      byte-identical to ``jobs=1``.
-    - ``sub_batches > 1`` orders scenarios by estimated round count
-      (distinct initial link-fill levels, :func:`_round_estimates`) and
-      water-fills that order in ``sub_batches`` contiguous groups, so
-      the whole batch no longer spins empty rounds waiting for the
-      single deepest scenario.  Scenario arithmetic is independent
-      (block-diagonal), so results stay byte-identical to
-      ``sub_batches=1`` — ordering changes wall-clock only.  Composes
-      with ``jobs``: each group becomes one shared-memory task.
+    - ``backend="batched"`` (default) compiles all float scenarios into
+      one block-diagonal incidence and water-fills them simultaneously,
+      in the calling process; rates are byte-identical to per-instance
+      ``vectorized`` solves.
     - ``backend="batched"`` with ``exact=True`` dispatches per-instance
       to the exact reference solver (NumPy batching cannot speed up
       ``Fraction`` arithmetic) — same entry point, ``Fraction``-identical
@@ -497,42 +359,17 @@ def solve_max_min_batch(
     if not pairs:
         return []
 
-    order = list(range(len(pairs)))
-    groups: Optional[List[Tuple[int, int]]] = None
-    if sub_batches and sub_batches > 1 and len(pairs) > 1:
-        parts: List[CompiledRouting] = []
-        caps_vectors = []
-        for routing, capacities in pairs:
-            compiled = compile_routing(routing, capacities)
-            parts.append(compiled)
-            caps_vectors.append(capacity_vector(compiled, capacities))
-        estimates = _round_estimates(parts, caps_vectors)
-        order = sorted(order, key=lambda s: (estimates[s], s))
-        batch = _stack_parts(
-            [parts[s] for s in order], [caps_vectors[s] for s in order]
-        )
-        groups = _sub_batch_ranges(batch.num_scenarios, sub_batches)
-    else:
-        batch = compile_batch(pairs)
-
-    if jobs and jobs > 1 and batch.num_scenarios > 1:
-        rates = _batch_rates_parallel(batch, jobs, chunksize, tasks=groups)
-    elif groups is not None:
-        rates = np.zeros(batch.num_flows, dtype=np.float64)
-        for first, last in groups:
-            waterfill_batch(batch, first=first, last=last, out=rates)
-    else:
-        rates = waterfill_batch(batch)
+    batch = compile_batch(pairs)
+    rates = waterfill_batch(batch)
 
     from repro import validate as _validate
 
     full = _validate.validation_level() == "full"
-    allocations: List[Optional[Allocation]] = [None] * len(pairs)
-    for position, scenario in enumerate(order):
-        compiled = batch.parts[position]
-        routing, capacities = pairs[scenario]
-        lo = int(batch.scn_flow_ptr[position])
-        hi = int(batch.scn_flow_ptr[position + 1])
+    allocations: List[Allocation] = []
+    for scenario, (routing, capacities) in enumerate(pairs):
+        compiled = batch.parts[scenario]
+        lo = int(batch.scn_flow_ptr[scenario])
+        hi = int(batch.scn_flow_ptr[scenario + 1])
         allocation = Allocation(
             {
                 flow: float(rate)
@@ -544,5 +381,5 @@ def solve_max_min_batch(
                 routing, capacities, allocation,
                 level="full", context="maxmin.batched",
             )
-        allocations[scenario] = allocation
+        allocations.append(allocation)
     return allocations

@@ -315,20 +315,16 @@ def _csr_gather(ptr, values, rows):
     return values[np.arange(total, dtype=np.int64) + offsets]
 
 
-def _row_hits(flow_ptr, flow_link, frozen_ids, n_links, link_base=0):
+def _row_hits(flow_ptr, flow_link, frozen_ids, n_links):
     """Per-link occurrence counts over ``frozen_ids``' CSR rows.
 
     A vectorized multi-slice gather of the rows followed by one
     ``bincount`` — the round kernel's "remove these flows from every
     link they cross" step, shared with the streaming solver's
     checkpoint replay (:mod:`repro.core.streaming`) and the batched
-    multi-scenario kernel (:mod:`repro.core.batched`, which passes
-    ``link_base`` to translate global block-diagonal link ids into the
-    chunk-local range ``[0, n_links)``).
+    multi-scenario kernel (:mod:`repro.core.batched`).
     """
     columns = _csr_gather(flow_ptr, flow_link, frozen_ids)
-    if link_base:
-        columns = columns - link_base
     return np.bincount(columns, minlength=n_links)
 
 

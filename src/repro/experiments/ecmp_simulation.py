@@ -129,7 +129,6 @@ def _batch_compare(
     cells: List[Tuple[str, str, int, Routing]],
     capacities,
     macro_allocs: Dict[Tuple[str, int], Allocation],
-    jobs: int = 1,
 ) -> List[RouterComparisonRow]:
     """Solve every (workload, router) cell's allocation in one batch.
 
@@ -142,7 +141,7 @@ def _batch_compare(
     from repro.core.batched import solve_max_min_batch
 
     allocations = solve_max_min_batch(
-        [(routing, capacities) for _, _, _, routing in cells], jobs=jobs
+        [(routing, capacities) for _, _, _, routing in cells]
     )
     return [
         _score(
@@ -158,7 +157,6 @@ def stochastic_comparison(
     num_flows: int = 30,
     seeds: Sequence[int] = range(3),
     backend: str = None,
-    jobs: int = 1,
 ) -> List[RouterComparisonRow]:
     """E6, stochastic half: three routers across three workload families.
 
@@ -167,8 +165,7 @@ def stochastic_comparison(
     macro-switch reference allocation stays exact either way.
     ``backend="batched"`` solves *all* (workload, router, seed) cells'
     allocations in one block-diagonal float batch — one solver
-    invocation for the whole table (``jobs > 1`` splits it over shared
-    memory).
+    invocation for the whole table.
     """
     network = ClosNetwork(n)
     macro_network = MacroSwitch(n)
@@ -196,9 +193,7 @@ def stochastic_comparison(
                     )
                 )
     if backend == "batched":
-        return _batch_compare(
-            cells, network.graph.capacities(), macro_allocs, jobs=jobs
-        )
+        return _batch_compare(cells, network.graph.capacities(), macro_allocs)
     return rows
 
 

@@ -164,7 +164,6 @@ def _starvation_rows_batched(
     sizes: Sequence[int],
     check_local_optimality: bool,
     certify: bool,
-    jobs: int,
 ) -> List[StarvationRow]:
     """E4 with every size's two solves stacked into one batched water-fill.
 
@@ -187,7 +186,7 @@ def _starvation_rows_batched(
         pairs.append(
             (lemma_4_6_routing(instance), instance.clos.graph.capacities())
         )
-    allocations = solve_max_min_batch(pairs, jobs=jobs)
+    allocations = solve_max_min_batch(pairs)
 
     rows: List[StarvationRow] = []
     for index, (n, instance) in enumerate(zip(sizes, instances)):
@@ -250,15 +249,15 @@ def starvation_sweep(
     size's solves into one block-diagonal float batch (fastest for wide
     sweeps of moderate sizes; rate checks then use a 1e-9 relative
     tolerance — see :func:`_starvation_rows_batched`).  ``jobs > 1``
-    computes sizes in worker processes (for ``"batched"``: splits the
-    batch over shared memory); with ``REPRO_OBS=1`` the workers' solver
-    counters and spans are shipped back and merged, so traced parallel
-    sweeps report the same totals as sequential ones (see
-    :mod:`repro.obs.pipeline`).
+    computes sizes in worker processes; with ``REPRO_OBS=1`` the
+    workers' solver counters and spans are shipped back and merged, so
+    traced parallel sweeps report the same totals as sequential ones
+    (see :mod:`repro.obs.pipeline`).  The ``"batched"`` sweep is already
+    one in-process solve, so ``jobs`` does not change its work.
     """
     if backend == "batched":
         return _starvation_rows_batched(
-            sizes, check_local_optimality, certify, jobs
+            sizes, check_local_optimality, certify
         )
     point = functools.partial(
         _starvation_point,

@@ -76,7 +76,7 @@ def _sweep_point(point: Tuple[int, int], backend: str = None) -> DoomSwitchRow:
 
 
 def _sweep_rows_batched(
-    points: Sequence[Tuple[int, int]], jobs: int
+    points: Sequence[Tuple[int, int]]
 ) -> List[DoomSwitchRow]:
     """E5 with every point's two solves stacked into one float batch.
 
@@ -103,7 +103,7 @@ def _sweep_rows_batched(
                 instance.clos.graph.capacities(),
             )
         )
-    allocations = solve_max_min_batch(pairs, jobs=jobs)
+    allocations = solve_max_min_batch(pairs)
 
     rows: List[DoomSwitchRow] = []
     for index, ((n, k), instance) in enumerate(zip(points, instances)):
@@ -147,11 +147,12 @@ def sweep(
     Pass ``backend="quotient"`` to extend the exact sweep to n ≥ 64
     (e.g. ``points=((65, 8),)`` — n must be odd), or
     ``backend="batched"`` to solve every point's allocations in one
-    block-diagonal float batch (fastest for wide sweeps;
-    ``jobs > 1`` then splits the batch over shared memory).
+    block-diagonal float batch (fastest for wide sweeps).  ``jobs > 1``
+    computes points in worker processes; the ``"batched"`` sweep is
+    already one in-process solve, so ``jobs`` does not change its work.
     """
     if backend == "batched":
-        return _sweep_rows_batched(points, jobs)
+        return _sweep_rows_batched(points)
     point = functools.partial(_sweep_point, backend=backend)
     return parallel_map(point, points, jobs=jobs)
 

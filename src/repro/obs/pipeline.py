@@ -218,17 +218,15 @@ def merge_payloads(payloads: List[TelemetryPayload]) -> MergedTelemetry:
 def worker_config() -> Tuple[bool, bool, float, int]:
     """The parent's obs switches, to be replayed inside a worker.
 
-    Workers normally inherit them via fork, but runtime ``enable()``
-    calls and spawn-based pools would otherwise be lost — so the
-    parallel layer ships the switches explicitly with every task.
+    Forkserver workers inherit none of the parent's memory, so runtime
+    ``enable()`` calls would otherwise be lost — the parallel layer's
+    pool initializer replays the switches in each worker.
     """
     return (STATE.enabled, STATE.memory, STATE.sample, STATE.ring)
 
 
 def run_with_telemetry(
-    fn: Callable[[Any], Any],
-    config: Tuple[bool, bool, float, int],
-    task: Any,
+    fn: Callable[[Any], Any], task: Any
 ) -> Tuple[Any, Dict[str, Any]]:
     """Run one task under a fresh obs session; return ``(result,
     payload_dict)``.
@@ -237,7 +235,6 @@ def run_with_telemetry(
     exactly this task's activity, even when a pooled worker process
     serves many tasks back to back.
     """
-    STATE.enabled, STATE.memory, STATE.sample, STATE.ring = config
     REGISTRY.reset()
     TRACER.reset()
     result = fn(task)

@@ -21,13 +21,13 @@ Design rules the experiment refactors follow:
 - Randomized tasks carry their seed *in the task description*
   (:func:`derive_seed` derives stable per-task seeds from a base seed),
   never in shared mutable state.
-- Bulk array payloads never cross the pipe: callers that share large
-  NumPy arrays with workers pack them once into a
-  :class:`multiprocessing.shared_memory` block via
-  :func:`shared_arrays`; workers attach zero-copy through
-  :func:`shared_array` and only small index tasks are pickled.  An
-  explicit ``chunksize`` batches thousands of sub-millisecond tasks per
-  pickle round-trip (default: about four chunks per worker).
+- Workers are started by a ``forkserver``, never forked from the
+  calling process (which may already run threads).  They therefore
+  inherit no in-memory state: the pool initializer replays the
+  caller's environment, validation level (:mod:`repro.validate`) and
+  observability switches in every worker before any task runs.
+- Tasks are dispatched in chunks, about four per worker, so thousands
+  of sub-millisecond tasks do not pay one pickle round-trip each.
 
 When observability is on (``REPRO_OBS=1``), worker instrumentation is
 *not* lost: each worker runs its task under a fresh obs session and
@@ -45,21 +45,13 @@ before.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
+import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    TypeVar,
-)
+from typing import Callable, Iterable, List, Optional, TypeVar
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -70,12 +62,9 @@ _Result = TypeVar("_Result")
 _ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")
 
 __all__ = [
-    "SharedArrays",
     "derive_seed",
     "parallel_map",
     "resolve_jobs",
-    "shared_array",
-    "shared_arrays",
 ]
 
 
@@ -96,163 +85,41 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-# ----------------------------------------------------------------------
-# Shared-memory array transport
-# ----------------------------------------------------------------------
-class SharedArrays:
-    """Named NumPy arrays packed into one shared-memory block.
-
-    The parent packs its arrays once (:func:`shared_arrays`); the pool
-    initializer attaches every worker to the same block, and workers
-    read (or write disjoint slices of) the arrays zero-copy via
-    :func:`shared_array`.  Only the block *name* and a small layout spec
-    cross the process boundary — never the array bytes.
-
-    Layout: each array is copied to a 16-byte-aligned offset of a
-    single :class:`multiprocessing.shared_memory.SharedMemory` segment;
-    the spec is ``[(name, dtype_str, shape, offset), ...]``.  The owner
-    must :meth:`close` (parent: also unlinks); views are dropped first
-    so the exported buffer releases cleanly.
-    """
-
-    _ALIGN = 16
-
-    def __init__(self, shm, spec, owner: bool) -> None:
-        self._shm = shm
-        self._spec = list(spec)
-        self._owner = owner
-        self._views: Dict[str, object] = {}
-
-    @classmethod
-    def pack(cls, arrays: Mapping[str, object]) -> "SharedArrays":
-        """Copy ``arrays`` into a fresh shared-memory block (parent)."""
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        prepared = {
-            name: np.ascontiguousarray(array)
-            for name, array in arrays.items()
-        }
-        spec = []
-        offset = 0
-        for name, array in prepared.items():
-            offset = -(-offset // cls._ALIGN) * cls._ALIGN
-            spec.append((name, array.dtype.str, array.shape, offset))
-            offset += array.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        block = cls(shm, spec, owner=True)
-        for name, array in prepared.items():
-            block[name][...] = array
-        return block
-
-    @classmethod
-    def attach(cls, descriptor) -> "SharedArrays":
-        """Attach to an existing block from its :meth:`descriptor`."""
-        from multiprocessing import shared_memory
-
-        shm_name, spec = descriptor
-        shm = shared_memory.SharedMemory(name=shm_name)
-        return cls(shm, spec, owner=False)
-
-    def descriptor(self):
-        """The picklable ``(block_name, layout_spec)`` handle."""
-        return (self._shm.name, self._spec)
-
-    def __getitem__(self, name: str):
-        view = self._views.get(name)
-        if view is None:
-            import numpy as np
-
-            for spec_name, dtype, shape, offset in self._spec:
-                if spec_name == name:
-                    view = np.ndarray(
-                        shape, dtype=np.dtype(dtype),
-                        buffer=self._shm.buf, offset=offset,
-                    )
-                    self._views[name] = view
-                    break
-            else:
-                raise KeyError(name)
-        return view
-
-    def names(self) -> List[str]:
-        return [name for name, _, _, _ in self._spec]
-
-    def close(self) -> None:
-        """Drop views and release the segment (owner also unlinks)."""
-        self._views.clear()
-        with contextlib.suppress(BufferError):
-            self._shm.close()
-        if self._owner:
-            with contextlib.suppress(FileNotFoundError):
-                self._shm.unlink()
-
-    def __enter__(self) -> "SharedArrays":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def shared_arrays(arrays: Mapping[str, object]) -> SharedArrays:
-    """Pack named arrays for zero-copy sharing with pool workers.
-
-    Use as a context manager; pass the block to
-    ``parallel_map(..., shared=block)`` so workers can fetch the arrays
-    with :func:`shared_array`.
-    """
-    return SharedArrays.pack(arrays)
-
-
-#: Worker-side attachment, installed by the pool initializer (or by the
-#: sequential fallback, which points it at the parent's own block).
-_ATTACHED: Optional[SharedArrays] = None
-
-
-def _attach_shared(descriptor) -> None:
-    """Pool initializer: attach this worker to the parent's block."""
-    global _ATTACHED
-    _ATTACHED = SharedArrays.attach(descriptor)
-
-
-def shared_array(name: str):
-    """The named array from the block the current process is attached to.
-
-    Valid inside tasks dispatched by ``parallel_map(..., shared=block)``
-    — in workers (zero-copy shared-memory view) and under the
-    sequential ``jobs=1`` fallback (the parent's own view) alike.
-    """
-    if _ATTACHED is None:
-        raise RuntimeError(
-            "no shared-memory block attached; pass shared= to parallel_map"
-        )
-    return _ATTACHED[name]
-
-
-@contextlib.contextmanager
-def _parent_attached(block: SharedArrays):
-    """Route ``shared_array`` to the parent's block for sequential runs."""
-    global _ATTACHED
-    previous = _ATTACHED
-    _ATTACHED = block
-    try:
-        yield
-    finally:
-        _ATTACHED = previous
-
-
 def _default_chunksize(n_tasks: int, workers: int) -> int:
     """About four chunks per worker: amortizes per-task pickle dispatch
     while keeping enough chunks to absorb uneven task durations."""
     return max(1, n_tasks // (workers * 4))
 
 
+def _worker_settings():
+    """The caller's settings a worker must replay: environment,
+    validation override (:func:`repro.validate.set_validation_level`)
+    and observability switches."""
+    from repro import validate
+    from repro.obs import pipeline
+
+    return (
+        dict(os.environ),
+        validate.validation_override(),
+        pipeline.worker_config(),
+    )
+
+
+def _init_worker(environ, validation, obs_config) -> None:
+    """Pool initializer: replay :func:`_worker_settings` in a worker."""
+    from repro import validate
+    from repro.obs.state import STATE
+
+    os.environ.clear()
+    os.environ.update(environ)
+    validate.set_validation_level(validation)
+    STATE.enabled, STATE.memory, STATE.sample, STATE.ring = obs_config
+
+
 def parallel_map(
     fn: Callable[[_Task], _Result],
     tasks: Iterable[_Task],
     jobs: int = 1,
-    chunksize: Optional[int] = None,
-    shared: Optional[SharedArrays] = None,
 ) -> List[_Result]:
     """``[fn(t) for t in tasks]``, optionally across processes.
 
@@ -260,15 +127,14 @@ def parallel_map(
     sequential list comprehension, run in-process.  Otherwise ``fn`` must
     be picklable (module-level, or a ``functools.partial`` of one) and
     the tasks are distributed over ``min(jobs, len(tasks))`` worker
-    processes, ``chunksize`` tasks per dispatch (default: about four
-    chunks per worker).  Results are returned in task order either way;
-    a worker exception propagates to the caller.
-
-    ``shared`` attaches every worker to a :func:`shared_arrays` block
-    before any task runs, so tasks can read large arrays zero-copy via
-    :func:`shared_array` instead of pickling them.  The sequential
-    fallback attaches the calling process to the same block, so
-    ``jobs=1`` results stay identical.
+    processes, about four chunks of tasks per worker.  Results are
+    returned in task order either way; a worker exception propagates to
+    the caller.  Workers import the caller's main module from its file,
+    so a script that calls this with ``jobs > 1`` needs the usual
+    ``if __name__ == "__main__":`` guard, and a script read from stdin
+    (``python - <<EOF``) cannot use ``jobs > 1`` at all: its workers
+    fail to start and the pool raises ``BrokenProcessPool``.  Modules
+    run with ``python -m`` and ``python -c`` code are not affected.
 
     When observability is enabled, multi-process runs wrap each task in
     :func:`repro.obs.pipeline.run_with_telemetry`: workers ship their
@@ -281,30 +147,30 @@ def parallel_map(
     task_list = list(tasks)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(task_list) <= 1:
-        if shared is not None:
-            with _parent_attached(shared):
-                return [fn(task) for task in task_list]
         return [fn(task) for task in task_list]
 
     from repro.obs.state import STATE
 
     workers = min(jobs, len(task_list))
-    if chunksize is None:
-        chunksize = _default_chunksize(len(task_list), workers)
-    pool_kwargs = {"max_workers": workers}
-    if shared is not None:
-        pool_kwargs["initializer"] = _attach_shared
-        pool_kwargs["initargs"] = (shared.descriptor(),)
+    context = multiprocessing.get_context("forkserver")
+    # Workers fork from a server that has already imported the package
+    # (and NumPy), so a pool does not pay those imports per worker.
+    context.set_forkserver_preload(["repro"])
+    pool_kwargs = {
+        "max_workers": workers,
+        "mp_context": context,
+        "initializer": _init_worker,
+        "initargs": _worker_settings(),
+    }
 
     if not STATE.enabled:
+        chunksize = _default_chunksize(len(task_list), workers)
         with ProcessPoolExecutor(**pool_kwargs) as pool:
             return list(pool.map(fn, task_list, chunksize=chunksize))
 
     from repro.obs import counter, pipeline
 
-    call = functools.partial(
-        pipeline.run_with_telemetry, fn, pipeline.worker_config()
-    )
+    call = functools.partial(pipeline.run_with_telemetry, fn)
     # Per-future collection (not pool.map): an exception in one task
     # must not discard the telemetry the other workers already shipped.
     results: List[_Result] = []

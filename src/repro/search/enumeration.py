@@ -100,7 +100,6 @@ def batched_allocations(
     use_symmetry: bool = True,
     batch_size: int = 64,
     exact: bool = False,
-    jobs: int = 1,
 ) -> Iterator[Tuple[Routing, Allocation]]:
     """Yield ``(routing, allocation)`` over the enumeration, solved in batches.
 
@@ -112,15 +111,13 @@ def batched_allocations(
     enumeration reaches.  Float allocations match per-instance
     ``vectorized`` solves bit-for-bit; ``exact=True`` delegates to the
     exact reference per instance (identical results, no speedup).
-    ``jobs > 1`` additionally splits each batch across worker processes
-    over shared memory.
     """
     caps = network.graph.capacities() if capacities is None else capacities
     from repro.core.batched import solve_max_min_batch
 
     def flush(chunk: List[Routing]):
         allocations = solve_max_min_batch(
-            [(routing, caps) for routing in chunk], exact=exact, jobs=jobs
+            [(routing, caps) for routing in chunk], exact=exact
         )
         return zip(chunk, allocations)
 

@@ -9,7 +9,6 @@ arrival sequence — the standard setup for flow-completion-time studies.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, NamedTuple
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Protocol
 
-from repro.coloring.konig import edge_coloring
 from repro.core.flows import Flow, FlowCollection
 from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing

@@ -8,20 +8,12 @@ batch changes *nothing* about the answers.
   instances, which include degenerate routings and adversarial
   capacity maps).
 - ``exact=True`` is ``Fraction``-identical to the reference solver.
-- ``jobs > 1`` (shared-memory transport, workers writing disjoint
-  slices of one output array) is byte-identical to ``jobs=1``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.chaos import random_instance
-from repro.core.batched import (
-    compile_batch,
-    solve_max_min_batch,
-    waterfill_batch,
-)
+from repro.core.batched import solve_max_min_batch
 from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
 from repro.core.solve import solve_max_min
@@ -119,59 +111,6 @@ def test_batched_empty_scenario_sandwich():
 def test_batched_all_empty():
     batched = solve_max_min_batch([(Routing({}), {}), (Routing({}), {})])
     assert [alloc.rates() for alloc in batched] == [{}, {}]
-
-
-# ----------------------------------------------------------------------
-# Range solving (the unit the shared-memory workers execute)
-# ----------------------------------------------------------------------
-def test_waterfill_batch_range_matches_full_solve():
-    pairs = _workload_pairs(scenarios=5)
-    batch = compile_batch(pairs)
-    full = waterfill_batch(batch).copy()
-    out = np.zeros(batch.num_flows, dtype=np.float64)
-    for first, last in ((0, 2), (2, 3), (3, 5)):
-        waterfill_batch(batch, first=first, last=last, out=out)
-    assert out.tobytes() == full.tobytes()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory parallel path
-# ----------------------------------------------------------------------
-def test_batched_jobs_byte_identical():
-    pairs = _workload_pairs(scenarios=8)
-    sequential = solve_max_min_batch(pairs, jobs=1)
-    parallel = solve_max_min_batch(pairs, jobs=2)
-    tiny_chunks = solve_max_min_batch(pairs, jobs=3, chunksize=1)
-    for seq, par, tiny in zip(sequential, parallel, tiny_chunks):
-        assert par.rates() == seq.rates()
-        assert tiny.rates() == seq.rates()
-
-
-def test_sub_batches_byte_identical_to_unsorted():
-    pairs = _workload_pairs(scenarios=8) + _chaos_pairs(range(12))
-    reference = solve_max_min_batch(pairs)
-    for sub_batches in (2, 3, 8, 64):
-        sorted_run = solve_max_min_batch(pairs, sub_batches=sub_batches)
-        for ref, alloc in zip(reference, sorted_run):
-            assert alloc.rates() == ref.rates()
-    combined = solve_max_min_batch(pairs, sub_batches=4, jobs=2)
-    for ref, alloc in zip(reference, combined):
-        assert alloc.rates() == ref.rates()
-
-
-def test_sub_batches_degenerate_inputs():
-    (single,) = solve_max_min_batch(_workload_pairs(scenarios=1), sub_batches=4)
-    (ref,) = solve_max_min_batch(_workload_pairs(scenarios=1))
-    assert single.rates() == ref.rates()
-    assert solve_max_min_batch([], sub_batches=4) == []
-
-
-def test_batched_jobs_matches_per_instance_chaos():
-    pairs = _chaos_pairs(range(16))
-    parallel = solve_max_min_batch(pairs, jobs=2, chunksize=2)
-    for (routing, capacities), alloc in zip(pairs, parallel):
-        single = solve_max_min(routing, capacities, backend="vectorized")
-        assert alloc.rates() == single.rates()
 
 
 # ----------------------------------------------------------------------

@@ -10,18 +10,11 @@ needs (including seeds).
 from __future__ import annotations
 
 import json
+import os
 
-import numpy as np
 import pytest
 
-from repro.parallel import (
-    SharedArrays,
-    derive_seed,
-    parallel_map,
-    resolve_jobs,
-    shared_array,
-    shared_arrays,
-)
+from repro.parallel import derive_seed, parallel_map, resolve_jobs
 
 
 # ----------------------------------------------------------------------
@@ -48,13 +41,29 @@ def test_parallel_map_empty_and_single():
     assert parallel_map(_square, [5], jobs=4) == [25]
 
 
-def test_parallel_map_explicit_chunksize_preserves_order():
-    assert parallel_map(_square, range(11), jobs=3, chunksize=4) == [
-        x * x for x in range(11)
+def test_parallel_map_default_chunks_preserve_order():
+    """40 tasks over 3 workers dispatch in chunks of 3, not 1."""
+    assert parallel_map(_square, range(40), jobs=3) == [
+        x * x for x in range(40)
     ]
-    assert parallel_map(_square, range(11), jobs=3, chunksize=1) == [
-        x * x for x in range(11)
-    ]
+
+
+def _worker_view(_):
+    """Module-level task: the settings a worker sees."""
+    from repro.validate import validation_level
+
+    return validation_level(), os.environ.get("REPRO_TEST_MARKER")
+
+
+def test_workers_replay_caller_settings(monkeypatch):
+    """Forkserver workers inherit no parent memory: the validation
+    override and environment set after import must still reach them."""
+    from repro.validate import validation
+
+    monkeypatch.setenv("REPRO_TEST_MARKER", "seen")
+    with validation("cheap"):
+        views = parallel_map(_worker_view, range(2), jobs=2)
+    assert views == [("cheap", "seen")] * 2
 
 
 def test_resolve_jobs():
@@ -92,70 +101,6 @@ def test_derive_seed_rejects_memory_address_reprs():
         derive_seed(0, "uniform", 3, object())
     # value-based reprs of the same shapes still work
     assert derive_seed(0, "uniform", (3, 4)) == derive_seed(0, "uniform", (3, 4))
-
-
-# ----------------------------------------------------------------------
-# Shared-memory array transport
-# ----------------------------------------------------------------------
-def _sum_shared_row(i: int) -> float:
-    """Module-level (picklable) task: read one row of the shared matrix."""
-    return float(shared_array("matrix")[i].sum())
-
-
-def _double_into_shared(i: int) -> int:
-    """Module-level task: write a disjoint slice of a shared output."""
-    shared_array("out")[i] = 2.0 * shared_array("data")[i]
-    return i
-
-
-def test_shared_arrays_round_trip_and_zero_copy():
-    arrays = {
-        "ints": np.arange(7, dtype=np.int64),
-        "floats": np.linspace(0.0, 1.0, 5),
-        "matrix": np.arange(6, dtype=np.float64).reshape(2, 3),
-    }
-    with shared_arrays(arrays) as block:
-        assert block.names() == ["ints", "floats", "matrix"]
-        attached = SharedArrays.attach(block.descriptor())
-        try:
-            for name, array in arrays.items():
-                view = attached[name]
-                assert view.dtype == array.dtype
-                assert view.shape == array.shape
-                assert np.array_equal(view, array)
-            # both handles alias the same block: a write through the
-            # attached view is visible to the owner with no transport
-            attached["floats"][0] = 42.0
-            assert block["floats"][0] == 42.0
-        finally:
-            attached.close()
-        with pytest.raises(KeyError):
-            block["missing"]
-
-
-def test_shared_array_requires_attachment():
-    with pytest.raises(RuntimeError, match="no shared-memory block attached"):
-        shared_array("anything")
-
-
-def test_parallel_map_shared_results_identical_across_jobs():
-    matrix = np.arange(20, dtype=np.float64).reshape(4, 5)
-    expected = [float(matrix[i].sum()) for i in range(4)]
-    with shared_arrays({"matrix": matrix}) as block:
-        sequential = parallel_map(_sum_shared_row, range(4), jobs=1, shared=block)
-        parallel = parallel_map(_sum_shared_row, range(4), jobs=2, shared=block)
-    assert sequential == expected
-    assert parallel == expected
-
-
-def test_parallel_map_shared_workers_write_disjoint_slices():
-    data = np.arange(6, dtype=np.float64)
-    with shared_arrays({"data": data, "out": np.zeros(6)}) as block:
-        parallel_map(
-            _double_into_shared, range(6), jobs=2, chunksize=2, shared=block
-        )
-        written = block["out"].copy()
-    assert np.array_equal(written, 2.0 * data)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +178,15 @@ def test_r2_starvation_parallel_identity():
         sizes=(3, 4), check_local_optimality=False, jobs=2
     )
     assert parallel == sequential
+    # --jobs is harmless on the batched path, which solves in-process
+    batched = [
+        starvation_sweep(
+            sizes=(3, 4), check_local_optimality=False, jobs=jobs,
+            backend="batched",
+        )
+        for jobs in (1, 2)
+    ]
+    assert batched[1] == batched[0]
 
 
 def test_r3_sweep_parallel_identity():
@@ -240,6 +194,9 @@ def test_r3_sweep_parallel_identity():
 
     points = ((5, 1), (7, 1))
     assert sweep(points=points, jobs=2) == sweep(points=points, jobs=1)
+    assert sweep(points=points, jobs=2, backend="batched") == sweep(
+        points=points, jobs=1, backend="batched"
+    )
 
 
 def test_convergence_stochastic_parallel_identity():

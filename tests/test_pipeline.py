@@ -90,16 +90,13 @@ class TestPayloadRoundTrip:
         with pytest.raises(ValueError):
             TelemetryPayload.from_dict({"format": "something-else"})
 
-    def test_run_with_telemetry_returns_result_and_payload(self, dark):
-        result, document = run_with_telemetry(
-            _instrumented_task, (True, False, 1.0, 0), 5
-        )
+    def test_run_with_telemetry_returns_result_and_payload(self, observing):
+        obs.counter("test.pipeline.work").inc(7)  # reset before the task
+        result, document = run_with_telemetry(_instrumented_task, 5)
         assert result == 10
         payload = TelemetryPayload.from_dict(document)
         assert payload.metrics["counters"]["test.pipeline.work"] == 5
         assert [s["name"] for s in payload.spans] == ["test.task"]
-        # the shipped config was restored... into this process; undo it
-        obs.disable()
 
     def test_worker_config_mirrors_state(self, observing):
         from repro.obs.state import STATE
