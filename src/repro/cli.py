@@ -187,6 +187,8 @@ def run_e4(args: argparse.Namespace) -> None:
                 "macro rate": [row.macro_type3_rate for row in rows],
                 "lex rate": [row.lex_type3_rate for row in rows],
                 "factor": [row.starvation_factor for row in rows],
+                "certified": [row.bottleneck_certified for row in rows],
+                "rates match": [row.per_type_rates_match for row in rows],
             },
             title="E4 — Theorem 4.3 starvation",
         )

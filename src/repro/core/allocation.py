@@ -32,10 +32,16 @@ class Allocation:
     """
 
     def __init__(self, rates: Mapping[Flow, Rate]) -> None:
-        for flow, rate in rates.items():
-            if rate < 0:
-                raise ValueError(f"negative rate {rate!r} for flow {flow!r}")
         self._rates: Dict[Flow, Rate] = dict(rates)
+        # Flows of one route usually share one rate object: test each
+        # distinct object once, and name the first offending flow.
+        values = self._rates.values()
+        distinct = dict(zip(map(id, values), values)).values()
+        if any(rate < 0 for rate in distinct):
+            flow, rate = next(
+                (flow, rate) for flow, rate in self._rates.items() if rate < 0
+            )
+            raise ValueError(f"negative rate {rate!r} for flow {flow!r}")
         # Sorted vector and throughput, computed once on demand:
         # allocations are immutable, and the search layers compare the
         # same incumbent's sorted vector against every candidate.

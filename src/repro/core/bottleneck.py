@@ -11,13 +11,15 @@ the routine application of the bottleneck property", Lemmas 4.4/4.6) —
 so our theorem tests certify the paper's posited allocations exactly the
 way the proofs do.
 
-Every check here rests on one scan that walks each routed path once,
+Every check here rests on one scan that walks each route
+(:meth:`Routing.routes`: a run of flows sharing one path object) once,
 filling each link's load and maximum member rate together.  With
 ``tol == 0`` and only ``int``/``Fraction`` rates and finite capacities,
 the scan first multiplies every value by the LCM of their denominators
 (:func:`common_scale`), so loads, saturation and max-member tests are
-exact integer operations equivalent to the ``Fraction`` ones; otherwise
-it runs on the raw values, with the same summation order and absolute
+exact integer operations equivalent to the ``Fraction`` ones, and a
+route adds its flows' total once per link; otherwise it runs on the raw
+values, flow by flow, with the same summation order and absolute
 ``tol`` tests as a direct per-link sum.
 """
 
@@ -64,10 +66,10 @@ def common_scale(values: Iterable[Rate]) -> Optional[int]:
 
 
 class _Scan(NamedTuple):
-    """What one walk over the routed paths found, in scan units."""
+    """What one walk over the routes found, in scan units."""
 
     scale: Optional[int]  # None: the raw values
-    values: List[Optional[Rate]]  # per routed flow; None = no rate
+    values: List[List[Optional[Rate]]]  # per route, per flow; None = no rate
     missing: List[Flow]  # routed flows without a rate
     overloaded: List[Link]  # beyond capacity (+ tol), first-traversal order
     bars: Dict[Link, Rate]  # saturated link -> its maximum member value
@@ -85,33 +87,64 @@ def _scan(
     capacities: Mapping[Link, Rate],
     tol: float,
 ) -> _Scan:
+    routes = routing.routes()
     rates = allocation.rates()
-    flows = routing.flows()
-    values = [rates.get(flow) for flow in flows]
-    missing = [flow for flow, value in zip(flows, values) if value is None]
+    values = [list(map(rates.get, members)) for _, members in routes]
+    # Flows of one route usually share one rate object, so each distinct
+    # object is inspected (and scaled) once.
+    distinct: Dict[int, Optional[Rate]] = {}
+    for mine in values:
+        distinct.update(zip(map(id, mine), mine))
+    missing: List[Flow] = []
+    if id(None) in distinct:
+        missing = [
+            flow
+            for (_, members), mine in zip(routes, values)
+            for flow, value in zip(members, mine)
+            if value is None
+        ]
     scale = None
     if not tol:
         scale = common_scale(chain(
-            (value for value in values if value is not None),
+            (value for value in distinct.values() if value is not None),
             (c for c in capacities.values() if c != _INF),
         ))
-    if scale is not None:
-        values = [
-            None if value is None else _scaled(value, scale)
-            for value in values
-        ]
+        if scale is not None:
+            scaled = {
+                key: None if value is None else _scaled(value, scale)
+                for key, value in distinct.items()
+            }
+            values = [
+                list(map(scaled.__getitem__, map(id, mine)))
+                for mine in values
+            ]
     links: Dict[Link, List[Rate]] = {}  # link -> [load, max member value]
-    for (_, path), value in zip(routing.items(), values):
-        if value is None:
+    for (path, _), mine in zip(routes, values):
+        present = (
+            [value for value in mine if value is not None] if missing else mine
+        )
+        if not present:
             continue
+        entries = []
         for link in zip(path, path[1:]):
             entry = links.get(link)
             if entry is None:
-                # 0 + value: the same value and type a sum from 0 has.
-                links[link] = [0 + value, value]
-            else:
+                entry = links[link] = [0, None]
+            entries.append(entry)
+        if scale is not None:
+            # Exact ints: a route adds its total and its maximum once.
+            load, top = sum(present), max(present)
+            for entry in entries:
+                entry[0] += load
+                if entry[1] is None or top > entry[1]:
+                    entry[1] = top
+            continue
+        # Raw values: add flow by flow, in flow order (routes are runs of
+        # consecutive flows), so float loads match a direct per-link sum.
+        for value in present:
+            for entry in entries:
                 entry[0] += value
-                if value > entry[1]:
+                if entry[1] is None or value > entry[1]:
                     entry[1] = value
     overloaded: List[Link] = []
     bars: Dict[Link, Rate] = {}
@@ -133,21 +166,27 @@ def _without_bottleneck(
     """Flows with no saturated link on which their rate is maximal.
 
     Whether a rate is maximal on a link depends only on the link's
-    maximum, so each saturated link carries just that.  A flow without
-    a rate has no bottleneck either.
+    maximum, so each saturated link carries just that, and a route
+    only its lowest such bar: a flow has a bottleneck iff its rate
+    (+ ``tol``) reaches its route's bar.  A NaN bar is never reached,
+    so it is left out.  A flow without a rate has no bottleneck either.
     """
     result: List[Flow] = []
-    for (flow, path), value in zip(routing.items(), scan.values):
-        if value is None:
-            result.append(flow)
+    for (path, members), mine in zip(routing.routes(), scan.values):
+        bars = [
+            bar
+            for bar in map(scan.bars.get, zip(path, path[1:]))
+            if bar is not None and bar == bar
+        ]
+        if not bars:
+            result.extend(members)
             continue
-        level = _bump(value, tol)
-        for link in zip(path, path[1:]):
-            bar = scan.bars.get(link)
-            if bar is not None and bar <= level:
-                break
-        else:
-            result.append(flow)
+        bar = min(bars)
+        result.extend(
+            flow
+            for flow, value in zip(members, mine)
+            if value is None or not bar <= _bump(value, tol)
+        )
     return result
 
 

@@ -55,6 +55,7 @@ _SOLVES = counter("quotient.solves")
 _REFINEMENTS = counter("quotient.refinement_rounds")
 _FLOW_CLASSES = counter("quotient.flow_classes")
 _LINK_CLASSES = counter("quotient.link_classes")
+_ROUTES = counter("quotient.routes")
 
 __all__ = ["QuotientInstance", "build_quotient", "quotient_max_min"]
 
@@ -109,51 +110,47 @@ def build_quotient(
     :class:`~repro.errors.UnboundedRateError` if some flow crosses only
     infinite links.
     """
-    # Index paths and links once, in first-traversal order.  Flows on one
-    # path get equal colors in every round, so refinement runs on the
-    # distinct paths, each weighted by its flow count, with int ids and
-    # int colors instead of hashing flows and links.
-    flows = routing.flows()
-    path_id: Dict[tuple, int] = {}
-    flow_path: List[int] = []  # flow id -> path id
-    weight: List[int] = []  # path id -> flows on the path
-    path_links: List[List[int]] = []  # path id -> link ids along it
+    # Index routes and links once, in first-traversal order.  Flows on one
+    # route get equal colors in every round, so refinement runs on the
+    # routes (:meth:`Routing.routes`), each weighted by its flow count,
+    # with int ids and int colors instead of hashing flows and paths.
+    routes = routing.routes()
+    weight = [len(members) for _, members in routes]  # route id -> flows
+    path_links: List[List[int]] = []  # route id -> link ids along it
     link_id: Dict[Link, int] = {}
-    link_paths: List[List[int]] = []  # link id -> path ids crossing it
-    for _, path in routing.items():
-        p = path_id.get(path)
-        if p is None:
-            p = path_id[path] = len(path_links)
-            ids = []
-            for link in zip(path, path[1:]):
-                j = link_id.get(link)
-                if j is None:
-                    j = link_id[link] = len(link_paths)
-                    link_paths.append([])
-                link_paths[j].append(p)
-                ids.append(j)
-            path_links.append(ids)
-            weight.append(0)
-        weight[p] += 1
-        flow_path.append(p)
+    link_paths: List[List[int]] = []  # link id -> route ids crossing it
+    for p, (path, _) in enumerate(routes):
+        ids = []
+        for link in zip(path, path[1:]):
+            j = link_id.get(link)
+            if j is None:
+                j = link_id[link] = len(link_paths)
+                link_paths.append([])
+            link_paths[j].append(p)
+            ids.append(j)
+        path_links.append(ids)
+    _ROUTES.inc(len(routes))
     validate_capacities(link_id, capacities)
 
     # Finite links, renumbered 0.. in the same order.
     links: List[Link] = []
-    capacity_of: List[Fraction] = []
+    capacity_of: List[Rate] = []
     finite_id = [-1] * len(link_paths)
     for link, j in link_id.items():
         capacity = capacities[link]
-        if float(capacity) != _INF:
+        if capacity != _INF:
             finite_id[j] = len(links)
             links.append(link)
-            capacity_of.append(Fraction(capacity))
+            capacity_of.append(capacity)
     link_paths = [link_paths[j] for j, k in enumerate(finite_id) if k >= 0]
     path_links = [
         [finite_id[j] for j in ids if finite_id[j] >= 0] for ids in path_links
     ]
     unbounded = [
-        flow for flow, p in zip(flows, flow_path) if not path_links[p]
+        flow
+        for (_, members), ids in zip(routes, path_links)
+        if not ids
+        for flow in members
     ]
     if unbounded:
         raise UnboundedRateError(
@@ -164,8 +161,9 @@ def build_quotient(
     # Colors are small ints numbered by first appearance; each round
     # re-canonicalizes the (old color, neighbor-color multiset)
     # signatures through a dict.  A link's multiset is kept as sorted
-    # (color, flow count) pairs.
-    palette: Dict[Fraction, int] = {}
+    # (color, flow count) pairs.  Equal capacities of different numeric
+    # types are equal and hash alike, so they share a color.
+    palette: Dict[Rate, int] = {}
     link_color = [
         palette.setdefault(capacity, len(palette)) for capacity in capacity_of
     ]
@@ -189,9 +187,7 @@ def build_quotient(
         sig_pal = {}
         link_color = [
             sig_pal.setdefault(
-                (color, tuple(sorted(
-                    _class_counts(crossing, path_color, weight).items()
-                ))),
+                (color, _weighted_colors(crossing, path_color, weight)),
                 len(sig_pal),
             )
             for color, crossing in zip(link_color, link_paths)
@@ -203,11 +199,12 @@ def build_quotient(
             break
 
     # --- assemble the quotient --------------------------------------------
-    # Paths are numbered by their first flow, so colors number classes by
-    # first appearance in flow order: color == class index.
+    # Routes are runs of consecutive flows in flow order, so colors number
+    # classes by first appearance in flow order (color == class index) and
+    # each class lists its flows in flow order.
     flow_classes: List[List[Flow]] = [[] for _ in range(path_count)]
-    for flow, p in zip(flows, flow_path):
-        flow_classes[path_color[p]].append(flow)
+    for (_, members), color in zip(routes, path_color):
+        flow_classes[color].extend(members)
     link_classes: List[List[Link]] = [[] for _ in range(link_count)]
     for link, color in zip(links, link_color):
         link_classes[color].append(link)
@@ -218,7 +215,7 @@ def build_quotient(
     path_rep = {}
     for p, color in enumerate(path_color):
         path_rep.setdefault(color, p)
-    capacity = [capacity_of[k] for k in link_rep.values()]
+    capacity = [Fraction(capacity_of[k]) for k in link_rep.values()]
     crossing = [
         _class_counts(link_paths[k], path_color, weight)
         for k in link_rep.values()
@@ -233,6 +230,19 @@ def build_quotient(
     return QuotientInstance(
         flow_classes, link_classes, capacity, crossing, adjacency
     )
+
+
+def _weighted_colors(
+    members: List[int], color: List[int], weight: List[int]
+) -> tuple:
+    """Sorted (color, total weight) pairs of ``members``.
+
+    Most links carry a single route, which skips the count table.
+    """
+    if len(members) == 1:
+        (m,) = members
+        return ((color[m], weight[m]),)
+    return tuple(sorted(_class_counts(members, color, weight).items()))
 
 
 def _class_counts(
@@ -317,7 +327,7 @@ def quotient_max_min(
     >>> alloc.sorted_vector()
     [Fraction(1, 2), Fraction(1, 2)]
     """
-    if not routing.flows():
+    if not len(routing):
         return Allocation({})
     _SOLVES.inc()
     with trace_span(
@@ -332,8 +342,7 @@ def quotient_max_min(
         )
     rates: Dict[Flow, Fraction] = {}
     for members, rate in zip(quotient.flow_classes, class_rates):
-        for flow in members:
-            rates[flow] = rate
+        rates.update(dict.fromkeys(members, rate))
     allocation = Allocation(rates)
     from repro.validate import (
         record_check,

@@ -13,6 +13,7 @@ feasibility checks and the water-filling algorithm.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import InfeasibleRoutingError, UnknownFlowError
@@ -21,6 +22,8 @@ from repro.core.nodes import ClosNode, MiddleSwitch
 from repro.core.topology import ClosNetwork, MacroSwitch, Path
 
 Link = Tuple[ClosNode, ClosNode]
+#: One run of consecutive flows on one path object: ``(path, flows)``.
+Route = Tuple[Path, Tuple[Flow, ...]]
 
 
 class Routing:
@@ -29,11 +32,16 @@ class Routing:
     Instances are immutable once built; use :meth:`reassigned` to derive
     a new routing with one flow moved (the primitive step of local
     search over routings).
+
+    The constructors below give parallel flows (same source, destination
+    and middle switch) one shared path object, so :meth:`routes` groups
+    them and the exact solvers and certificates work once per route.
     """
 
     def __init__(self, assignment: Mapping[Flow, Path]) -> None:
         self._paths: Dict[Flow, Path] = dict(assignment)
         self._fingerprint: Optional[Tuple[Tuple[Flow, Path], ...]] = None
+        self._routes: Optional[Tuple[Route, ...]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -42,8 +50,19 @@ class Routing:
     def for_macro_switch(
         cls, network: MacroSwitch, flows: FlowCollection
     ) -> "Routing":
-        """The unique routing in a macro-switch."""
-        return cls({f: network.path(f.source, f.dest) for f in flows})
+        """The unique routing in a macro-switch.
+
+        Flows on one ``(source, dest)`` pair share one path object.
+        """
+        shared: Dict[tuple, Path] = {}
+        paths: Dict[Flow, Path] = {}
+        for flow in flows:
+            pair = (flow.source, flow.dest)
+            path = shared.get(pair)
+            if path is None:
+                path = shared[pair] = network.path(*pair)
+            paths[flow] = path
+        return cls(paths)
 
     @classmethod
     def from_middles(
@@ -52,15 +71,28 @@ class Routing:
         flows: FlowCollection,
         middles: Mapping[Flow, int],
     ) -> "Routing":
-        """A Clos routing from a flow → middle-switch-index map (1-based)."""
-        missing = [f for f in flows if f not in middles]
-        if missing:
-            raise InfeasibleRoutingError(
-                f"no middle switch assigned for flows: {missing!r}"
-            )
-        return cls(
-            {f: network.path_via(f.source, f.dest, middles[f]) for f in flows}
-        )
+        """A Clos routing from a flow → middle-switch-index map (1-based).
+
+        Flows on one ``(source, dest, middle)`` share one path object.
+        """
+        shared: Dict[tuple, Path] = {}
+        paths: Dict[Flow, Path] = {}
+        try:
+            for flow in flows:
+                key = (flow.source, flow.dest, middles[flow])
+                path = shared.get(key)
+                if path is None:
+                    path = shared[key] = network.path_via(*key)
+                paths[flow] = path
+        except (KeyError, InfeasibleRoutingError):
+            # Unassigned flows are reported first, as a whole.
+            missing = [f for f in flows if f not in middles]
+            if missing:
+                raise InfeasibleRoutingError(
+                    f"no middle switch assigned for flows: {missing!r}"
+                ) from None
+            raise
+        return cls(paths)
 
     @classmethod
     def uniform(cls, network: ClosNetwork, flows: FlowCollection, m: int) -> "Routing":
@@ -90,6 +122,37 @@ class Routing:
     def items(self) -> Iterable[Tuple[Flow, Path]]:
         """The ``(flow, path)`` pairs, in insertion order."""
         return self._paths.items()
+
+    def routes(self) -> Tuple[Route, ...]:
+        """The flows grouped into runs that share one path object.
+
+        Each entry is ``(path, flows)``: a maximal run of consecutive
+        flows (in insertion order) whose paths are the same object.
+        Concatenating the runs' flows gives :meth:`flows` back, so a
+        consumer that walks the runs does per-route work and still meets
+        the flows in order.  Equal paths that are separate objects, or a
+        shared path whose flows are not consecutive, only make more runs.
+        Computed once and cached (routings are immutable).
+
+        >>> from repro.core.flows import FlowCollection
+        >>> clos = ClosNetwork(2)
+        >>> flows = FlowCollection()
+        >>> _ = flows.add_pair(clos.source(1, 1), clos.destination(2, 1), 3)
+        >>> routing = Routing.uniform(clos, flows, 1)
+        >>> [len(members) for _, members in routing.routes()]
+        [3]
+        """
+        if self._routes is None:
+            flows = list(self._paths)
+            paths = list(self._paths.values())
+            routes = []
+            start = 0
+            for _, run in groupby(map(id, paths)):
+                stop = start + len(list(run))
+                routes.append((paths[start], tuple(flows[start:stop])))
+                start = stop
+            self._routes = tuple(routes)
+        return self._routes
 
     def fingerprint(self) -> Tuple[Tuple[Flow, Path], ...]:
         """A canonical, hashable identity for this routing.

@@ -120,13 +120,20 @@ def _starvation_point(
     else:
         alloc = max_min_fair(routing, capacities)
 
+    # The exact solvers hand every flow of one class the same rate
+    # object, so each distinct object is compared once per flow type.
+    macro_rates, lex_rates = macro.rates(), alloc.rates()
     rates_match = True
     for type_name in ("type1", "type2", "type3"):
-        for flow in instance.types[type_name]:
-            if macro.rate(flow) != prediction.macro_rates[type_name]:
-                rates_match = False
-            if alloc.rate(flow) != prediction.lex_max_min_rates[type_name]:
-                rates_match = False
+        flows = instance.types[type_name]
+        for rates, want in (
+            (macro_rates, prediction.macro_rates[type_name]),
+            (lex_rates, prediction.lex_max_min_rates[type_name]),
+        ):
+            got = list(map(rates.__getitem__, flows))
+            for rate in dict(zip(map(id, got), got)).values():
+                if rate != want:
+                    rates_match = False
 
     certified = (
         certify_max_min_fair(routing, alloc, capacities) is None

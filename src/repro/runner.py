@@ -68,6 +68,22 @@ def format_bytes(size: int) -> str:
     return f"{value:.1f} GiB"  # pragma: no cover - unreachable
 
 
+def _step_metrics(before: Dict[str, Any]) -> Dict[str, Any]:
+    """The metric activity since ``before``, every registered counter included.
+
+    A counter that did not move reads 0, so ``repro stats`` tells a fast
+    path that never fired from one that is not instrumented.
+    """
+    counters = sorted(
+        name
+        for name, kind in obs.metrics().kinds().items()
+        if kind == "counter"
+    )
+    metrics: Dict[str, Any] = dict.fromkeys(counters, 0)
+    metrics.update(obs.snapshot_delta(before, obs.metrics_snapshot()))
+    return metrics
+
+
 def git_sha() -> str:
     """The repository HEAD, or ``"unknown"`` outside a checkout."""
     try:
@@ -416,9 +432,7 @@ class ResilientRunner:
                 record.output = buffer.getvalue()
                 if step_span is not None:
                     record.trace = step_span.to_dict()
-                    record.metrics = obs.snapshot_delta(
-                        metrics_before, obs.metrics_snapshot()
-                    )
+                    record.metrics = _step_metrics(metrics_before)
             finally:
                 if observing:
                     # Drain the step's root span so the tracer does not

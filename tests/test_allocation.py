@@ -32,6 +32,22 @@ class TestAllocation:
         with pytest.raises(ValueError, match="negative"):
             Allocation({_flow(clos): -1})
 
+    def test_negative_rate_names_first_offending_flow(self, clos):
+        """Rate objects shared by several flows are tested once, and the
+        error still names the first negative flow in insertion order."""
+        flows = [_flow(clos, tag=tag) for tag in range(5)]
+        good, bad, worse = Fraction(1, 2), Fraction(-1, 3), Fraction(-2)
+        for rates, first in (
+            ([good, bad, good, worse, bad], 1),
+            ([good, good, worse, bad, worse], 2),
+            ([good, good, good, good, -0.5], 4),
+        ):
+            with pytest.raises(ValueError) as error:
+                Allocation(dict(zip(flows, rates)))
+            assert str(error.value) == (
+                f"negative rate {rates[first]!r} for flow {flows[first]!r}"
+            )
+
     def test_zero_rate_allowed(self, clos):
         a = Allocation({_flow(clos): 0})
         assert a.throughput() == 0

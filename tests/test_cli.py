@@ -357,6 +357,27 @@ class TestStatsCommand:
         assert "e1" in out
         assert "maxmin.rounds" in out
 
+    def test_stats_lists_counters_that_stayed_zero(
+        self, capsys, obs_off, monkeypatch, tmp_path
+    ):
+        """A registered counter that never fired reads 0 instead of
+        having no row, so "never fired" differs from "not instrumented"."""
+        monkeypatch.setenv("REPRO_OBS", "0")
+        import repro.core.quotient  # noqa: F401  (registers quotient.*)
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        manifest = str(tmp_path / "e1.json")
+        assert main(["run", "e1", "--manifest", manifest]) == 0
+        obs.disable()
+        capsys.readouterr()
+
+        assert main(["stats", manifest]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["quotient.routes", "0"] in rows
+        assert any(row[:1] == ["maxmin.rounds"] and row[1] != "0" for row in rows)
+
     def test_stats_on_untraced_manifest_hints(self, capsys, tmp_path):
         manifest = str(tmp_path / "e1.json")
         assert main(["run", "e1", "--manifest", manifest]) == 0

@@ -330,6 +330,9 @@ def _assert_quotient_identical(routing, capacities):
         obs.disable()
         obs.metrics().reset()
     assert _quotient_fields(got) == _quotient_fields(want)
+    # The per-flow reference indexes no routes; the counter must count
+    # the routing's route runs.
+    assert got_counters.pop("quotient.routes", 0) == len(routing.routes())
     assert got_counters == want_counters
 
 
@@ -423,6 +426,98 @@ class TestCertificateMatchesReference:
 
     def test_empty_routing(self):
         _assert_certificate_identical(Routing({}), Allocation({}), {}, 0.0)
+
+    def test_nan_bar_is_never_reached(self):
+        """A NaN rate makes the shared source link's bar NaN; the other
+        flow still finds its bottleneck on the next link of its path."""
+        clos = ClosNetwork(2)
+        flows = FlowCollection()
+        first, second = flows.add_pair(
+            clos.source(1, 1), clos.destination(3, 1), count=2
+        )
+        routing = Routing.from_middles(clos, flows, {first: 1, second: 2})
+        allocation = Allocation({first: float("nan"), second: 1.0})
+        capacities = clos.graph.capacities()
+        for tol in (0.0, 1e-9):
+            assert flows_without_bottleneck(
+                routing, allocation, capacities, tol
+            ) == [first] == ref_flows_without_bottleneck(
+                routing, allocation, capacities, tol
+            )
+            assert certify_max_min_fair(
+                routing, allocation, capacities, tol
+            ) == ref_certify(routing, allocation, capacities, tol)
+            assert bottleneck_links(
+                routing, allocation, capacities, second, tol
+            ) == ref_bottleneck_links(
+                routing, allocation, capacities, second, tol
+            ) != []
+
+
+def _separate_paths(routing: Routing) -> Routing:
+    """``routing`` with every flow on an equal but separate path object."""
+    copied = Routing({flow: tuple(list(path)) for flow, path in routing.items()})
+    assert all(copied.path(f) is not routing.path(f) for f in routing.flows())
+    return copied
+
+
+class TestSharedPathsChangeNothing:
+    """Shared path objects only change the work: a routing rebuilt with
+    equal paths that are separate objects gives the same quotient, the
+    same rates and byte-identical certificates."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_quotient_and_rates(self, n):
+        for routing, capacities in _theorem(n):
+            copied = _separate_paths(routing)
+            assert len(copied.routes()) == len(routing) > len(routing.routes())
+            assert _quotient_fields(
+                build_quotient(routing, capacities)
+            ) == _quotient_fields(build_quotient(copied, capacities))
+            shared = quotient_max_min(routing, capacities)
+            separate = quotient_max_min(copied, capacities)
+            assert list(shared.items()) == list(separate.items())
+            assert shared.rates() == max_min_fair(routing, capacities).rates()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_certificates(self, n, tol):
+        (type3,) = theorem_4_3(n).types["type3"]
+        reports = []
+        for routing, capacities in _theorem(n):
+            copied = _separate_paths(routing)
+            allocation = quotient_max_min(routing, capacities)
+            rates = allocation.rates()
+            rates[type3] /= 2
+            lowered = Allocation(rates)
+            for alloc in (allocation, lowered):
+                for other in (routing, copied):
+                    _assert_certificate_identical(other, alloc, capacities, tol)
+                report = certify_max_min_fair(routing, alloc, capacities, tol)
+                assert report == certify_max_min_fair(
+                    copied, alloc, capacities, tol
+                )
+                reports.append(report)
+        missing = f"flows without a bottleneck link: {[type3]!r}"
+        # Clos: passing, then the halved type-3 flow has no bottleneck;
+        # the macro-switch likewise.
+        assert reports == [None, missing, None, missing]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_flow_order(self, seed):
+        """Shared paths on non-consecutive flows split into more routes
+        and still match the per-flow oracles, floats included."""
+        (routing, capacities), _ = _theorem(3)
+        items = list(routing.items())
+        random.Random(seed).shuffle(items)
+        shuffled = Routing(dict(items))
+        assert len(routing.routes()) < len(shuffled.routes())
+        _assert_quotient_identical(shuffled, capacities)
+        for _, allocation, tols in _allocations(shuffled, capacities):
+            for tol in tols:
+                _assert_certificate_identical(
+                    shuffled, allocation, capacities, tol
+                )
 
 
 class TestMissingRate:

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batched import solve_max_min_batch
 from repro.core.doom_switch import doom_switch
 from repro.core.flows import FlowCollection
+from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min, throughput_max_min_fair
+from repro.core.solve import solve_max_min
 from repro.core.theorems import theorem_5_4 as predict
 from repro.core.throughput import max_throughput_value
 from repro.core.topology import ClosNetwork, MacroSwitch
@@ -115,6 +118,50 @@ class TestTightness:
         assert max(
             result.allocation.rate(f) for f in result.doomed
         ) == Fraction(2, 64 * 8)
+
+
+class TestFloatKernelsKnownAnswer:
+    """Every float water-fill reproduces Theorem 5.4's per-type rates on
+    the Doom-Switch routing: each kernel's float error, bounded against
+    the closed form rather than another kernel."""
+
+    CASES = [(3, 2), (5, 1), (7, 4), (9, 8), (11, 3), (13, 16)]
+
+    @pytest.fixture(scope="class")
+    def routed(self):
+        cases = []
+        for n, k in self.CASES:
+            instance = theorem_5_4(n, k)
+            routing = doom_switch(instance.clos, instance.flows).routing
+            cases.append((n, k, instance, routing, instance.clos.graph.capacities()))
+        return cases
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized", "batched"])
+    def test_rates_match_theorem_5_4(self, routed, kernel):
+        if kernel == "batched":
+            # One block-diagonal batch over every case.
+            allocations = solve_max_min_batch([(r, c) for *_, r, c in routed])
+        elif kernel == "vectorized":
+            allocations = [
+                solve_max_min(r, c, backend="vectorized") for *_, r, c in routed
+            ]
+        else:
+            allocations = [max_min_fair(r, c, exact=False) for *_, r, c in routed]
+        for (n, k, instance, _, _), alloc in zip(routed, allocations):
+            prediction = predict(n, k)
+            for kind, want in (
+                ("type1", prediction.type1_rate),
+                ("type2", prediction.type2_rate),
+            ):
+                for flow in instance.types[kind]:
+                    rate = alloc.rate(flow)
+                    assert isinstance(rate, float)
+                    assert rate == pytest.approx(float(want), rel=1e-12, abs=0), (
+                        n, k, kind, flow,
+                    )
+            assert alloc.throughput() == pytest.approx(
+                float(prediction.doom_throughput), rel=1e-12, abs=0
+            )
 
 
 class TestUpperBound:

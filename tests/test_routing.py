@@ -58,6 +58,79 @@ class TestConstructors:
         assert outsider not in routing
 
 
+class TestSharedPaths:
+    """Parallel flows get one path object, and routes() groups them."""
+
+    def test_from_middles_shares_one_path_per_middle(self, clos):
+        flows = FlowCollection()
+        a, b, c = flows.add_pair(clos.source(1, 1), clos.destination(3, 1), count=3)
+        (d,) = flows.add_pair(clos.source(2, 1), clos.destination(3, 1))
+        routing = Routing.from_middles(clos, flows, {a: 1, b: 1, c: 2, d: 1})
+        assert routing.path(a) is routing.path(b)
+        assert routing.path(c) is not routing.path(a)
+        assert routing.path(d) is not routing.path(a)
+        assert routing.path(a) == clos.path_via(a.source, a.dest, 1)
+        assert routing.path(c) == clos.path_via(c.source, c.dest, 2)
+
+    def test_for_macro_switch_shares_one_path_per_pair(self):
+        ms = MacroSwitch(2)
+        flows = FlowCollection()
+        a, b = flows.add_pair(ms.source(1, 1), ms.destination(2, 1), count=2)
+        (c,) = flows.add_pair(ms.source(1, 2), ms.destination(2, 1))
+        routing = Routing.for_macro_switch(ms, flows)
+        assert routing.path(a) is routing.path(b)
+        assert routing.path(c) is not routing.path(a)
+        assert routing.path(c) == ms.path(c.source, c.dest)
+
+    def test_sharing_is_local_to_one_call(self, clos):
+        flows = FlowCollection()
+        flows.add_pair(clos.source(1, 1), clos.destination(3, 1), count=2)
+        first = Routing.uniform(clos, flows, 1)
+        second = Routing.uniform(clos, flows, 1)
+        assert first.path(flows[0]) is not second.path(flows[0])
+        assert first.fingerprint() == second.fingerprint()
+
+    def test_theorem_4_3_has_one_route_per_distinct_path(self):
+        from repro.workloads.adversarial import lemma_4_6_routing, theorem_4_3
+
+        n = 4
+        instance = theorem_4_3(n)
+        for routing in (
+            lemma_4_6_routing(instance),
+            Routing.for_macro_switch(instance.macro, instance.flows),
+        ):
+            routes = routing.routes()
+            # n(n-1) type-1 pairs of n+1 flows, n type-2.a, n(n-1)
+            # type-2.b and one type-3 flow, each pair on its own path.
+            assert len(routes) == 2 * n * (n - 1) + n + 1
+            assert len({id(path) for path, _ in routes}) == len(routes)
+            assert {len(members) for _, members in routes} == {1, n + 1}
+
+    def test_routes_are_runs_in_flow_order(self, clos):
+        flows = FlowCollection()
+        a, b, c = flows.add_pair(clos.source(1, 1), clos.destination(3, 1), count=3)
+        (d,) = flows.add_pair(clos.source(2, 1), clos.destination(3, 2))
+        shared = Routing.from_middles(clos, flows, {a: 1, b: 1, c: 1, d: 2})
+        assert [members for _, members in shared.routes()] == [(a, b, c), (d,)]
+        # The same path object on non-consecutive flows: one run each.
+        interleaved = Routing({f: shared.path(f) for f in (a, d, b, c)})
+        assert [members for _, members in interleaved.routes()] == [
+            (a,), (d,), (b, c),
+        ]
+        # Equal paths that are separate objects: one run per object.
+        copies = Routing({f: tuple(list(shared.path(f))) for f in flows})
+        assert [members for _, members in copies.routes()] == [
+            (a,), (b,), (c,), (d,),
+        ]
+        for routing in (shared, interleaved, copies):
+            assert [f for _, m in routing.routes() for f in m] == routing.flows()
+            for path, members in routing.routes():
+                assert all(routing.path(f) is path for f in members)
+
+    def test_empty_routing_has_no_routes(self):
+        assert Routing({}).routes() == ()
+
+
 class TestQueries:
     def test_middles_roundtrip(self, clos, two_flows):
         f1, f2 = list(two_flows)
