@@ -69,14 +69,22 @@ class FlowCollection:
         """Add ``count`` parallel flows between ``source`` and ``dest``.
 
         Tags continue from the number of flows already present on the pair,
-        so successive calls never collide.  Constant time per added flow
-        (a pair-count table, not a rescan) — the adversarial constructions
-        add hundreds of thousands of flows at n = 64.
+        so successive calls never collide.  The flows are built in one list
+        and merged in bulk (one disjointness check, one set union, one
+        pair-count update) — the adversarial constructions add hundreds of
+        thousands of flows at n = 64.  Atomic: if any new flow is already
+        present (a tag added by hand through :meth:`add`), ``ValueError``
+        names the first clash and the collection is left unchanged.
         """
-        existing = self._pair_counts.get((source, dest), 0)
-        added = []
-        for offset in range(count):
-            added.append(self.add(Flow(source, dest, tag=existing + offset)))
+        pair = (source, dest)
+        existing = self._pair_counts.get(pair, 0)
+        added = [Flow(source, dest, tag) for tag in range(existing, existing + count)]
+        if not self._seen.isdisjoint(added):
+            clash = next(flow for flow in added if flow in self._seen)
+            raise ValueError(f"duplicate flow: {clash!r}")
+        self._seen.update(added)
+        self._flows.extend(added)
+        self._pair_counts[pair] = existing + len(added)
         return added
 
     @classmethod

@@ -108,20 +108,22 @@ class ClosNetwork:
         self._build_links()
 
     def _build_links(self) -> None:
-        for src in self.sources:
-            self.graph.add_link(
-                src, InputSwitch(src.switch), capacity=self.server_capacity
-            )
-        for dst in self.destinations:
-            self.graph.add_link(
-                OutputSwitch(dst.switch), dst, capacity=self.server_capacity
-            )
-        for inp in self.input_switches:
-            for mid in self.middle_switches:
-                self.graph.add_link(inp, mid, capacity=self.interior_capacity)
-        for mid in self.middle_switches:
-            for out in self.output_switches:
-                self.graph.add_link(mid, out, capacity=self.interior_capacity)
+        server, interior = self.server_capacity, self.interior_capacity
+        add_links = self.graph.add_links
+        add_links((src, InputSwitch(src.switch), server) for src in self.sources)
+        add_links(
+            (OutputSwitch(dst.switch), dst, server) for dst in self.destinations
+        )
+        add_links(
+            (inp, mid, interior)
+            for inp in self.input_switches
+            for mid in self.middle_switches
+        )
+        add_links(
+            (mid, out, interior)
+            for mid in self.middle_switches
+            for out in self.output_switches
+        )
 
     def oversubscription(self) -> object:
         """The per-ToR oversubscription ratio: server capacity entering a
@@ -233,13 +235,14 @@ class MacroSwitch:
         self._build_links()
 
     def _build_links(self) -> None:
-        for src in self.sources:
-            self.graph.add_link(src, InputSwitch(src.switch), capacity=1)
-        for dst in self.destinations:
-            self.graph.add_link(OutputSwitch(dst.switch), dst, capacity=1)
-        for inp in self.input_switches:
-            for out in self.output_switches:
-                self.graph.add_link(inp, out, capacity=INFINITE_CAPACITY)
+        add_links = self.graph.add_links
+        add_links((src, InputSwitch(src.switch), 1) for src in self.sources)
+        add_links((OutputSwitch(dst.switch), dst, 1) for dst in self.destinations)
+        add_links(
+            (inp, out, INFINITE_CAPACITY)
+            for inp in self.input_switches
+            for out in self.output_switches
+        )
 
     def source(self, i: int, j: int) -> Source:
         """``s_i^j`` (same indexing as the Clos network)."""

@@ -4,9 +4,9 @@ This module provides the graph substrate used by every topology in the
 library.  It is deliberately small: the Clos network :class:`C_n` and its
 macro-switch abstraction :class:`MS_n` (see :mod:`repro.core.topology`)
 only need node/link bookkeeping, per-link capacities, and adjacency
-queries.  We implement it from scratch rather than depending on networkx
-so that the core library stands alone; networkx is used in the test suite
-purely as an oracle.
+queries (answered by scanning the links).  We implement it from scratch
+rather than depending on networkx so that the core library stands alone;
+networkx is used in the test suite purely as an oracle.
 
 Nodes may be any hashable object.  Links are ordered pairs ``(u, v)``.
 This is a *simple* directed graph — at most one link per ordered pair —
@@ -18,7 +18,7 @@ lives in the *flow collection*, not in the topology; see
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple, Union
 
 Node = Hashable
 Link = Tuple[Node, Node]
@@ -44,8 +44,8 @@ class DiGraph:
     """
 
     def __init__(self) -> None:
-        self._succ: Dict[Node, Set[Node]] = {}
-        self._pred: Dict[Node, Set[Node]] = {}
+        # An insertion-ordered node set (the values are unused).
+        self._nodes: Dict[Node, None] = {}
         self._capacity: Dict[Link, Capacity] = {}
 
     # ------------------------------------------------------------------
@@ -53,9 +53,7 @@ class DiGraph:
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> None:
         """Add ``node`` to the graph (idempotent)."""
-        if node not in self._succ:
-            self._succ[node] = set()
-            self._pred[node] = set()
+        self._nodes[node] = None
 
     def add_link(self, u: Node, v: Node, capacity: Capacity = 1) -> None:
         """Add the link ``(u, v)`` with the given ``capacity``.
@@ -63,17 +61,30 @@ class DiGraph:
         Both endpoints are added if absent.  Re-adding an existing link
         overwrites its capacity.
         """
-        self.add_node(u)
-        self.add_node(v)
-        self._succ[u].add(v)
-        self._pred[v].add(u)
-        self._capacity[(u, v)] = capacity
+        self.add_links(((u, v, capacity),))
+
+    def add_links(self, links: Iterable[Tuple[Node, Node, Capacity]]) -> None:
+        """Add every ``(u, v, capacity)`` link, in order.
+
+        Each behaves as :meth:`add_link`: endpoints are added if absent
+        (``u`` before ``v``) and a re-added link takes the new capacity.
+        The topologies build their whole graph through this call.
+
+        >>> g = DiGraph()
+        >>> g.add_links([("a", "b", 1), ("b", "c", 2)])
+        >>> g.nodes, g.capacity("b", "c")
+        (['a', 'b', 'c'], 2)
+        """
+        nodes = self._nodes
+        capacity = self._capacity
+        for u, v, cap in links:
+            nodes[u] = None
+            nodes[v] = None
+            capacity[(u, v)] = cap
 
     def remove_link(self, u: Node, v: Node) -> None:
         """Remove the link ``(u, v)``; raises ``KeyError`` if absent."""
         del self._capacity[(u, v)]
-        self._succ[u].discard(v)
-        self._pred[v].discard(u)
 
     # ------------------------------------------------------------------
     # Queries
@@ -81,7 +92,7 @@ class DiGraph:
     @property
     def nodes(self) -> List[Node]:
         """All nodes, in insertion order."""
-        return list(self._succ)
+        return list(self._nodes)
 
     @property
     def links(self) -> List[Link]:
@@ -89,13 +100,13 @@ class DiGraph:
         return list(self._capacity)
 
     def num_nodes(self) -> int:
-        return len(self._succ)
+        return len(self._nodes)
 
     def num_links(self) -> int:
         return len(self._capacity)
 
     def has_node(self, node: Node) -> bool:
-        return node in self._succ
+        return node in self._nodes
 
     def has_link(self, u: Node, v: Node) -> bool:
         return (u, v) in self._capacity
@@ -108,17 +119,27 @@ class DiGraph:
         """A copy of the link → capacity map."""
         return dict(self._capacity)
 
+    # The adjacency queries scan every link (no per-node sets are kept);
+    # they serve tests and inspection, not the solvers.
     def successors(self, node: Node) -> Iterator[Node]:
-        return iter(self._succ[node])
+        """Heads of the links leaving ``node``, in link insertion order."""
+        self._require(node)
+        return iter([v for u, v in self._capacity if u == node])
 
     def predecessors(self, node: Node) -> Iterator[Node]:
-        return iter(self._pred[node])
+        """Tails of the links entering ``node``, in link insertion order."""
+        self._require(node)
+        return iter([u for u, v in self._capacity if v == node])
 
     def out_degree(self, node: Node) -> int:
-        return len(self._succ[node])
+        return len(list(self.successors(node)))
 
     def in_degree(self, node: Node) -> int:
-        return len(self._pred[node])
+        return len(list(self.predecessors(node)))
+
+    def _require(self, node: Node) -> None:
+        if node not in self._nodes:
+            raise KeyError(node)
 
     # ------------------------------------------------------------------
     # Path utilities

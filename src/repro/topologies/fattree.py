@@ -25,7 +25,7 @@ uses this module to check the paper's phenomena beyond ``C_n``.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.graph.digraph import INFINITE_CAPACITY, DiGraph
 
@@ -113,20 +113,21 @@ class FatTree:
         self._build_links()
 
     def _build_links(self) -> None:
+        # Every cable is full duplex: one unit link each way.
+        self.graph.add_links(
+            link for u, v in self._cables() for link in ((u, v, 1), (v, u, 1))
+        )
+
+    def _cables(self) -> Iterator[Tuple[tuple, tuple]]:
+        """Each cable once, as ``(lower tier, upper tier)``."""
         for host in self.hosts:
-            edge = EdgeSwitch(host.pod, host.edge)
-            self.graph.add_link(host, edge, capacity=1)
-            self.graph.add_link(edge, host, capacity=1)
+            yield host, EdgeSwitch(host.pod, host.edge)
         for edge in self.edge_switches:
             for a in range(self.half):
-                agg = AggSwitch(edge.pod, a)
-                self.graph.add_link(edge, agg, capacity=1)
-                self.graph.add_link(agg, edge, capacity=1)
+                yield edge, AggSwitch(edge.pod, a)
         for agg in self.agg_switches:
             for i in range(self.half):
-                core = CoreSwitch(agg.index, i)
-                self.graph.add_link(agg, core, capacity=1)
-                self.graph.add_link(core, agg, capacity=1)
+                yield agg, CoreSwitch(agg.index, i)
 
     # ------------------------------------------------------------------
     # Path enumeration

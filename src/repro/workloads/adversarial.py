@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.flows import Flow, FlowCollection
 from repro.core.routing import Routing
-from repro.core.topology import ClosNetwork, MacroSwitch
+from repro.core.topology import ClosNetwork, MacroSwitch, Path
 
 
 class AdversarialInstance(NamedTuple):
@@ -215,16 +215,23 @@ def lemma_4_6_routing(instance: AdversarialInstance) -> Routing:
     Also valid for :func:`theorem_4_2` instances (multiplicity 1), where
     it realizes the max-min fair allocation used in Example 4.1's figure.
     """
-    n = instance.clos.n
-    middles: Dict[Flow, int] = {}
-    for flow in instance.types["type1"]:
-        i, j = flow.source.switch, flow.source.server
-        middles[flow] = ((i + j - 2) % n) + 1
+    clos = instance.clos
+    n = clos.n
+    type1 = instance.types["type1"]
+    # The type-1 flows come in equal runs, one run per (s_i^j, t_i^j)
+    # pair (j >= 2): one shared path per pair, assigned to the whole run.
+    run = len(type1) // (n * (n - 1))
+    paths: Dict[Flow, Path] = {}
+    for start in range(0, len(type1), run):
+        first = type1[start]
+        i, j = first.source.switch, first.source.server
+        path = clos.path_via(first.source, first.dest, ((i + j - 2) % n) + 1)
+        paths.update(dict.fromkeys(type1[start : start + run], path))
     for flow in instance.types["type2a"] + instance.types["type2b"]:
-        middles[flow] = flow.source.switch
+        paths[flow] = clos.path_via(flow.source, flow.dest, flow.source.switch)
     (type3,) = instance.types["type3"]
-    middles[type3] = n
-    return Routing.from_middles(instance.clos, instance.flows, middles)
+    paths[type3] = clos.path_via(type3.source, type3.dest, n)
+    return Routing(paths)
 
 
 # ----------------------------------------------------------------------

@@ -103,6 +103,81 @@ class TestQueries:
             list(diamond.successors("zz"))
 
 
+class TestQueriesAfterMutation:
+    """The adjacency queries scan the links, so every mutation shows."""
+
+    @staticmethod
+    def adjacency(g: DiGraph):
+        return {
+            node: (
+                sorted(g.successors(node)),
+                sorted(g.predecessors(node)),
+                g.out_degree(node),
+                g.in_degree(node),
+            )
+            for node in g.nodes
+        }
+
+    def test_queries_follow_each_mutation(self):
+        g = DiGraph()
+        g.add_link("a", "b")
+        assert g.nodes == ["a", "b"]
+        assert g.links == [("a", "b")]
+        assert self.adjacency(g) == {
+            "a": (["b"], [], 1, 0),
+            "b": ([], ["a"], 0, 1),
+        }
+
+        g.add_links([("c", "a", 2), ("b", "c", 3), ("a", "b", 5)])
+        assert g.nodes == ["a", "b", "c"]
+        assert g.links == [("a", "b"), ("c", "a"), ("b", "c")]
+        assert g.capacity("a", "b") == 5  # re-added: new capacity, old place
+        assert self.adjacency(g) == {
+            "a": (["b"], ["c"], 1, 1),
+            "b": (["c"], ["a"], 1, 1),
+            "c": (["a"], ["b"], 1, 1),
+        }
+
+        g.add_node("d")
+        g.add_node("a")
+        assert g.nodes == ["a", "b", "c", "d"]
+        assert self.adjacency(g)["d"] == ([], [], 0, 0)
+
+        g.add_link("d", "b")
+        g.remove_link("a", "b")
+        assert g.nodes == ["a", "b", "c", "d"]  # endpoints stay
+        assert g.links == [("c", "a"), ("b", "c"), ("d", "b")]
+        assert self.adjacency(g) == {
+            "a": ([], ["c"], 0, 1),
+            "b": (["c"], ["d"], 1, 1),
+            "c": (["a"], ["b"], 1, 1),
+            "d": (["b"], [], 1, 0),
+        }
+
+        g.add_link("a", "b", capacity=7)
+        assert g.links == [("c", "a"), ("b", "c"), ("d", "b"), ("a", "b")]
+        assert sorted(g.predecessors("b")) == ["a", "d"]
+        assert g.in_degree("b") == 2
+
+    def test_add_links_empty_and_generator(self):
+        g = DiGraph()
+        g.add_links([])
+        assert g.num_nodes() == 0
+        g.add_links((i, i + 1, i) for i in range(3))
+        assert g.nodes == [0, 1, 2, 3]
+        assert g.capacities() == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
+
+    @pytest.mark.parametrize(
+        "query", ["successors", "predecessors", "out_degree", "in_degree"]
+    )
+    def test_every_query_raises_for_missing_node(self, query):
+        g = DiGraph()
+        g.add_node("a")
+        getattr(g, query)("a")  # a node without links answers
+        with pytest.raises(KeyError):
+            getattr(g, query)("zz")
+
+
 class TestPaths:
     @pytest.fixture
     def chain(self) -> DiGraph:

@@ -15,6 +15,7 @@ from repro.topologies.fattree import (
     ecmp_fat_tree_routing,
     host_macro_graph,
 )
+from repro.graph.digraph import DiGraph
 
 
 @pytest.fixture
@@ -41,6 +42,26 @@ class TestStructure:
 
     def test_unit_capacities(self, ft4):
         assert all(c == 1 for c in ft4.graph.capacities().values())
+
+    def test_graph_matches_per_link_build(self, ft4):
+        oracle = DiGraph()
+        for host in ft4.hosts:
+            edge = EdgeSwitch(host.pod, host.edge)
+            oracle.add_link(host, edge, capacity=1)
+            oracle.add_link(edge, host, capacity=1)
+        for edge in ft4.edge_switches:
+            for a in range(ft4.half):
+                agg = AggSwitch(edge.pod, a)
+                oracle.add_link(edge, agg, capacity=1)
+                oracle.add_link(agg, edge, capacity=1)
+        for agg in ft4.agg_switches:
+            for i in range(ft4.half):
+                core = CoreSwitch(agg.index, i)
+                oracle.add_link(agg, core, capacity=1)
+                oracle.add_link(core, agg, capacity=1)
+        assert ft4.graph.capacities() == oracle.capacities()
+        assert ft4.graph.links == oracle.links
+        assert ft4.graph.nodes == oracle.nodes
 
     def test_core_connects_every_pod(self, ft4):
         core = CoreSwitch(0, 0)

@@ -58,6 +58,25 @@ class TestFlowCollection:
         more = flows.add_pair(clos.source(1, 1), clos.destination(1, 1), count=2)
         assert [f.tag for f in more] == [2, 3]
 
+    def test_add_pair_clash_leaves_collection_unchanged(self, clos):
+        s, t = clos.source(1, 1), clos.destination(1, 1)
+        flows = FlowCollection()
+        flows.add(Flow(s, t, tag=2))
+        with pytest.raises(ValueError, match=r"duplicate flow: Flow\(s1\^1->t1\^1#2\)"):
+            flows.add_pair(s, t, count=3)  # tags 1, 2, 3: tag 2 clashes
+        assert len(flows) == 1
+        assert flows.flows == [Flow(s, t, tag=2)]
+        assert Flow(s, t, tag=1) not in flows
+        # The pair's next tag is still 1: nothing of the failed call stuck.
+        assert flows.add_pair(s, t) == [Flow(s, t, tag=1)]
+
+    def test_add_pair_zero_count_adds_nothing(self, clos):
+        s, t = clos.source(1, 1), clos.destination(1, 1)
+        flows = FlowCollection()
+        assert flows.add_pair(s, t, count=0) == []
+        assert len(flows) == 0
+        assert flows.add_pair(s, t) == [Flow(s, t, tag=0)]
+
     def test_from_pairs_tags_duplicates(self, clos):
         s, t = clos.source(1, 1), clos.destination(1, 1)
         flows = FlowCollection.from_pairs([(s, t), (s, t), (s, t)])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.nodes import InputSwitch, MiddleSwitch, OutputSwitch
 from repro.core.topology import ClosNetwork, MacroSwitch
-from repro.graph.digraph import INFINITE_CAPACITY
+from repro.graph.digraph import INFINITE_CAPACITY, DiGraph
 
 
 class TestClosStructure:
@@ -36,6 +36,25 @@ class TestClosStructure:
         assert clos.graph.in_degree(middle) + clos.graph.out_degree(middle) == (
             2 * 2 * tor_up
         )
+
+    def test_graph_matches_per_link_build(self):
+        clos = ClosNetwork(3, middle_count=4, interior_capacity=2)
+        oracle = DiGraph()
+        for src in clos.sources:
+            oracle.add_link(src, InputSwitch(src.switch), capacity=1)
+        for dst in clos.destinations:
+            oracle.add_link(OutputSwitch(dst.switch), dst, capacity=1)
+        for inp in clos.input_switches:
+            for mid in clos.middle_switches:
+                oracle.add_link(inp, mid, capacity=2)
+        for mid in clos.middle_switches:
+            for out in clos.output_switches:
+                oracle.add_link(mid, out, capacity=2)
+        # Link order matters: the array compile numbers links in this order.
+        assert list(clos.graph.capacities().items()) == list(
+            oracle.capacities().items()
+        )
+        assert clos.graph.nodes == oracle.nodes
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -135,6 +154,21 @@ class TestMacroSwitch:
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             MacroSwitch(0)
+
+    def test_graph_matches_per_link_build(self):
+        ms = MacroSwitch(3)
+        oracle = DiGraph()
+        for src in ms.sources:
+            oracle.add_link(src, InputSwitch(src.switch), capacity=1)
+        for dst in ms.destinations:
+            oracle.add_link(OutputSwitch(dst.switch), dst, capacity=1)
+        for inp in ms.input_switches:
+            for out in ms.output_switches:
+                oracle.add_link(inp, out, capacity=INFINITE_CAPACITY)
+        assert list(ms.graph.capacities().items()) == list(
+            oracle.capacities().items()
+        )
+        assert ms.graph.nodes == oracle.nodes
 
     def test_same_server_names_as_clos(self):
         clos, ms = ClosNetwork(2), MacroSwitch(2)

@@ -4,7 +4,10 @@ the rate claims live in the test_paper_* modules)."""
 import pytest
 
 from repro.core.allocation import Allocation, is_feasible
+from repro.core.flows import Flow, FlowCollection
 from repro.core.nodes import MiddleSwitch
+from repro.core.routing import Routing
+from repro.core.topology import ClosNetwork
 from repro.workloads.adversarial import (
     example_2_3,
     example_2_3_routings,
@@ -150,6 +153,72 @@ class TestFigure3Constructions:
         routing = lemma_4_6_routing(instance)
         for f in instance.types["type2"]:
             assert routing.middle_of(instance.clos, f).index == f.source.switch
+
+
+def _per_flow_figure_3(n, multiplicity):
+    """Figure 3 built one ``FlowCollection.add`` per flow, with Lemma 4.6's
+    Step 1 routing as a flow → middle map through ``Routing.from_middles``:
+    the oracle for the bulk builders."""
+    clos = ClosNetwork(n)
+    flows = FlowCollection()
+    type1 = [
+        flows.add(Flow(clos.source(i, j), clos.destination(i, j), tag))
+        for i in range(1, n + 1)
+        for j in range(2, n + 1)
+        for tag in range(multiplicity)
+    ]
+    type2a = [
+        flows.add(Flow(clos.source(i, 1), clos.destination(i, 1)))
+        for i in range(1, n + 1)
+    ]
+    type2b = [
+        flows.add(Flow(clos.source(i, 1), clos.destination(n + 1, j)))
+        for i in range(1, n + 1)
+        for j in range(1, n)
+    ]
+    type3 = [flows.add(Flow(clos.source(n + 1, n), clos.destination(n + 1, n)))]
+    types = {
+        "type1": type1,
+        "type2a": type2a,
+        "type2b": type2b,
+        "type2": type2a + type2b,
+        "type3": type3,
+    }
+    middles = {}
+    for flow in type1:
+        i, j = flow.source.switch, flow.source.server
+        middles[flow] = ((i + j - 2) % n) + 1
+    for flow in type2a + type2b:
+        middles[flow] = flow.source.switch
+    middles[type3[0]] = n
+    return flows, types, Routing.from_middles(clos, flows, middles)
+
+
+class TestFigure3MatchesPerFlowOracle:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "build, multiplicity",
+        [(theorem_4_2, lambda n: 1), (theorem_4_3, lambda n: n + 1)],
+        ids=["theorem_4_2", "theorem_4_3"],
+    )
+    def test_flows_types_and_routing(self, build, multiplicity, n):
+        instance = build(n)
+        flows, types, oracle = _per_flow_figure_3(n, multiplicity(n))
+        assert list(instance.flows) == list(flows)
+        assert [f.tag for f in instance.flows] == [f.tag for f in flows]
+        assert instance.types == types
+        routing = lemma_4_6_routing(instance)
+        assert list(routing.items()) == list(oracle.items())
+        assert routing.flows() == list(instance.flows)
+        # One shared path per type-1 pair; every other flow is alone.
+        assert len(routing.routes()) == 2 * n * n - n + 1
+
+    def test_each_call_builds_fresh_objects(self):
+        first, second = theorem_4_3(3), theorem_4_3(3)
+        assert first.clos is not second.clos
+        assert first.macro is not second.macro
+        assert first.clos.graph is not second.clos.graph
+        assert first.flows is not second.flows
 
 
 class TestTheorem54:
