@@ -15,7 +15,10 @@ scenario) and water-fills *all scenarios simultaneously*:
 - one segmented ``minimum.reduceat`` takes each scenario's own water
   level ``λ_s`` (block boundaries are segment boundaries),
 - one tolerance-band comparison selects every saturating link batch-wide,
-- one gather + ``bincount`` freezes flows and updates residuals/counts.
+- one gather of those links' member rows (the stacked link → flow
+  transpose) freezes flows, and one ``bincount`` finds the links they
+  cross; residuals, counts and levels are recomputed on those links
+  only.
 
 Finished scenarios stop contributing work: their water level is forced
 to ``-inf`` so the saturation band never selects their links again, and
@@ -52,6 +55,7 @@ from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
     CompiledRouting,
     _csr_gather,
+    _csr_transpose,
     _row_hits,
     capacity_vector,
     compile_routing,
@@ -131,7 +135,9 @@ def compile_batch(
     :func:`~repro.core.vectorized.compile_routing` path (so unbounded
     flows and malformed capacities raise the same typed errors), then
     the CSR arrays are concatenated with per-scenario offsets into one
-    block-diagonal incidence.
+    block-diagonal incidence, and its link → flows transpose is built
+    once over the stacked arrays (the parts carry none): each stacked
+    link lists its flows in ascending global id, i.e. routing order.
     """
     parts: List[CompiledRouting] = []
     caps_vectors = []
@@ -148,49 +154,44 @@ def compile_batch(
     scn_link_ptr = np.zeros(S + 1, dtype=np.int64)
     np.cumsum(link_counts, out=scn_link_ptr[1:])
 
-    flow_ptr_parts = [np.zeros(1, dtype=np.int64)]
-    flow_link_parts = []
-    link_ptr_parts = [np.zeros(1, dtype=np.int64)]
-    link_flow_parts = []
-    nnz = 0
-    for s, p in enumerate(parts):
-        flow_ptr_parts.append(np.asarray(p.flow_ptr[1:], dtype=np.int64) + nnz)
-        flow_link_parts.append(
-            np.asarray(p.flow_link, dtype=np.int64) + scn_link_ptr[s]
-        )
-        link_ptr_parts.append(np.asarray(p.link_ptr[1:], dtype=np.int64) + nnz)
-        link_flow_parts.append(
-            np.asarray(p.link_flow, dtype=np.int64) + scn_flow_ptr[s]
-        )
-        nnz += int(p.flow_link.size)
-
-    def _concat(chunks, dtype):
-        if not chunks:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(chunks).astype(dtype, copy=False)
-
+    # The leading empty chunk keeps ``concatenate`` defined for S = 0.
+    none = [np.zeros(0, dtype=np.int64)]
+    flow_ptr = np.zeros(int(scn_flow_ptr[-1]) + 1, dtype=np.int64)
+    np.cumsum(
+        np.concatenate(none + [np.diff(p.flow_ptr) for p in parts]),
+        out=flow_ptr[1:],
+    )
+    flow_link = np.concatenate(
+        none + [p.flow_link + scn_link_ptr[s] for s, p in enumerate(parts)]
+    )
+    link_ptr, link_flow = _csr_transpose(
+        flow_ptr, flow_link, int(scn_link_ptr[-1])
+    )
     _SCENARIOS.inc(S)
     return CompiledBatch(
         parts,
-        flow_ptr=_concat(flow_ptr_parts, np.int64),
-        flow_link=_concat(flow_link_parts, np.int64),
-        link_ptr=_concat(link_ptr_parts, np.int64),
-        link_flow=_concat(link_flow_parts, np.int64),
+        flow_ptr=flow_ptr,
+        flow_link=flow_link,
+        link_ptr=link_ptr,
+        link_flow=link_flow,
         scn_flow_ptr=scn_flow_ptr,
         scn_link_ptr=scn_link_ptr,
         scn_of_flow=np.repeat(np.arange(S, dtype=np.int64), flow_counts),
         scn_of_link=np.repeat(np.arange(S, dtype=np.int64), link_counts),
-        caps=_concat(caps_vectors, np.float64),
+        caps=np.concatenate([np.zeros(0)] + caps_vectors),
     )
 
 
-def waterfill_batch(batch: CompiledBatch):
+def waterfill_batch(batch: CompiledBatch, on_round_end=None):
     """Water-fill every scenario of ``batch`` simultaneously.
 
     Returns the float rate array over the batch's global flow ids.
     Every per-element float operation matches the per-instance
     :func:`~repro.core.vectorized.waterfill` kernel exactly, so the
     rates are byte-identical to solving each scenario alone.
+    ``on_round_end(rnd, lam, frozen)`` observes each round's
+    per-scenario levels (``-inf`` once finished) and the ascending
+    global ids it froze; it may not mutate them.
     """
     n_flows = batch.num_flows
     n_links = len(batch.caps)
@@ -207,14 +208,15 @@ def waterfill_batch(batch: CompiledBatch):
     remaining = np.diff(batch.scn_flow_ptr).astype(np.int64)
     scn_link = batch.scn_of_link
     scn_flow = batch.scn_of_flow
+    links_per_scn = np.diff(batch.scn_link_ptr)
     # Segment starts for the per-scenario min; a scenario with no links
     # (no flows) never activates, but its degenerate segment must not
     # index out of bounds or swallow a neighbor's minimum.
-    empty_seg = np.diff(batch.scn_link_ptr) == 0
+    empty_seg = links_per_scn == 0
     reduce_at = np.minimum(batch.scn_link_ptr[:-1], max(n_links - 1, 0))
 
-    levels = np.empty(n_links, dtype=np.float64)
-    delta = np.empty(n_links, dtype=np.float64)
+    levels = np.full(n_links, _INF, dtype=np.float64)
+    np.divide(residual, count, out=levels, where=count > 0.0)
     frozen_mask = np.zeros(n_flows, dtype=bool)
     band = _vectorized._BAND
     scn_active = remaining > 0
@@ -224,8 +226,6 @@ def waterfill_batch(batch: CompiledBatch):
         "maxmin.water_fill_batched", scenarios=S, flows=n_flows
     ) as span:
         while scn_active.any():
-            levels.fill(_INF)
-            np.divide(residual, count, out=levels, where=count > 0.0)
             lam = np.minimum.reduceat(levels, reduce_at)
             lam[empty_seg] = _INF
             if not np.isfinite(lam[scn_active]).all():
@@ -241,10 +241,8 @@ def waterfill_batch(batch: CompiledBatch):
             # Per-element the threshold formula matches the per-instance
             # kernel's scalar ``lam + _BAND * (1.0 + lam)`` exactly;
             # finished scenarios' ``-inf`` makes their band unreachable.
-            lam_links = lam[scn_link]
-            sat_idx = np.nonzero(
-                levels <= lam_links + band * (1.0 + lam_links)
-            )[0]
+            threshold = np.repeat(lam + band * (1.0 + lam), links_per_scn)
+            sat_idx = np.nonzero(levels <= threshold)[0]
             # The saturated links' member rows, back to back.
             members = _csr_gather(link_ptr, link_flow, sat_idx)
             candidates = members[active[members]]
@@ -259,16 +257,20 @@ def waterfill_batch(batch: CompiledBatch):
             active[frozen] = False
             remaining -= np.bincount(scn_flow[frozen], minlength=S)
 
+            # Update only the crossed links: elsewhere the per-instance
+            # kernel's ``residual -= lam * hit`` and ``count -= hit``
+            # subtract zeros, which leave every value and level as is.
             hit = _row_hits(flow_ptr, flow_link, frozen, n_links)
-            # ``lam[scn_link] * hit`` would be -inf·0 = NaN on finished
-            # scenarios' untouched links; masking the multiply leaves
-            # those deltas at 0.0, so ``residual -= delta`` is
-            # bit-for-bit the per-instance kernel's
-            # ``residual -= lam * hit`` (which subtracts 0.0 there too).
-            delta.fill(0.0)
-            np.multiply(lam_links, hit, out=delta, where=hit > 0)
-            residual -= delta
-            count -= hit
+            touched = np.nonzero(hit)[0]
+            hit = hit[touched]
+            residual[touched] -= lam[scn_link[touched]] * hit
+            count[touched] -= hit
+            res, cnt = residual[touched], count[touched]
+            new_levels = np.full(touched.size, _INF, dtype=np.float64)
+            np.divide(res, cnt, out=new_levels, where=cnt > 0.0)
+            levels[touched] = new_levels
+            if on_round_end is not None:
+                on_round_end(rounds, lam, frozen)
             scn_active = remaining > 0
             rounds += 1
         span.set(rounds=rounds)

@@ -68,6 +68,7 @@ from repro.core.vectorized import (
     _BAND,
     _INF,
     _csr_gather,
+    _csr_transpose,
     _row_hits,
     _run_rounds,
 )
@@ -460,20 +461,16 @@ class StreamingMaxMin:
     def _rebuild_members(self) -> None:
         """Rebuild the link→member-slot CSR (and alive counts) from the
         flow→link CSR by a stable transpose — array ops only.  Valid
-        when every slot is alive (post-recompile/-compaction)."""
-        nslots, nnz = self._nslots, self._nnz
-        links = self._flow_link[:nnz]
-        lens = np.diff(self._flow_ptr[: nslots + 1])
-        rows = np.repeat(np.arange(nslots, dtype=np.int64), lens)
-        order = np.argsort(links, kind="stable")
-        self._member_rows = rows[order]
-        self._member_ptr = np.searchsorted(
-            links[order], np.arange(self._nlinks + 1)
+        when every slot is alive (post-recompile/-compaction).  Only
+        divergence detection (:meth:`_scan_link`) reads member lists;
+        the round kernel masks the flow rows instead."""
+        self._member_ptr, self._member_rows = _csr_transpose(
+            self._flow_ptr[: self._nslots + 1],
+            self._flow_link[: self._nnz],
+            self._nlinks,
         )
         self._member_extra: Dict[int, List[int]] = {}
-        self._link_count[: self._nlinks] = np.bincount(
-            links, minlength=self._nlinks
-        )
+        self._link_count[: self._nlinks] = np.diff(self._member_ptr)
 
     def _link_members(self, j: int):
         """Member slots of link ``j``: the CSR base plus any slots
@@ -743,7 +740,7 @@ class StreamingMaxMin:
         n_links = self._nlinks
         residual = self._caps_arr[:n_links].copy()
         count = self._link_count[:n_links].astype(np.float64)
-        active = self._alive.copy()
+        active = self._alive[: self._nslots].copy()
         remaining = int(active.sum())
         self._rates_arr[: self._nslots] = 0.0
         self._trace = ([], {})
@@ -751,7 +748,6 @@ class StreamingMaxMin:
             _run_rounds(
                 self._flow_ptr,
                 self._flow_link,
-                self._gather,
                 n_links,
                 residual,
                 count,
@@ -807,14 +803,12 @@ class StreamingMaxMin:
                     count -= hit
 
         del levels_list[r_star:]
-        active = np.zeros(self._alive.size, dtype=bool)
-        active[: self._nslots] = alive & (fr >= r_star)
+        active = alive & (fr >= r_star)
         remaining = int(active.sum())
         if remaining:
             _run_rounds(
                 self._flow_ptr,
                 self._flow_link,
-                self._gather,
                 n_links,
                 residual,
                 count,
@@ -825,10 +819,6 @@ class StreamingMaxMin:
                 on_round_start=self._on_round_start,
                 on_round_end=self._on_round_end,
             )
-
-    def _gather(self, sat_idx):
-        link_members = self._link_members
-        return np.concatenate([link_members(j) for j in sat_idx])
 
     def _on_round_start(self, rnd, residual, count) -> None:
         if rnd and rnd % self._checkpoint_every == 0:

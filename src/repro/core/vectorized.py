@@ -10,28 +10,31 @@ water-filling as a handful of array operations per round:
 - per-link saturation levels via one vectorized divide,
 - the next water level via one ``min``,
 - a tolerance band selecting every link saturating at that level,
-- freezes and residual/count updates via boolean masks and ``bincount``.
+- the frozen flows via one mask over all incidence entries (the owner
+  row of every entry on a saturating link, kept if still active),
+- residual/count updates via one ``bincount`` over the frozen rows.
 
 Rounds are bounded by the number of finite links (every round saturates
-at least one), so total cost is ``O(rounds · (F·P + L))`` in C instead
-of per-element Python.  The dense adversarial instances — ``Clos(3)``
-carries thousands of flows over 72 finite links — finish in tens of
-rounds regardless of flow count, which is where the kernel shines.
+at least one), so total cost is ``O(rounds · (nnz + L))`` in C instead
+of per-element Python, in about ten NumPy calls per round: their fixed
+cost dominates small instances, the O(nnz) scan large ones with many
+rounds (``docs/PERFORMANCE.md`` measures both sides).
 
 Compilation has two entry points over one array core.  A Clos routing
 is a middle switch per flow, so :func:`clos_link_ids` derives each
 flow's four link ids by arithmetic and :func:`compile_link_ids` lowers
 those int rows with array operations only (a :class:`LinkTable` drops
-the infinite links; the transpose is one stable ``argsort`` plus one
-``bincount``).  Any other routing goes through :func:`compile_routing`,
-which numbers the traversed links in one Python pass over the paths
-and then shares the same core.  Callers that re-solve one routing under
-changing capacities should compile once, then call :func:`waterfill`
-per capacity vector.
+the infinite links).  Any other routing goes through
+:func:`compile_routing`, which numbers the traversed links in one
+Python pass over the paths and then shares the same core.  Neither
+builds a link → flow transpose.  Callers that re-solve one routing
+under changing capacities should compile once, then call
+:func:`waterfill` per capacity vector.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -71,34 +74,20 @@ class CompiledRouting:
     ``flows[i]`` is the flow with index ``i``; ``links[j]`` the finite
     link with index ``j`` (infinite-capacity links never constrain and
     are dropped at compile time).  ``flow_link[flow_ptr[i]:flow_ptr[i+1]]``
-    are the link indices on flow ``i``'s path; ``link_flow`` /
-    ``link_ptr`` is the transpose.
+    are the link indices on flow ``i``'s path.  There is no link → flow
+    transpose: the round kernel finds a link's flows with a mask over
+    the flow rows instead.
     """
 
-    __slots__ = (
-        "flows",
-        "links",
-        "flow_ptr",
-        "flow_link",
-        "link_ptr",
-        "link_flow",
-    )
+    __slots__ = ("flows", "links", "flow_ptr", "flow_link")
 
     def __init__(
-        self,
-        flows: Sequence,
-        links: List[Link],
-        flow_ptr,
-        flow_link,
-        link_ptr,
-        link_flow,
+        self, flows: Sequence, links: List[Link], flow_ptr, flow_link
     ) -> None:
         self.flows = flows
         self.links = links
         self.flow_ptr = flow_ptr
         self.flow_link = flow_link
-        self.link_ptr = link_ptr
-        self.link_flow = link_flow
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -153,6 +142,29 @@ class LinkTable:
         self.caps = np.asarray(caps, dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=None)
+def _clos_layout(n: int, m: int):
+    """:func:`clos_link_ids`' constants for one Clos shape: the bounds
+    of the ``(i, j, k, l, m)`` columns and the affine map of the 0-based
+    columns to link ids (each link block's offset plus its row-major
+    index within the block).  Shared by every call; never mutated."""
+    tors, servers = 2 * n, 2 * n * n
+    tops = np.array([[tors], [n], [tors], [n], [m]], dtype=np.int64)
+    weights_t = np.array(
+        [
+            [n, 1, 0, 0, 0],  # s_i^j → I_i
+            [m, 0, 0, 0, 1],  # I_i → M_m
+            [0, 0, 1, 0, tors],  # M_m → O_k
+            [0, 0, n, 1, 0],  # O_k → t_k^l
+        ],
+        dtype=np.int64,
+    ).T
+    offsets = np.array(
+        [0, 2 * servers, 2 * servers + tors * m, servers], dtype=np.int64
+    )
+    return tops, weights_t, offsets
+
+
 def clos_link_ids(
     network, src_switch, src_server, dst_switch, dst_server, middles
 ):
@@ -170,13 +182,11 @@ def clos_link_ids(
     :class:`~repro.errors.InfeasibleRoutingError`, as
     :meth:`~repro.core.topology.ClosNetwork.path_via` does.
     """
-    n, m = network.n, network.num_middles
-    tors, servers = 2 * n, 2 * n * n
+    tops, weights_t, offsets = _clos_layout(network.n, network.num_middles)
     fields = np.array(
         [src_switch, src_server, dst_switch, dst_server, middles],
         dtype=np.int64,
     ).reshape(5, -1) - 1
-    tops = np.array([[tors], [n], [tors], [n], [m]], dtype=np.int64)
     bad = (fields < 0) | (fields >= tops)
     if bad.any():
         row = int(bad.any(axis=1).argmax())
@@ -186,21 +196,7 @@ def clos_link_ids(
             f"{name} index out of range [1, {int(tops[row, 0])}]: "
             f"{(fields[row][bad[row]] + 1)[:5].tolist()}"
         )
-    # One affine map of the 0-based (i, j, k, l, m) columns: each link
-    # block's offset plus its row-major index within the block.
-    weights = np.array(
-        [
-            [n, 1, 0, 0, 0],  # s_i^j → I_i
-            [m, 0, 0, 0, 1],  # I_i → M_m
-            [0, 0, 1, 0, tors],  # M_m → O_k
-            [0, 0, n, 1, 0],  # O_k → t_k^l
-        ],
-        dtype=np.int64,
-    )
-    offsets = np.array(
-        [0, 2 * servers, 2 * servers + tors * m, servers], dtype=np.int64
-    )
-    return fields.T @ weights.T + offsets
+    return fields.T @ weights_t + offsets
 
 
 def compile_link_ids(
@@ -211,8 +207,10 @@ def compile_link_ids(
     ``link_ids`` is an ``(F, k)`` int array (one row per flow, e.g. from
     :func:`clos_link_ids`); ``flows`` labels the rows (``compiled.flows``)
     and ``table`` maps the ids to finite links.  Array operations only —
-    no per-flow Python.  Raises what :func:`compile_routing` raises on
-    the same routing: :class:`~repro.errors.UnknownLinkError` /
+    no per-flow Python, and no sort: a remap gather, one ``cumsum`` for
+    the row pointers and one mask that drops infinite links.  Raises
+    what :func:`compile_routing` raises on the same routing:
+    :class:`~repro.errors.UnknownLinkError` /
     :class:`~repro.errors.CapacityValidationError` for a traversed link
     the capacity map lacks or rejects, and
     :class:`~repro.errors.UnboundedRateError` for a flow crossing only
@@ -272,25 +270,26 @@ def _compile(row_ptr, link_ids, table: LinkTable, flows) -> CompiledRouting:
             "flows with no finite-capacity link on their path: "
             f"{[flows[i] for i in empty.nonzero()[0]]!r}"
         )
-    flow_link = local[keep]
-    n_links = len(table.finite_links)
-    link_ptr, link_flow = _csr_transpose(flow_ptr, flow_link, n_links)
     _COMPILES.inc()
-    return CompiledRouting(
-        flows, table.finite_links, flow_ptr, flow_link, link_ptr, link_flow
+    return CompiledRouting(flows, table.finite_links, flow_ptr, local[keep])
+
+
+def _row_owner(flow_ptr):
+    """The CSR row of every entry: each row id repeated by its length."""
+    return np.arange(flow_ptr.size - 1, dtype=np.int64).repeat(
+        np.diff(flow_ptr)
     )
 
 
 def _csr_transpose(flow_ptr, flow_link, n_links):
     """The link → flows CSR of a flow → links CSR: one stable
     ``argsort`` (each link's flows stay in ascending flow order) plus
-    one ``bincount`` for the row pointers."""
-    rows = np.arange(flow_ptr.size - 1, dtype=np.int64).repeat(
-        flow_ptr[1:] - flow_ptr[:-1]
-    )
+    one ``bincount`` for the row pointers.  The batched kernel and the
+    streaming solver's member lists use it; per-instance compiles do
+    not build it."""
     link_ptr = np.zeros(n_links + 1, dtype=np.int64)
     np.bincount(flow_link, minlength=n_links).cumsum(out=link_ptr[1:])
-    return link_ptr, rows[flow_link.argsort(kind="stable")]
+    return link_ptr, _row_owner(flow_ptr)[flow_link.argsort(kind="stable")]
 
 
 def capacity_vector(
@@ -331,7 +330,6 @@ def _row_hits(flow_ptr, flow_link, frozen_ids, n_links):
 def _run_rounds(
     flow_ptr,
     flow_link,
-    gather_members,
     n_links,
     residual,
     count,
@@ -345,18 +343,26 @@ def _run_rounds(
     """The water-filling round loop over raw incidence arrays.
 
     Mutates ``residual`` / ``count`` / ``active`` / ``rates`` in place
-    and returns the number of rounds executed.  ``gather_members(sat_idx)``
-    must return the (possibly stale/frozen — they are mask-filtered)
-    member flow ids of the saturating links; the indirection lets the
-    streaming solver run the identical float operation sequence over its
-    mutable slot arrays, which is what makes incremental suffix
-    resumption bit-exact against a from-scratch solve.  ``on_round_start``
-    observes the pre-round ``(residual, count)`` state (checkpointing);
-    ``on_round_end`` observes each round's freeze level and frozen ids
-    (trace recording).  Neither hook may mutate the arrays.
+    and returns the number of rounds executed.  Only the first
+    ``active.size`` rows of the CSR are read (the streaming solver's
+    slot arrays carry spare capacity past them), and rows that are not
+    active — dead slots, frozen flows — are masked out.  Running the
+    identical float operation sequence over those slot arrays is what
+    makes incremental suffix resumption bit-exact against a
+    from-scratch solve.  ``on_round_start`` observes the pre-round
+    ``(residual, count)`` state (checkpointing); ``on_round_end``
+    observes each round's freeze level and frozen ids (trace
+    recording).  Neither hook may mutate the arrays.
+
+    A round is about ten NumPy calls: levels, their minimum, the band
+    over links, one O(nnz) mask over all entries for the frozen rows,
+    and :func:`_row_hits` over those rows.
     """
+    n_rows = active.size
+    entries = flow_link[: int(flow_ptr[n_rows])]
+    owner = _row_owner(flow_ptr[: n_rows + 1])
     levels = np.empty(n_links, dtype=np.float64)
-    mark = np.zeros(active.size, dtype=bool)
+    mark = np.zeros(n_rows, dtype=bool)
     rnd = start_round
     while remaining > 0:
         alive = count > 0
@@ -373,15 +379,13 @@ def _run_rounds(
             # Float rounding can leave a residual at -1e-16; clamp
             # so the resulting rates stay non-negative.
             lam = 0.0
-        sat_idx = np.nonzero(levels <= lam + _BAND * (1.0 + lam))[0]
+        sat = levels <= lam + _BAND * (1.0 + lam)
 
-        # Freeze the active flows on the saturating links.  Each
-        # round touches only those links' member slices (not the
-        # whole incidence), so total gather work across all rounds
-        # is O(nnz).
-        # Sorted-unique active members via a reusable scatter mask —
-        # the same ascending ids as ``np.unique`` without its sort.
-        mark[gather_members(sat_idx)] = True
+        # Freeze the active flows crossing a saturating link: mark the
+        # owner row of every entry on such a link, then keep the active
+        # rows.  ``nonzero`` lists them in ascending order, as
+        # ``np.unique`` would, without a sort.
+        mark[owner[sat[entries]]] = True
         mark &= active
         frozen_ids = mark.nonzero()[0]
         if frozen_ids.size == 0:
@@ -428,20 +432,17 @@ def waterfill(compiled: CompiledRouting, caps) -> "Sequence[float]":
             f"capacity vector has shape {residual.shape}, "
             f"expected ({n_links},)"
         )
-    count = np.diff(compiled.link_ptr).astype(np.float64)
+    count = np.bincount(compiled.flow_link, minlength=n_links).astype(
+        np.float64
+    )
     active = np.ones(n_flows, dtype=bool)
     remaining = n_flows
-    link_ptr, link_flow = compiled.link_ptr, compiled.link_flow
-
-    def gather_members(sat_idx):
-        return _csr_gather(link_ptr, link_flow, sat_idx)
 
     _SOLVES.inc()
     with trace_span("maxmin.water_fill_vectorized", flows=n_flows) as span:
         rounds = _run_rounds(
             compiled.flow_ptr,
             compiled.flow_link,
-            gather_members,
             n_links,
             residual,
             count,

@@ -16,11 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.core.batched import compile_batch
 from repro.core.flows import FlowCollection
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork
 from repro.core.vectorized import (
     LinkTable,
+    _csr_transpose,
     capacity_vector,
     clos_link_ids,
     compile_link_ids,
@@ -220,18 +222,36 @@ class TestErrorsMatchGenericCompile:
 
 
 class TestGenericTranspose:
+    """The one link → flows transpose left, :func:`compile_batch`'s."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_link_rows_list_flows_in_routing_order(self, seed):
-        _, clos, flows, middles = _random_instance(seed)
-        routing = Routing.from_middles(clos, flows, middles)
-        compiled = compile_routing(routing, clos.graph.capacities())
-        per_link = routing.flows_per_link()
-        assert compiled.links == list(per_link)
-        for j, link in enumerate(compiled.links):
-            row = compiled.link_flow[
-                compiled.link_ptr[j]:compiled.link_ptr[j + 1]
-            ]
-            assert [compiled.flows[i] for i in row] == per_link[link]
+        routings, pairs = [], []
+        for part in range(3):
+            _, clos, flows, middles = _random_instance(4 * seed + part)
+            routing = Routing.from_middles(clos, flows, middles)
+            routings.append(routing)
+            pairs.append((routing, clos.graph.capacities()))
+        batch = compile_batch(pairs)
+        ptr_parts, flow_parts, nnz = [np.zeros(1, dtype=np.int64)], [], 0
+        for s, (routing, compiled) in enumerate(zip(routings, batch.parts)):
+            per_link = routing.flows_per_link()
+            assert compiled.links == list(per_link)
+            first_flow = batch.scn_flow_ptr[s]
+            for j, link in enumerate(compiled.links):
+                g = batch.scn_link_ptr[s] + j
+                row = batch.link_flow[batch.link_ptr[g]:batch.link_ptr[g + 1]]
+                assert [
+                    compiled.flows[i] for i in row - first_flow
+                ] == per_link[link]
+            link_ptr, link_flow = _csr_transpose(
+                compiled.flow_ptr, compiled.flow_link, len(compiled.links)
+            )
+            ptr_parts.append(link_ptr[1:] + nnz)
+            flow_parts.append(link_flow + first_flow)
+            nnz += compiled.flow_link.size
+        assert np.array_equal(batch.link_ptr, np.concatenate(ptr_parts))
+        assert np.array_equal(batch.link_flow, np.concatenate(flow_parts))
 
 
 def test_policy_consults_build_no_routing_objects(monkeypatch):
