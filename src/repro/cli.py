@@ -27,21 +27,17 @@ without recomputing (or re-printing differently) what already ran.
 
 ``profile`` runs one experiment under :mod:`repro.obs` tracing and
 prints the span tree (wall time, share of total, peak memory) plus
-every counter the hot paths incremented; ``--export chrome`` /
-``prom`` / ``jsonl`` writes the trace for ``chrome://tracing`` /
-Perfetto, the metrics in Prometheus text format, or the raw span-tree
-JSONL (``--trace out.jsonl`` remains the JSONL shorthand).  Profiling
-with ``--jobs N`` works: worker telemetry is shipped back and merged
-(see :mod:`repro.obs.pipeline`), with each worker on its own process
-track in the Chrome export.  ``stats`` renders the same summary from a
-manifest written by a sweep that ran with ``REPRO_OBS=1``, and ``top``
-ranks spans in an exported JSONL trace by self time::
+every counter the hot paths incremented; ``--trace out.jsonl`` writes
+the span trees as JSONL.  Profiling with ``--jobs N`` works: worker
+telemetry is shipped back and merged (see :mod:`repro.obs.pipeline`),
+with each worker's spans under a ``worker:<i>`` root.  ``stats``
+renders the same summary from a manifest written by a sweep that ran
+with ``REPRO_OBS=1``::
 
-    python -m repro profile e2 --export chrome --export prom
+    python -m repro profile e2
     REPRO_OBS=1 python -m repro run all --manifest sweep.json
     python -m repro stats sweep.json
     python -m repro profile e4 --jobs 4 --trace e4.jsonl
-    python -m repro top e4.jsonl
 
 Performance is measured outside the package, by ``perfbench/run.py``
 (see ``docs/PERFORMANCE.md``).
@@ -572,20 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", help="write the span trees to this JSONL file"
     )
     profile.add_argument(
-        "--export",
-        action="append",
-        choices=["chrome", "prom", "jsonl"],
-        default=None,
-        help="also write the telemetry in this format (repeatable): "
-        "chrome = trace_event JSON for chrome://tracing / Perfetto, "
-        "prom = Prometheus text metrics, jsonl = raw span trees",
-    )
-    profile.add_argument(
-        "--export-prefix",
-        help="path prefix for --export files "
-        "(default: profile-<experiment>)",
-    )
-    profile.add_argument(
         "--no-memory",
         dest="memory",
         action="store_false",
@@ -606,21 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarize timings/counters from a traced run manifest",
     )
     stats.add_argument("manifest", help="manifest JSON written by 'run'")
-
-    top = sub.add_parser(
-        "top",
-        help="rank spans in a JSONL trace by self time",
-    )
-    top.add_argument("trace", help="JSONL trace written by 'profile'")
-    top.add_argument(
-        "--limit", type=int, default=20, help="rows to print (default 20)"
-    )
-    top.add_argument(
-        "--sort",
-        choices=["self", "cum", "count"],
-        default="self",
-        help="sort column (default self time)",
-    )
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="e1..e16, 'churn', or 'all'")
@@ -786,9 +753,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "stats":
         return _stats_command(args)
-
-    if args.command == "top":
-        return _top_command(args)
 
     if args.command == "fuzz":
         return _fuzz_command(args)
@@ -983,65 +947,6 @@ def _profile_command(args: argparse.Namespace) -> int:
     if args.trace:
         path = obs.write_trace_jsonl(args.trace, roots)
         print(f"\nwrote {path}")
-
-    prefix = args.export_prefix or f"profile-{name}"
-    for fmt in dict.fromkeys(args.export or []):
-        if fmt == "chrome":
-            path = obs.write_chrome_trace(
-                f"{prefix}.trace.json", roots, process_name=f"repro {name}"
-            )
-        elif fmt == "prom":
-            path = f"{prefix}.prom"
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(
-                    obs.prometheus_text(snapshot, obs.metrics().kinds())
-                )
-        else:  # jsonl
-            path = obs.write_trace_jsonl(f"{prefix}.jsonl", roots)
-        print(f"wrote {path}")
-    return 0
-
-
-def _top_command(args: argparse.Namespace) -> int:
-    """The ``top`` subcommand: self/cumulative time per span name."""
-    from repro import obs
-    from repro.io.serialize import ScenarioError, read_jsonl
-
-    try:
-        documents = read_jsonl(args.trace)
-    except (OSError, ScenarioError) as error:
-        print(f"cannot read trace: {error}", file=sys.stderr)
-        return 2
-
-    roots = [obs.span_from_dict(document) for document in documents]
-    table = obs.aggregate_spans(roots)
-    if not table:
-        print("trace contains no spans")
-        return 0
-
-    key = {"self": "self_s", "cum": "cum_s", "count": "count"}[args.sort]
-    total_self = sum(entry["self_s"] for entry in table.values())
-    ranked = sorted(table.items(), key=lambda item: -item[1][key])
-    rows = []
-    for span_name, entry in ranked[: args.limit]:
-        share = (entry["self_s"] / total_self) if total_self > 0 else 0.0
-        rows.append(
-            [
-                span_name,
-                entry["count"],
-                f"{entry['self_s'] * 1000:.3f}ms",
-                f"{share * 100:.1f}%",
-                f"{entry['cum_s'] * 1000:.3f}ms",
-            ]
-        )
-    print(
-        format_table(
-            ["span", "count", "self", "self %", "cumulative"],
-            rows,
-            title=f"top — {args.trace} ({len(roots)} root span(s), "
-            f"sorted by {args.sort})",
-        )
-    )
     return 0
 
 

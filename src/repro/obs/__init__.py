@@ -22,6 +22,12 @@ Typical use::
         print(span.to_dict())
     print(obs.metrics_snapshot())
 
+This is the one tracer a run reports through: the ``repro profile``
+tables, ``--trace`` JSONL, traced manifests and ``repro stats`` all
+read these spans and counters.  The benchmark's per-layer times come
+from ``perfbench/layers.py`` instead, which wraps functions without
+touching this package.
+
 See ``docs/OBSERVABILITY.md`` for the instrument catalog and the
 JSONL schema, and ``python -m repro profile <experiment>`` for the
 CLI front end.
@@ -29,7 +35,7 @@ CLI front end.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs.logger import StructuredLogger, get_logger
 from repro.obs.metrics import (
@@ -42,12 +48,6 @@ from repro.obs.metrics import (
     gauge,
     histogram,
     snapshot_delta,
-)
-from repro.obs.export import (
-    aggregate_spans,
-    chrome_trace,
-    prometheus_text,
-    write_chrome_trace,
 )
 from repro.obs.pipeline import (
     MergedTelemetry,
@@ -76,9 +76,7 @@ __all__ = [
     "StructuredLogger",
     "TelemetryPayload",
     "Tracer",
-    "aggregate_spans",
     "capture_payload",
-    "chrome_trace",
     "counter",
     "disable",
     "enable",
@@ -89,13 +87,11 @@ __all__ = [
     "merge_payloads",
     "metrics",
     "metrics_snapshot",
-    "prometheus_text",
     "snapshot_delta",
     "span_from_dict",
     "trace_span",
     "traced",
     "tracer",
-    "write_chrome_trace",
     "write_trace_jsonl",
 ]
 
@@ -105,23 +101,10 @@ def enabled() -> bool:
     return STATE.enabled
 
 
-def enable(
-    memory: bool = False,
-    sample: Optional[float] = None,
-    ring: Optional[int] = None,
-) -> None:
-    """Turn tracing/metrics/logging on (``memory`` adds tracemalloc).
-
-    ``sample`` sets the root-span sampling rate in [0, 1] and ``ring``
-    bounds the finished-root-span sink (0 = unbounded); ``None`` leaves
-    the current (environment-derived) value in place.
-    """
+def enable(memory: bool = False) -> None:
+    """Turn tracing/metrics/logging on (``memory`` adds tracemalloc)."""
     STATE.enabled = True
     STATE.memory = memory
-    if sample is not None:
-        STATE.sample = min(1.0, max(0.0, sample))
-    if ring is not None:
-        STATE.ring = max(0, ring)
 
 
 def disable() -> None:

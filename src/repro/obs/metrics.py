@@ -367,23 +367,22 @@ def histogram(name: str) -> Histogram:
 
 
 def snapshot_delta(
-    before: Dict[str, Any], after: Dict[str, Any]
+    before: Dict[str, Any], after: Dict[str, Any], kinds: Dict[str, str]
 ) -> Dict[str, Any]:
-    """The counters/gauges that changed between two snapshots.
+    """The instruments that changed between two snapshots.
 
-    Counter-like integer values are differenced; everything else (gauges,
-    histogram summaries) is reported at its ``after`` value.  Used by the
-    runner to attribute metric activity to individual steps.
+    ``kinds`` is :meth:`MetricsRegistry.kinds`: counters are differenced;
+    everything else (gauges, histogram summaries) is reported at its
+    ``after`` value.  Used by the runner to attribute metric activity to
+    individual steps.
     """
     delta: Dict[str, Any] = {}
     for name, value in after.items():
         previous = before.get(name)
         if value == previous:
             continue
-        if isinstance(value, int) and isinstance(previous, int):
+        if kinds.get(name) == "counter" and previous is not None:
             delta[name] = value - previous
-        elif isinstance(value, int) and previous is None:
-            delta[name] = value
         else:
             delta[name] = value
     return delta

@@ -7,12 +7,12 @@ closes that gap:
 
 1. Each worker runs its task under a fresh obs session and returns a
    serialized :class:`TelemetryPayload` — metrics state (typed, with
-   exact histogram buckets), the span forest, and the peak-memory
-   figure — alongside its result.
+   exact histogram buckets) and the span forest — alongside its
+   result.
 2. The parent merges payloads into a :class:`MergedTelemetry` view:
-   counters summed exactly, gauges last-write-wins (tagged with the
-   writing worker), histogram buckets added, and every worker's span
-   forest re-parented under a synthetic ``worker:<i>`` root.
+   counters summed exactly, gauges last-write-wins, histogram buckets
+   added, and every worker's span forest re-parented under a synthetic
+   ``worker:<i>`` root.
 3. :meth:`MergedTelemetry.absorb` folds the merged telemetry into the
    parent's global registry and tracer, so ``repro profile --jobs 4``
    and traced manifests report the same counter totals a sequential
@@ -26,7 +26,7 @@ next to manifests.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.state import STATE
@@ -48,37 +48,28 @@ __all__ = [
 class TelemetryPayload:
     """One process's observability state, serialized for shipping."""
 
-    __slots__ = ("pid", "metrics", "spans", "sampled_out", "ring_dropped")
+    __slots__ = ("pid", "metrics", "spans")
 
     def __init__(
         self,
         pid: int,
         metrics: Dict[str, Any],
         spans: List[Dict[str, Any]],
-        sampled_out: int = 0,
-        ring_dropped: int = 0,
     ) -> None:
         self.pid = pid
         #: Typed metrics state (``MetricsRegistry.export_state`` form).
         self.metrics = metrics
         #: Root span trees as ``Span.to_dict`` documents.
         self.spans = spans
-        self.sampled_out = sampled_out
-        self.ring_dropped = ring_dropped
 
     def to_dict(self) -> Dict[str, Any]:
-        document: Dict[str, Any] = {
+        return {
             "format": PAYLOAD_FORMAT,
             "version": PAYLOAD_VERSION,
             "pid": self.pid,
             "metrics": self.metrics,
             "spans": self.spans,
         }
-        if self.sampled_out:
-            document["sampled_out"] = self.sampled_out
-        if self.ring_dropped:
-            document["ring_dropped"] = self.ring_dropped
-        return document
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "TelemetryPayload":
@@ -91,18 +82,7 @@ class TelemetryPayload:
             pid=int(document.get("pid", 0)),
             metrics=dict(document.get("metrics", {})),
             spans=list(document.get("spans", [])),
-            sampled_out=int(document.get("sampled_out", 0)),
-            ring_dropped=int(document.get("ring_dropped", 0)),
         )
-
-    def mem_peak_bytes(self) -> Optional[int]:
-        """The largest root-span memory peak shipped, if any."""
-        peaks = [
-            span["mem_peak_bytes"]
-            for span in self.spans
-            if span.get("mem_peak_bytes") is not None
-        ]
-        return max(peaks) if peaks else None
 
 
 def capture_payload() -> TelemetryPayload:
@@ -118,8 +98,6 @@ def capture_payload() -> TelemetryPayload:
         pid=os.getpid(),
         metrics=REGISTRY.export_state(),
         spans=spans,
-        sampled_out=TRACER.sampled_out,
-        ring_dropped=TRACER.ring_dropped,
     )
 
 
@@ -127,23 +105,12 @@ class MergedTelemetry:
     """The parent-side view over a batch of worker payloads."""
 
     def __init__(
-        self,
-        registry: MetricsRegistry,
-        worker_roots: List[Span],
-        gauge_sources: Dict[str, int],
-        sampled_out: int,
-        ring_dropped: int,
-        payloads: List[TelemetryPayload],
+        self, registry: MetricsRegistry, worker_roots: List[Span]
     ) -> None:
         #: A private registry holding the exact merged metrics.
         self.registry = registry
         #: One synthetic ``worker:<i>`` root span per worker process.
         self.worker_roots = worker_roots
-        #: gauge name -> index of the worker whose write won.
-        self.gauge_sources = gauge_sources
-        self.sampled_out = sampled_out
-        self.ring_dropped = ring_dropped
-        self.payloads = payloads
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe merged metrics (same shape as ``metrics_snapshot``)."""
@@ -160,8 +127,6 @@ class MergedTelemetry:
         REGISTRY.absorb_state(self.registry.export_state())
         for root in self.worker_roots:
             TRACER.adopt(root)
-        TRACER.sampled_out += self.sampled_out
-        TRACER.ring_dropped += self.ring_dropped
 
 
 def merge_payloads(payloads: List[TelemetryPayload]) -> MergedTelemetry:
@@ -175,18 +140,12 @@ def merge_payloads(payloads: List[TelemetryPayload]) -> MergedTelemetry:
     indexed by first appearance.
     """
     registry = MetricsRegistry()
-    gauge_sources: Dict[str, int] = {}
     worker_index: Dict[int, int] = {}
     worker_roots: List[Span] = []
-    sampled_out = ring_dropped = 0
 
     for payload in payloads:
         index = worker_index.setdefault(payload.pid, len(worker_index))
         registry.absorb_state(payload.metrics)
-        for name in payload.metrics.get("gauges", {}):
-            gauge_sources[name] = index
-        sampled_out += payload.sampled_out
-        ring_dropped += payload.ring_dropped
 
         if len(worker_roots) <= index:
             root = Span(f"worker:{index}", {"pid": payload.pid, "tasks": 0})
@@ -202,27 +161,20 @@ def merge_payloads(payloads: List[TelemetryPayload]) -> MergedTelemetry:
                     root.mem_peak_bytes or 0, child.mem_peak_bytes
                 )
 
-    return MergedTelemetry(
-        registry=registry,
-        worker_roots=worker_roots,
-        gauge_sources=gauge_sources,
-        sampled_out=sampled_out,
-        ring_dropped=ring_dropped,
-        payloads=payloads,
-    )
+    return MergedTelemetry(registry=registry, worker_roots=worker_roots)
 
 
 # ----------------------------------------------------------------------
 # Worker-side entry point (module-level: picklable)
 # ----------------------------------------------------------------------
-def worker_config() -> Tuple[bool, bool, float, int]:
+def worker_config() -> Tuple[bool, bool]:
     """The parent's obs switches, to be replayed inside a worker.
 
     Forkserver workers inherit none of the parent's memory, so runtime
     ``enable()`` calls would otherwise be lost — the parallel layer's
     pool initializer replays the switches in each worker.
     """
-    return (STATE.enabled, STATE.memory, STATE.sample, STATE.ring)
+    return (STATE.enabled, STATE.memory)
 
 
 def run_with_telemetry(

@@ -9,14 +9,7 @@ no other imports, so :mod:`repro.obs.metrics` and
 
 The initial value comes from the ``REPRO_OBS`` environment variable
 (default off); :func:`repro.obs.enable` / :func:`repro.obs.disable`
-flip it at runtime.  Two further knobs bound tracing cost at high
-event rates (see :mod:`repro.obs.trace`):
-
-- ``REPRO_OBS_SAMPLE=<rate>`` — keep only this fraction of *root*
-  span trees (deterministic counter-based sampling, no RNG; default
-  ``1.0`` keeps everything).
-- ``REPRO_OBS_RING=<n>`` — bound the finished-root-span sink to the
-  most recent ``n`` trees (ring buffer; default ``0`` = unbounded).
+flip it at runtime.
 """
 
 from __future__ import annotations
@@ -32,34 +25,10 @@ def _environment_value() -> str:
     return os.environ.get("REPRO_OBS", "0").strip().lower()
 
 
-def _sample_rate() -> float:
-    """Parse ``REPRO_OBS_SAMPLE`` into [0, 1]; malformed values keep 1."""
-    raw = os.environ.get("REPRO_OBS_SAMPLE", "").strip()
-    if not raw:
-        return 1.0
-    try:
-        rate = float(raw)
-    except ValueError:
-        return 1.0
-    return min(1.0, max(0.0, rate))
-
-
-def _ring_size() -> int:
-    """Parse ``REPRO_OBS_RING`` into >= 0; malformed values keep 0."""
-    raw = os.environ.get("REPRO_OBS_RING", "").strip()
-    if not raw:
-        return 0
-    try:
-        size = int(raw)
-    except ValueError:
-        return 0
-    return max(0, size)
-
-
 class ObsState:
     """Mutable process-wide observability switches."""
 
-    __slots__ = ("enabled", "memory", "sample", "ring")
+    __slots__ = ("enabled", "memory")
 
     def __init__(self) -> None:
         value = _environment_value()
@@ -68,10 +37,6 @@ class ObsState:
         #: ``REPRO_OBS=mem`` — tracemalloc slows allocation-heavy code
         #: noticeably, so plain ``REPRO_OBS=1`` stays wall-clock only.
         self.memory: bool = value in _MEMORY
-        #: Fraction of root span trees to keep (1.0 = all).
-        self.sample: float = _sample_rate()
-        #: Max finished root spans retained (0 = unbounded).
-        self.ring: int = _ring_size()
 
 
 STATE = ObsState()

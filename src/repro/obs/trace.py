@@ -19,17 +19,7 @@ When observability is disabled (the default), :func:`trace_span`
 returns a shared no-op context manager: no allocation, no clock reads,
 no stack mutation — instrumented code costs one flag check.
 
-Two knobs keep tracing overhead flat at simulator event rates
-(``REPRO_OBS_SAMPLE`` / ``REPRO_OBS_RING``, see
-:mod:`repro.obs.state`): *sampling* keeps a deterministic fraction of
-root span trees (the decision is made when the root opens, so a kept
-tree is always complete), and the *ring buffer* bounds how many
-finished root trees the tracer retains between ``collect()`` calls,
-dropping the oldest.  Both default to "keep everything"; the tracer
-counts what it discarded (``sampled_out`` / ``ring_dropped``) so
-telemetry consumers can report the loss instead of hiding it.
-
-Export is JSON-first: :meth:`Span.to_dict` renders the tree with
+Export is JSON only: :meth:`Span.to_dict` renders the tree with
 durations quantized to microseconds, and ``times=False`` drops wall
 times and memory entirely so golden tests can compare span *shapes*
 deterministically.  JSONL files (one root-span tree per line) are
@@ -97,12 +87,6 @@ class Span:
             out["children"] = [c.to_dict(times=times) for c in self.children]
         return out
 
-    def walk(self, depth: int = 0):
-        """Yield ``(depth, span)`` depth-first over the tree."""
-        yield depth, self
-        for child in self.children:
-            yield from child.walk(depth + 1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, {self.duration:.6f}s, "
@@ -146,18 +130,6 @@ class _SpanContext:
         return None
 
 
-class _DiscardedSpanContext(_SpanContext):
-    """A sampled-out root: opened on the stack like any span (so every
-    descendant attaches to it rather than leaking out as a new root),
-    then dropped whole on exit."""
-
-    __slots__ = ()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._tracer._pop_discarded(self._span)
-        return None
-
-
 class Tracer:
     """Per-thread span stacks plus the finished-root-span accumulator."""
 
@@ -165,11 +137,6 @@ class Tracer:
         self._local = threading.local()
         self._roots: List[Span] = []
         self._lock = threading.Lock()
-        self._sample_seq = 0
-        #: Root trees discarded by sampling since the last reset.
-        self.sampled_out = 0
-        #: Finished root trees evicted by the ring buffer since reset.
-        self.ring_dropped = 0
 
     # ------------------------------------------------------------------
     # Stack management
@@ -209,46 +176,12 @@ class Tracer:
         else:
             with self._lock:
                 self._roots.append(span)
-                ring = STATE.ring
-                if ring > 0:
-                    while len(self._roots) > ring:
-                        self._roots.pop(0)
-                        self.ring_dropped += 1
-
-    def _pop_discarded(self, span: Span) -> None:
-        """Unwind like :meth:`_pop` but drop the tree instead of
-        recording it (the sampled-out-root path)."""
-        stack = self._stack()
-        while stack:
-            if stack.pop() is span:
-                break
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         return _SpanContext(self, Span(name, attrs))
-
-    def discarded_span(self, name: str, **attrs: Any) -> _SpanContext:
-        return _DiscardedSpanContext(self, Span(name, attrs))
-
-    def sample_root(self) -> bool:
-        """Deterministically decide whether to keep the next root tree.
-
-        Counter-based: of any ``n`` consecutive roots, exactly
-        ``floor(n * rate)`` are kept — no RNG, so traced runs stay
-        reproducible.  Discards are tallied in :attr:`sampled_out`.
-        """
-        rate = STATE.sample
-        if rate >= 1.0:
-            return True
-        with self._lock:
-            self._sample_seq += 1
-            seq = self._sample_seq
-            keep = int(seq * rate) > int((seq - 1) * rate)
-            if not keep:
-                self.sampled_out += 1
-        return keep
 
     def adopt(self, span: Span) -> None:
         """Attach a finished span built elsewhere (e.g. a worker's
@@ -274,9 +207,6 @@ class Tracer:
     def reset(self) -> None:
         self.collect()
         self._local = threading.local()
-        self._sample_seq = 0
-        self.sampled_out = 0
-        self.ring_dropped = 0
 
 
 #: The process-wide tracer every instrumented module records into.
@@ -291,10 +221,6 @@ def trace_span(name: str, **attrs: Any):
     """
     if not STATE.enabled:
         return _NOOP
-    if STATE.sample < 1.0 and not TRACER._stack() and not TRACER.sample_root():
-        # The discarded root still occupies the stack so its descendants
-        # are dropped with it instead of leaking out as new roots.
-        return TRACER.discarded_span(name, **attrs)
     return TRACER.span(name, **attrs)
 
 

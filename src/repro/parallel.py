@@ -113,7 +113,7 @@ def _init_worker(environ, validation, obs_config) -> None:
     os.environ.clear()
     os.environ.update(environ)
     validate.set_validation_level(validation)
-    STATE.enabled, STATE.memory, STATE.sample, STATE.ring = obs_config
+    STATE.enabled, STATE.memory = obs_config
 
 
 def parallel_map(

@@ -74,13 +74,12 @@ def _step_metrics(before: Dict[str, Any]) -> Dict[str, Any]:
     A counter that did not move reads 0, so ``repro stats`` tells a fast
     path that never fired from one that is not instrumented.
     """
+    kinds = obs.metrics().kinds()
     counters = sorted(
-        name
-        for name, kind in obs.metrics().kinds().items()
-        if kind == "counter"
+        name for name, kind in kinds.items() if kind == "counter"
     )
     metrics: Dict[str, Any] = dict.fromkeys(counters, 0)
-    metrics.update(obs.snapshot_delta(before, obs.metrics_snapshot()))
+    metrics.update(obs.snapshot_delta(before, obs.metrics_snapshot(), kinds))
     return metrics
 
 

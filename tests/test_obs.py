@@ -154,9 +154,15 @@ class TestMetrics:
         assert registry.snapshot() == {"c": 1}
 
     def test_snapshot_delta(self):
-        before = {"a": 2, "g": "2/3"}
-        after = {"a": 5, "b": 7, "g": "1/2"}
-        assert snapshot_delta(before, after) == {"a": 3, "b": 7, "g": "1/2"}
+        kinds = {"a": "counter", "b": "counter", "g": "gauge", "p": "gauge"}
+        before = {"a": 2, "g": "2/3", "p": 10}
+        after = {"a": 5, "b": 7, "g": "1/2", "p": 14}
+        assert snapshot_delta(before, after, kinds) == {
+            "a": 3,
+            "b": 7,
+            "g": "1/2",
+            "p": 14,
+        }
 
 
 class TestHistogramPercentiles:
@@ -337,6 +343,27 @@ class TestRunnerManifests:
         reloaded = RunManifest.load(path)
         assert reloaded.step("solve").metrics["maxmin.rounds"] == 1
         assert reloaded.step("solve").span_wall_seconds() is not None
+
+    def test_step_metrics_report_gauges_at_their_value(
+        self, observing, tmp_path
+    ):
+        from repro.runner import ResilientRunner, RunManifest
+        from repro.sim.events import EventQueue
+
+        def fill(count):
+            queue = EventQueue()
+            for i in range(count):
+                queue.push(float(i), "arrival", None)
+
+        path = str(tmp_path / "sweep.json")
+        runner = ResilientRunner(
+            manifest=RunManifest(path), stream=io.StringIO()
+        )
+        runner.run({"ten": lambda: fill(10), "fourteen": lambda: fill(14)})
+        with open(path) as handle:
+            first, second = json.load(handle)["steps"]
+        assert first["metrics"]["sim.queue_peak"] == 10
+        assert second["metrics"]["sim.queue_peak"] == 14
 
 
 class TestJsonlRoundTrip:

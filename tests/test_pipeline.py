@@ -2,8 +2,8 @@
 
 Covers payload serialize/merge round trips, the `parallel_map` shipping
 contract (jobs>1 counter totals identical to jobs=1, silence when
-disabled), sampling/ring bounds, the Chrome/Prometheus exporters, and
-the disabled-mode overhead guard.
+disabled), the ``stats`` front end, and the disabled-mode overhead
+guard.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs.export import aggregate_spans, chrome_trace, prometheus_text
 from repro.obs.pipeline import (
     TelemetryPayload,
     capture_payload,
@@ -22,7 +21,6 @@ from repro.obs.pipeline import (
     run_with_telemetry,
     worker_config,
 )
-from repro.obs.trace import Span
 from repro.parallel import parallel_map
 
 
@@ -34,10 +32,6 @@ def observing():
     yield
     obs.reset()
     obs.disable()
-    from repro.obs.state import STATE
-
-    STATE.sample = 1.0
-    STATE.ring = 0
 
 
 @pytest.fixture
@@ -99,11 +93,9 @@ class TestPayloadRoundTrip:
         assert [s["name"] for s in payload.spans] == ["test.task"]
 
     def test_worker_config_mirrors_state(self, observing):
-        from repro.obs.state import STATE
-
-        STATE.sample = 0.5
-        STATE.ring = 9
-        assert worker_config() == (True, False, 0.5, 9)
+        assert worker_config() == (True, False)
+        obs.enable(memory=True)
+        assert worker_config() == (True, True)
 
 
 class TestMergeSemantics:
@@ -124,7 +116,6 @@ class TestMergeSemantics:
             [_payload_for([2], pid=1), _payload_for([3], pid=2)]
         )
         assert merged.snapshot()["test.pipeline.last"] == 3
-        assert merged.gauge_sources["test.pipeline.last"] == 1  # worker:1
 
     def test_spans_reparent_under_worker_roots(self, observing):
         merged = merge_payloads(
@@ -213,191 +204,7 @@ class TestParallelShipping:
         assert obs.tracer().collect() == []
 
 
-class TestSamplingAndRing:
-    def test_sampling_keeps_deterministic_fraction(self, observing):
-        obs.enable(sample=0.5)
-        for _ in range(10):
-            with obs.trace_span("root"):
-                pass
-        roots = obs.tracer().collect()
-        assert len(roots) == 5
-        assert obs.tracer().sampled_out == 5
-
-    def test_sampled_roots_keep_complete_trees(self, observing):
-        obs.enable(sample=0.5)
-        for _ in range(4):
-            with obs.trace_span("root"):
-                with obs.trace_span("child"):
-                    pass
-        roots = obs.tracer().collect()
-        assert len(roots) == 2
-        assert all(
-            [c.name for c in root.children] == ["child"] for root in roots
-        )
-
-    def test_ring_bounds_retained_roots(self, observing):
-        obs.enable(ring=3)
-        for index in range(5):
-            with obs.trace_span(f"root{index}"):
-                pass
-        roots = obs.tracer().collect()
-        assert [r.name for r in roots] == ["root2", "root3", "root4"]
-        assert obs.tracer().ring_dropped == 2
-
-    def test_env_parsing(self, monkeypatch):
-        from repro.obs.state import _ring_size, _sample_rate
-
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "0.25")
-        monkeypatch.setenv("REPRO_OBS_RING", "128")
-        assert _sample_rate() == 0.25
-        assert _ring_size() == 128
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "2.5")
-        assert _sample_rate() == 1.0  # clamped
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "bogus")
-        monkeypatch.setenv("REPRO_OBS_RING", "-4")
-        assert _sample_rate() == 1.0
-        assert _ring_size() == 0
-
-
-def _validate_trace_events(document):
-    """Structural validation against the trace_event format contract."""
-    assert isinstance(document, dict)
-    events = document["traceEvents"]
-    assert isinstance(events, list) and events
-    for event in events:
-        assert isinstance(event["name"], str)
-        assert event["ph"] in ("X", "M")
-        assert isinstance(event["pid"], int)
-        assert isinstance(event["tid"], int)
-        if event["ph"] == "X":
-            assert isinstance(event["ts"], int) and event["ts"] >= 0
-            assert isinstance(event["dur"], int) and event["dur"] >= 0
-        else:
-            assert event["name"] == "process_name"
-            assert isinstance(event["args"]["name"], str)
-        if "args" in event:
-            json.dumps(event["args"])  # JSON-safe
-
-
-class TestExporters:
-    def _forest(self):
-        with obs.trace_span("outer", flows=Fraction(1, 3)):
-            with obs.trace_span("inner"):
-                time.sleep(0.001)
-        worker = Span("worker:0", {"pid": 999, "tasks": 1})
-        child = Span("test.task", {})
-        child.duration = 0.5
-        worker.children.append(child)
-        worker.duration = 0.5
-        return obs.tracer().collect() + [worker]
-
-    def test_chrome_trace_validates_and_separates_pids(self, observing):
-        document = chrome_trace(self._forest(), process_name="repro e4")
-        _validate_trace_events(document)
-        events = document["traceEvents"]
-        names = {
-            event["args"]["name"]
-            for event in events
-            if event["ph"] == "M"
-        }
-        assert names == {"repro e4", "worker:0 (os pid 999)"}
-        pids = {event["pid"] for event in events if event["ph"] == "X"}
-        assert pids == {0, 1}
-        # children are laid out inside their parent's interval
-        outer = next(e for e in events if e["name"] == "outer")
-        inner = next(e for e in events if e["name"] == "inner")
-        assert outer["ts"] <= inner["ts"]
-        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
-        # Fraction attributes were stringified
-        assert outer["args"]["flows"] == "1/3"
-
-    def test_chrome_trace_file_is_valid_json(self, observing, tmp_path):
-        from repro.obs.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            str(tmp_path / "trace.json"), self._forest()
-        )
-        with open(path, "r", encoding="utf-8") as handle:
-            _validate_trace_events(json.load(handle))
-
-    def test_prometheus_text_format(self):
-        snapshot = {
-            "maxmin.rounds": 143,
-            "sim.load": "2/3",
-            "sim.active_jobs": {
-                "count": 4,
-                "sum": 10,
-                "p50": 2,
-                "p90": 4,
-                "p99": 4,
-            },
-        }
-        kinds = {"maxmin.rounds": "counter", "sim.load": "gauge"}
-        text = prometheus_text(snapshot, kinds)
-        lines = text.strip().splitlines()
-        assert "# TYPE repro_maxmin_rounds counter" in lines
-        assert "repro_maxmin_rounds 143.0" in lines
-        assert "# TYPE repro_sim_load gauge" in lines
-        assert "repro_sim_load 0.6666666666666666" in lines
-        assert "# TYPE repro_sim_active_jobs summary" in lines
-        assert 'repro_sim_active_jobs{quantile="0.5"} 2.0' in lines
-        assert "repro_sim_active_jobs_sum 10.0" in lines
-        assert "repro_sim_active_jobs_count 4.0" in lines
-
-    def test_aggregate_spans_partitions_self_time(self):
-        root = Span("a", {})
-        root.duration = 1.0
-        child = Span("b", {})
-        child.duration = 0.6
-        root.children.append(child)
-        table = aggregate_spans([root])
-        assert table["a"]["cum_s"] == 1.0
-        assert table["a"]["self_s"] == pytest.approx(0.4)
-        assert table["b"]["self_s"] == pytest.approx(0.6)
-
-
 class TestCliFrontEnds:
-    def test_profile_export_chrome_validates(
-        self, observing, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert (
-            main(
-                [
-                    "profile",
-                    "e1",
-                    "--no-memory",
-                    "--export",
-                    "chrome",
-                    "--export",
-                    "prom",
-                    "--export-prefix",
-                    str(tmp_path / "out"),
-                ]
-            )
-            == 0
-        )
-        with open(tmp_path / "out.trace.json", encoding="utf-8") as handle:
-            _validate_trace_events(json.load(handle))
-        prom = (tmp_path / "out.prom").read_text()
-        assert "# TYPE repro_maxmin_rounds counter" in prom
-
-    def test_top_command_ranks_by_self_time(
-        self, observing, tmp_path, capsys
-    ):
-        with obs.trace_span("outer"):
-            with obs.trace_span("inner"):
-                time.sleep(0.001)
-        path = str(tmp_path / "trace.jsonl")
-        obs.write_trace_jsonl(path, obs.tracer().collect())
-        assert main(["top", path]) == 0
-        out = capsys.readouterr().out
-        assert "outer" in out and "inner" in out
-        assert "self" in out
-
-    def test_top_command_missing_file(self, tmp_path, capsys):
-        assert main(["top", str(tmp_path / "missing.jsonl")]) == 2
-
     def test_stats_degrades_without_traces(self, dark, tmp_path, capsys):
         import io
 
@@ -412,6 +219,10 @@ class TestCliFrontEnds:
         out = capsys.readouterr().out
         assert "no span traces embedded" in out
         assert "wall (span)" not in out  # degraded to the real columns
+
+
+def _tree_size(span):
+    return 1 + sum(_tree_size(child) for child in span.children)
 
 
 class TestOverheadGuard:
@@ -440,9 +251,7 @@ class TestOverheadGuard:
         obs.reset()
         max_min_fair(routing, capacities, exact=True)
         snapshot = obs.metrics_snapshot()
-        span_ops = sum(
-            1 for root in obs.tracer().collect() for _ in root.walk()
-        )
+        span_ops = sum(_tree_size(root) for root in obs.tracer().collect())
         counter_ops = sum(
             value for value in snapshot.values() if isinstance(value, int)
         )

@@ -318,7 +318,7 @@ def test_stream_loop_leaves_queue_gauge_unset(clos):
             jobs, MaxMinCongestionControl(clos, backend="streaming"),
             batch_window=0.05,
         )
-        delta = snapshot_delta(before, REGISTRY.snapshot())
+        delta = snapshot_delta(before, REGISTRY.snapshot(), REGISTRY.kinds())
     finally:
         obs.reset()
         obs.disable()
