@@ -517,8 +517,7 @@ def stream_churn_check(
     exact = rng.random() < 0.3
     base_caps = network.graph.capacities()
     solver = StreamingMaxMin(
-        base_caps, exact=exact, shadow=1.0, quarantine_dir=directory,
-        checkpoint_every=rng.choice((1, 2, 4, 16)),
+        base_caps, exact=exact, shadow=1.0, quarantine_dir=directory
     )
     name = f"stream-churn-n{n}-{'exact' if exact else 'float'}"
     failures: List[Dict[str, Any]] = []

@@ -15,8 +15,8 @@
   solves match the vectorized backend bit-for-bit (float) or the
   reference exactly; the backend exists for
   :class:`repro.core.streaming.StreamingMaxMin` reuse under flow churn,
-  where arrivals/departures re-solve only the affected suffix of
-  bottleneck rounds.
+  where arrivals/departures update a kept incidence instead of a
+  fresh compile.
 
 All four backends return the same allocation: exactly for the exact
 backends, within 1e-12 between the float backends (property-tested in

@@ -1,54 +1,36 @@
-"""Incremental max-min water-filling under live flow churn (the
-``streaming`` backend).
+"""Max-min water-filling under live flow churn (the ``streaming``
+backend).
 
 The flow-level simulator re-derives the max-min allocation every time
-the unsplittable-flow set changes; solving from scratch on every
-arrival/departure makes each event cost a full water-fill.
-:class:`StreamingMaxMin` keeps the solver state of the *last* solve —
-the CSR flow×link incidence (the :mod:`repro.core.vectorized` array
-layout over mutable slots), the non-decreasing sequence of per-round
-freeze levels ``λ_0 ≤ λ_1 ≤ …``, each flow's freeze round, and periodic
-``(residual, count)`` checkpoints — and on the next batch of
-arrivals/departures recomputes only the *suffix* of rounds the batch can
-actually affect.
+the unsplittable-flow set changes.  :class:`StreamingMaxMin` keeps the
+CSR flow×link incidence of the current flow set (the
+:mod:`repro.core.vectorized` array layout over mutable *slots*) between
+solves: an arrival appends one row, a departure kills its slot, and a
+backlog of dead slots is compacted away with array operations.  No
+event recompiles the incidence from paths.
 
-Why a suffix is enough:
+Every float solve is one full pass of the vectorized round kernel
+(:func:`~repro.core.vectorized._run_rounds`) from round 0 over the
+alive slots, so streaming rates are *byte-identical* to a fresh
+:func:`~repro.core.vectorized.waterfill` of the same flow set
+(property-tested in ``tests/test_streaming.py``).  There is no resume
+from a suffix of the previous solve's rounds: once a round costs a few
+NumPy calls, scanning each touched link's round history for the first
+round a batch could change costs more than the rounds it skips, and a
+full solve won on the ``churn`` benchmark.
 
-- A **departing** flow frozen at round ``r`` cannot change rounds
-  ``< r``: none of its links saturates before ``r`` (a saturating link
-  freezes all its active members, the departing flow included), so its
-  presence only contributed an unfrozen ``count`` entry that never
-  entered the saturating set — levels and freeze groups of the prefix
-  are unchanged.
-- An **arriving** flow only lowers the saturation levels of the links it
-  crosses.  Scanning each such link's stored residual/count trajectory
-  finds the first round where its new level ``residual / (count + Δ)``
-  enters the round's saturation band; before that round the prefix is
-  unchanged.
-
-The resume round ``r*`` is the minimum over both.  State at ``r*`` is
-rebuilt **bit-exactly**: the nearest checkpoint at ``r0 ≤ r*`` is
-replayed forward with the same ``residual -= λ_r · hit`` array
-operations the kernel performed, so the suffix re-solve continues the
-identical float operation sequence a from-scratch solve would have run —
-streaming rates are *byte-identical* to fresh
-:func:`~repro.core.vectorized.waterfill` results, not merely close
-(property-tested in ``tests/test_streaming.py``).
-
-Structural changes fall back safely: capacity-value changes invalidate
-the trace (next solve is full), a finite↔infinite membership flip
-(which would leave a stale compiled incidence) or an accumulated
-backlog of dead slots triggers a recompile of the incidence itself.
-``exact=True`` switches to a ``Fraction`` implementation of the same
-prefix-reuse argument (order never matters for exact arithmetic — the
-max-min allocation is unique).
+Capacity-value changes update the capacity array in place; a
+finite↔infinite membership flip (which would leave a stale compiled
+incidence) recompiles the incidence from the committed paths.
+``exact=True`` solves the committed routing with the exact reference
+solver (:func:`repro.core.maxmin.max_min_fair`).
 
 Every solve can be cross-checked against the exact reference solver —
 ``shadow=`` a fraction, or the ambient ``REPRO_SHADOW`` environment
 variable (:data:`SHADOW_ENV`; streaming is its only reader).  A
 disagreement is quarantined (reason ``stream-mismatch``) with the event
 prefix that produced it, counted, answered with the reference rates, and
-the next solve is forced full.
+the next solve recompiles the incidence from the committed paths.
 """
 
 from __future__ import annotations
@@ -64,22 +46,10 @@ from repro.errors import UnboundedRateError, UnknownLinkError
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
-from repro.core.vectorized import (
-    _BAND,
-    _INF,
-    _csr_gather,
-    _csr_transpose,
-    _row_hits,
-    _run_rounds,
-)
+from repro.core.vectorized import _INF, _csr_gather, _run_rounds
 from repro.obs import counter, get_logger, trace_span
 
-#: Freeze round assigned to slots no solve has frozen yet (staged
-#: arrivals); compares greater than any real round index.
-_NEVER = 1 << 60
-
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
-_PATCHED = counter("solver.stream.patched")
 _FULLSOLVE = counter("solver.stream.fullsolve")
 _RECOMPILES = counter("solver.stream.recompiles")
 _SHADOW_CHECKS = counter("solver.stream.shadow_checks")
@@ -132,18 +102,18 @@ class StreamingMaxMin:
     ``capacities`` is the link → capacity map of the whole fabric (the
     usual ``network.graph.capacities()``).  Flows are added with their
     pinned path (:meth:`add`), removed on completion (:meth:`remove`),
-    and :meth:`solve` returns the max-min rates of the current set —
-    reusing the unaffected prefix of the previous solve's bottleneck
-    rounds whenever it can (``solver.stream.patched``) and falling back
-    to a full re-solve otherwise (``solver.stream.fullsolve``).
+    and :meth:`solve` returns the max-min rates of the current set.
+    What is incremental is the incidence: staged events append or kill
+    slot rows instead of recompiling.  Each solve then water-fills all
+    alive slots from round 0 (``solver.stream.fullsolve``); no solve
+    resumes from the previous one's rounds, because on churn the scan
+    that finds a safe resume round costs more than the rounds it saves.
 
     Keys should be :class:`~repro.core.flows.Flow` objects (tag them to
     distinguish parallel transfers); paths are node sequences as in
     :class:`~repro.core.routing.Routing`.  Rates are floats, or exact
     ``Fraction`` values with ``exact=True``.
 
-    ``checkpoint_every`` controls how often ``(residual, count)`` round
-    snapshots are kept for bit-exact replay (float mode);
     ``max_dead_fraction`` bounds the tolerated fraction of dead slots
     before the incidence is compacted; ``shadow`` cross-checks that
     fraction of solves against the exact reference (``None`` defers to
@@ -154,17 +124,11 @@ class StreamingMaxMin:
         self,
         capacities: Mapping[Link, Rate],
         exact: bool = False,
-        checkpoint_every: int = 16,
         max_dead_fraction: float = 0.25,
         shadow: Optional[float] = None,
         quarantine_dir: Optional[str] = None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         self._exact = bool(exact)
-        self._checkpoint_every = int(checkpoint_every)
         self._max_dead_fraction = float(max_dead_fraction)
         self._shadow = shadow
         self._quarantine_dir = quarantine_dir
@@ -173,36 +137,24 @@ class StreamingMaxMin:
         self._paths: Dict[Flow, Tuple] = {}
         self._pending_add: Dict[Flow, Tuple] = {}
         self._pending_remove: Dict[Flow, None] = {}
-        self._rates: Dict[Flow, Rate] = {}
         #: Bounded event log since construction — the "event prefix"
         #: captured into ``stream-mismatch`` quarantine bundles.
         self._events: deque = deque(maxlen=256)
 
-        # Float-mode state (built lazily at the first solve).
-        self._compiled = False
+        # Float-mode slot arrays (built lazily at the first solve).
         self._needs_recompile = True
-        self._full_needed = True
-        self._trace = None  # (levels: List[float], ckpts: {round: (res, cnt)})
-
-        # Exact-mode state.
-        self._x_links: Dict[Flow, List[Link]] = {}
-        self._x_members: Dict[Link, Dict[Flow, None]] = {}
-        self._x_caps: Dict[Link, Fraction] = {}
-        self._x_levels: Optional[List[Fraction]] = None
-        self._x_fr: Dict[Flow, int] = {}
-        self._x_rates: Dict[Flow, Fraction] = {}
 
         # Lifetime statistics (mirrored into the obs counters).
         self._solves = 0
-        self._patched = 0
-        self._fullsolves = 0
         self._recompiles = 0
         self._shadow_checks = 0
         self._mismatches = 0
         self.last_bundle: Optional[str] = None
 
-        self._caps: Dict[Link, Rate] = {}
-        self._finite_set = frozenset()
+        self._caps: Dict[Link, Rate] = dict(capacities)
+        self._finite_set = frozenset(
+            link for link, value in self._caps.items() if float(value) != _INF
+        )
         # Lazy link registry: only links actually traversed by a
         # compiled flow get an array slot, so a solver whose flows touch
         # a small corner of a large fabric carries arrays sized to that
@@ -211,7 +163,6 @@ class StreamingMaxMin:
         self._link_index: Dict[Link, int] = {}
         self._link_of: List[Link] = []
         self._nlinks = 0
-        self._install_capacities(capacities)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -238,8 +189,10 @@ class StreamingMaxMin:
         """Lifetime solve statistics for this instance."""
         return {
             "solves": self._solves,
-            "patched": self._patched,
-            "fullsolve": self._fullsolves,
+            # Every solve is a full water-fill; the key stays so that
+            # readers of the patched/full split keep working.
+            "patched": 0,
+            "fullsolve": self._solves,
             "recompiles": self._recompiles,
             "shadow_checks": self._shadow_checks,
             "mismatches": self._mismatches,
@@ -297,10 +250,10 @@ class StreamingMaxMin:
     def set_capacities(self, capacities: Mapping[Link, Rate]) -> None:
         """Replace the capacity map (link degradations / recoveries).
 
-        Value-only changes keep the compiled incidence and cost one full
-        re-solve; a change to *which* links are finite (a total failure
-        modeled as infinite, or vice versa — the stale-incidence
-        class) additionally recompiles the incidence.
+        Value-only changes keep the compiled incidence and update the
+        capacity array in place; a change to *which* links are finite (a
+        total failure modeled as infinite, or vice versa — the
+        stale-incidence class) recompiles the incidence.
         """
         caps = dict(capacities)
         new_finite = frozenset(
@@ -311,48 +264,45 @@ class StreamingMaxMin:
             or frozenset(caps) != frozenset(self._caps)
         )
         self._caps = caps
-        self._full_needed = True
         if structural:
             self._finite_set = new_finite
             self._needs_recompile = True
             self._events.append(("caps", "structural"))
         else:
             self._events.append(("caps", "values"))
-            if self._compiled:
+            if not self._needs_recompile:
                 for link, j in self._link_index.items():
                     self._caps_arr[j] = float(caps[link])
-            if self._x_levels is not None:
-                self._x_caps = {
-                    link: Fraction(caps[link]) for link in self._x_caps
-                }
-
-    def _install_capacities(self, capacities: Mapping[Link, Rate]) -> None:
-        caps = dict(capacities)
-        self._caps = caps
-        self._finite_set = frozenset(
-            link for link, value in caps.items() if float(value) != _INF
-        )
-        self._needs_recompile = True
-        self._full_needed = True
 
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
     def solve(self) -> Dict[Flow, Rate]:
-        """Apply staged events and return the max-min rates per flow."""
+        """Apply staged events and return the max-min rates per flow.
+
+        The returned dict is built fresh by each solve; the solver keeps
+        no reference to it.
+        """
         adds = self._pending_add
         removes = list(self._pending_remove)
         self._pending_add = {}
         self._pending_remove = {}
         self._solves += 1
+        _FULLSOLVE.inc()
         if self._exact:
             rates = self._solve_exact(adds, removes)
         else:
             rates = self._solve_float(adds, removes)
-        self._rates = rates
         rates = self._maybe_shadow(rates)
-        self._validate_full(rates)
-        return dict(rates)
+        if not self._exact:
+            # The exact path's reference solve certifies itself.
+            self._validate_full(rates)
+        return rates
+
+    def _commit(self, adds, removes) -> None:
+        for flow in removes:
+            del self._paths[flow]
+        self._paths.update(adds)
 
     # -------------------------- float mode ----------------------------
     def _solve_float(self, adds, removes) -> Dict[Flow, float]:
@@ -361,72 +311,25 @@ class StreamingMaxMin:
             adds=len(adds),
             removes=len(removes),
             flows=len(self._paths) + len(adds) - len(removes),
-        ) as span:
-            for flow in removes:
-                del self._paths[flow]
-            for flow, path in adds.items():
-                self._paths[flow] = path
-
-            dead_after = (0 if self._needs_recompile else self._dead) + len(
-                removes
-            )
-            compact = (
-                not self._needs_recompile
-                and self._nslots
-                and dead_after > 32
-                and dead_after > self._max_dead_fraction * self._nslots
-            )
-            full = self._full_needed or self._trace is None or compact
-
-            if full:
-                self._trace = None  # skip checkpoint upkeep during apply
-                if self._needs_recompile:
-                    self._recompile()
-                else:
-                    add_rows = {
-                        flow: self._compile_row(path)
-                        for flow, path in adds.items()
-                    }
-                    self._apply_batch(add_rows, removes, rebuild=compact)
-                    if compact:
-                        self._compact()
-                self._full_solve()
-                self._fullsolves += 1
-                _FULLSOLVE.inc()
-                span.set(mode="full")
+        ):
+            self._commit(adds, removes)
+            if self._needs_recompile:
+                self._recompile()
             else:
-                add_rows = {
-                    flow: self._compile_row(path)
-                    for flow, path in adds.items()
-                }
-                delta = self._link_delta(add_rows, removes)
-                r_star = self._divergence_round(add_rows, removes, delta)
-                self._apply_batch(add_rows, removes, delta)
-                if r_star <= 0:
-                    self._trace = None
-                    self._full_solve()
-                    self._fullsolves += 1
-                    _FULLSOLVE.inc()
-                    span.set(mode="full", resume_round=0)
-                else:
-                    self._resume_solve(r_star)
-                    self._patched += 1
-                    _PATCHED.inc()
-                    span.set(mode="patched", resume_round=r_star)
-            self._full_needed = False
-
-            alive_slots = np.nonzero(self._alive[: self._nslots])[0]
-            flow_of = self._flow_of
-            arr = self._rates_arr
-            rates = {
-                flow_of[slot]: float(arr[slot]) for slot in alive_slots
-            }
+                self._apply_batch(adds, removes)
+            self._full_solve()
+            nslots = self._nslots
+            # Dead slots map to ``None``; one pop drops them all.
+            rates = dict(
+                zip(self._flow_of, self._rates_arr[:nslots].tolist())
+            )
+            rates.pop(None, None)
         self._check_cheap()
         return rates
 
     def _recompile(self) -> None:
-        """Rebuild slot arrays, member lists, and per-link counts from
-        the committed path map (drops the trace).
+        """Rebuild the link registry, slot arrays and per-link counts
+        from the committed path map.
 
         Links are (re-)registered lazily as the committed paths are
         compiled, so cost scales with the *traversed* footprint of the
@@ -442,7 +345,6 @@ class StreamingMaxMin:
         self._flow_ptr = np.zeros(slot_cap + 1, dtype=np.int64)
         self._flow_link = np.zeros(nnz_cap, dtype=np.int64)
         self._alive = np.zeros(slot_cap, dtype=bool)
-        self._fr = np.full(slot_cap, _NEVER, dtype=np.int64)
         self._rates_arr = np.zeros(slot_cap, dtype=np.float64)
         self._nslots = 0
         self._nnz = 0
@@ -451,73 +353,27 @@ class StreamingMaxMin:
         self._flow_of: List[Optional[Flow]] = []
         for flow, path in self._paths.items():
             self._append_slot(flow, self._compile_row(path))
-        self._rebuild_members()
-        self._trace = None
-        self._compiled = True
         self._needs_recompile = False
         self._recompiles += 1
         _RECOMPILES.inc()
 
-    def _rebuild_members(self) -> None:
-        """Rebuild the link→member-slot CSR (and alive counts) from the
-        flow→link CSR by a stable transpose — array ops only.  Valid
-        when every slot is alive (post-recompile/-compaction).  Only
-        divergence detection (:meth:`_scan_link`) reads member lists;
-        the round kernel masks the flow rows instead."""
-        self._member_ptr, self._member_rows = _csr_transpose(
-            self._flow_ptr[: self._nslots + 1],
-            self._flow_link[: self._nnz],
-            self._nlinks,
-        )
-        self._member_extra: Dict[int, List[int]] = {}
-        self._link_count[: self._nlinks] = np.diff(self._member_ptr)
-
-    def _link_members(self, j: int):
-        """Member slots of link ``j``: the CSR base plus any slots
-        appended since the last rebuild (may include dead slots — the
-        callers mask by ``_alive``)."""
-        ptr = self._member_ptr
-        if j + 1 < ptr.size:
-            base = self._member_rows[ptr[j] : ptr[j + 1]]
-        else:  # registered after the last rebuild
-            base = self._member_rows[:0]
-        extra = self._member_extra.get(j)
-        if extra is None:
-            return base
-        return np.concatenate(
-            (base, np.asarray(extra, dtype=np.int64))
-        )
-
     def _compact(self) -> None:
-        """Repack the CSR over the alive slots, keeping the link registry.
+        """Repack the CSR over the alive slots, keeping the link registry
+        and the per-link counts (neither changes).
 
         Unlike :meth:`_recompile` this never re-derives rows from paths:
         alive CSR segments are gathered wholesale with array ops, so
         reclaiming dead slots costs O(nnz) regardless of how the flows
-        route.  The trace is dropped (slot ids change), so the caller
-        follows up with a full solve."""
-        nslots = self._nslots
-        alive_idx = np.nonzero(self._alive[:nslots])[0]
-        ptr = self._flow_ptr
-        lens = ptr[alive_idx + 1] - ptr[alive_idx]
-        total = int(lens.sum())
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(lens))
-        )
-        if total:
-            idx = (
-                np.repeat(ptr[alive_idx], lens)
-                + np.arange(total, dtype=np.int64)
-                - np.repeat(starts[:-1], lens)
-            )
-            new_link = self._flow_link[idx]
-        else:
-            new_link = np.empty(0, dtype=np.int64)
+        route."""
+        alive_idx = np.nonzero(self._alive[: self._nslots])[0]
+        lens = self._flow_ptr[alive_idx + 1] - self._flow_ptr[alive_idx]
+        new_link = _csr_gather(self._flow_ptr, self._flow_link, alive_idx)
+        total = int(new_link.size)
         n_alive = int(alive_idx.size)
         slot_cap = max(16, 2 * n_alive)
         nnz_cap = max(64, 2 * max(1, total))
         flow_ptr = np.zeros(slot_cap + 1, dtype=np.int64)
-        flow_ptr[1 : n_alive + 1] = starts[1:]
+        lens.cumsum(out=flow_ptr[1 : n_alive + 1])
         flow_link = np.zeros(nnz_cap, dtype=np.int64)
         flow_link[:total] = new_link
         flow_of_old = self._flow_of
@@ -530,13 +386,10 @@ class StreamingMaxMin:
         self._flow_ptr = flow_ptr
         self._flow_link = flow_link
         self._alive = alive
-        self._fr = np.full(slot_cap, _NEVER, dtype=np.int64)
         self._rates_arr = np.zeros(slot_cap, dtype=np.float64)
         self._nslots = n_alive
         self._nnz = total
         self._dead = 0
-        self._rebuild_members()
-        self._trace = None
         self._recompiles += 1
         _RECOMPILES.inc()
 
@@ -583,7 +436,8 @@ class StreamingMaxMin:
             )
         return np.asarray(links, dtype=np.int64)
 
-    def _append_slot(self, flow: Flow, row) -> int:
+    def _append_slot(self, flow: Flow, row) -> None:
+        """A new alive slot for ``flow``; counts it on its links."""
         slot = self._nslots
         if slot >= self._alive.size:
             grow = max(16, self._alive.size)
@@ -592,9 +446,6 @@ class StreamingMaxMin:
             )
             self._alive = np.concatenate(
                 (self._alive, np.zeros(grow, dtype=bool))
-            )
-            self._fr = np.concatenate(
-                (self._fr, np.full(grow, _NEVER, dtype=np.int64))
             )
             self._rates_arr = np.concatenate(
                 (self._rates_arr, np.zeros(grow, dtype=np.float64))
@@ -608,225 +459,48 @@ class StreamingMaxMin:
         self._flow_link[self._nnz : end] = row
         self._flow_ptr[slot + 1] = end
         self._nnz = end
+        np.add.at(self._link_count, row, 1)
         self._alive[slot] = True
-        self._fr[slot] = _NEVER
-        self._rates_arr[slot] = 0.0
         self._slot_of[flow] = slot
         self._flow_of.append(flow)
         self._nslots = slot + 1
-        return slot
 
-    def _link_delta(self, add_rows, removes) -> Dict[int, int]:
-        """Net change in alive member count per finite link id."""
-        delta: Dict[int, int] = {}
-        for row in add_rows.values():
-            for j in row:
-                j = int(j)
-                delta[j] = delta.get(j, 0) + 1
-        flow_ptr, flow_link = self._flow_ptr, self._flow_link
-        for flow in removes:
-            slot = self._slot_of[flow]
-            for j in flow_link[flow_ptr[slot] : flow_ptr[slot + 1]]:
-                j = int(j)
-                delta[j] = delta.get(j, 0) - 1
-        return delta
-
-    def _divergence_round(self, add_rows, removes, delta) -> int:
-        """The first round the batch can change, ``R`` if none.
-
-        Departures bound it by their freeze rounds; each link gaining
-        members is scanned for the first stored round where its new
-        level enters the saturation band (bit-exact reconstruction of
-        the kernel's residual trajectory, so the decision agrees with
-        what a from-scratch solve would do).
-        """
-        levels_list = self._trace[0]
-        n_rounds = len(levels_list)
-        if n_rounds == 0:
-            return 0
-        r_star = n_rounds
-        for flow in removes:
-            r_star = min(r_star, int(self._fr[self._slot_of[flow]]))
-            if r_star == 0:
-                return 0
-        levels_arr = np.asarray(levels_list, dtype=np.float64)
-        band = levels_arr + _BAND * (1.0 + levels_arr)
-        for j, extra in delta.items():
-            if extra <= 0:
-                continue  # net departures only raise this link's levels
-            first = self._scan_link(j, extra, levels_arr, band)
-            r_star = min(r_star, first)
-            if r_star == 0:
-                return 0
-        return r_star
-
-    def _scan_link(self, j, extra, levels_arr, band) -> int:
-        n_rounds = levels_arr.size
-        cap = float(self._caps_arr[j])
-        members = self._link_members(j)
-        members = members[self._alive[members]]
-        if members.size:
-            fr = self._fr[members]
-            if int(fr.max()) >= n_rounds:
-                raise AssertionError(
-                    "streaming trace invariant violated: alive member "
-                    "with stale freeze round"
-                )
-            frozen_per_round = np.bincount(fr, minlength=n_rounds)
-        else:
-            frozen_per_round = np.zeros(n_rounds, dtype=np.int64)
-        # Start-of-round residual, reproduced with the kernel's own
-        # subtraction sequence (accumulate is defined left-to-right):
-        # residual_r = cap - Σ_{q<r} λ_q · (#flows frozen on j at q).
-        drained = levels_arr * frozen_per_round
-        residual = np.add.accumulate(
-            np.concatenate((np.asarray([cap]), -drained))
-        )[:n_rounds]
-        unfrozen = members.size - np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(frozen_per_round))
-        )[:n_rounds]
-        denom = unfrozen + extra
-        new_level = np.full(n_rounds, _INF, dtype=np.float64)
-        np.divide(residual, denom, out=new_level, where=denom > 0)
-        hits = np.nonzero(new_level <= band)[0]
-        return int(hits[0]) if hits.size else n_rounds
-
-    def _apply_batch(self, add_rows, removes, delta=None, rebuild=False) -> None:
-        if delta is None and not rebuild:
-            # Must precede the kill loop: _link_delta resolves removed
-            # flows through _slot_of, which the kills pop.
-            delta = self._link_delta(add_rows, removes)
+    def _apply_batch(self, adds, removes) -> None:
+        """Kill the departed flows' slots and append the arrivals' rows;
+        compact first when dead slots would pile up past the bound."""
+        ptr, links = self._flow_ptr, self._flow_link
         for flow in removes:
             slot = self._slot_of.pop(flow)
+            np.subtract.at(
+                self._link_count, links[ptr[slot] : ptr[slot + 1]], 1
+            )
             self._alive[slot] = False
             self._flow_of[slot] = None
             self._dead += 1
-        if rebuild:
-            # A compaction follows immediately: it rebuilds the member
-            # CSR, alive counts, and (dropped) trace wholesale, so the
-            # per-link bookkeeping below would be thrown away.
-            for flow, row in add_rows.items():
-                self._append_slot(flow, row)
-            return
-        member_extra = self._member_extra
-        for flow, row in add_rows.items():
-            slot = self._append_slot(flow, row)
-            for j in row:
-                member_extra.setdefault(int(j), []).append(slot)
-        for j, extra in delta.items():
-            self._link_count[j] += extra
-        if self._trace is not None and delta:
-            # Kept checkpoints stay valid for the new flow set after a
-            # count shift: every departed flow was still unfrozen at
-            # rounds ≤ r* (its freeze round bounds r*), and arrivals are
-            # unfrozen everywhere — neither contributes to residuals.
-            # Links registered since a checkpoint was recorded carried
-            # no flow during that solve, so their state at every stored
-            # round is exactly (capacity, 0) — pad before shifting.
-            nl = self._nlinks
-            ckpts = self._trace[1]
-            for rnd, (res, count) in list(ckpts.items()):
-                if count.size < nl:
-                    res = np.concatenate((res, self._caps_arr[count.size:nl]))
-                    count = np.concatenate(
-                        (count, np.zeros(nl - count.size, dtype=count.dtype))
-                    )
-                    ckpts[rnd] = (res, count)
-                for j, extra in delta.items():
-                    count[j] += extra
+        if self._dead > 32 and self._dead > (
+            self._max_dead_fraction * self._nslots
+        ):
+            self._compact()
+        for flow, path in adds.items():
+            self._append_slot(flow, self._compile_row(path))
 
     def _full_solve(self) -> None:
         self._assert_bounded()
-        n_links = self._nlinks
-        residual = self._caps_arr[:n_links].copy()
-        count = self._link_count[:n_links].astype(np.float64)
-        active = self._alive[: self._nslots].copy()
-        remaining = int(active.sum())
-        self._rates_arr[: self._nslots] = 0.0
-        self._trace = ([], {})
+        nslots = self._nslots
+        active = self._alive[:nslots].copy()
+        remaining = nslots - self._dead
         if remaining:
+            n_links = self._nlinks
             _run_rounds(
                 self._flow_ptr,
                 self._flow_link,
                 n_links,
-                residual,
-                count,
+                self._caps_arr[:n_links].copy(),
+                self._link_count[:n_links].astype(np.float64),
                 active,
                 self._rates_arr,
                 remaining,
-                start_round=0,
-                on_round_start=self._on_round_start,
-                on_round_end=self._on_round_end,
             )
-
-    def _resume_solve(self, r_star: int) -> None:
-        levels_list, checkpoints = self._trace
-        # Nearest checkpoint at or below the resume round (round 0 is
-        # implicit: full capacities and current alive counts).
-        r0 = 0
-        for rnd in checkpoints:
-            if r0 < rnd <= r_star:
-                r0 = rnd
-        if r0:
-            res, cnt = checkpoints[r0]
-            residual = res.copy()
-            count = cnt.copy()
-        else:
-            residual = self._caps_arr[: self._nlinks].copy()
-            count = self._link_count[: self._nlinks].astype(np.float64)
-        for rnd in list(checkpoints):
-            if rnd >= r_star:
-                del checkpoints[rnd]
-
-        n_links = self._nlinks
-        fr = self._fr[: self._nslots]
-        alive = self._alive[: self._nslots]
-        if r_star > r0:
-            # Replay rounds r0..r*-1 with the identical array ops the
-            # kernel performed, so the state entering the suffix is
-            # bit-exact.
-            sel = np.nonzero(alive & (fr >= r0) & (fr < r_star))[0]
-            if sel.size:
-                order = np.argsort(fr[sel], kind="stable")
-                sel = sel[order]
-                bounds = np.searchsorted(
-                    fr[sel], np.arange(r0, r_star + 1)
-                )
-                for k in range(r_star - r0):
-                    group = sel[bounds[k] : bounds[k + 1]]
-                    if group.size == 0:
-                        continue
-                    hit = _row_hits(
-                        self._flow_ptr, self._flow_link, group, n_links
-                    )
-                    residual -= levels_list[r0 + k] * hit
-                    count -= hit
-
-        del levels_list[r_star:]
-        active = alive & (fr >= r_star)
-        remaining = int(active.sum())
-        if remaining:
-            _run_rounds(
-                self._flow_ptr,
-                self._flow_link,
-                n_links,
-                residual,
-                count,
-                active,
-                self._rates_arr,
-                remaining,
-                start_round=r_star,
-                on_round_start=self._on_round_start,
-                on_round_end=self._on_round_end,
-            )
-
-    def _on_round_start(self, rnd, residual, count) -> None:
-        if rnd and rnd % self._checkpoint_every == 0:
-            self._trace[1][rnd] = (residual.copy(), count.copy())
-
-    def _on_round_end(self, rnd, lam, frozen_ids) -> None:
-        self._trace[0].append(lam)
-        self._fr[frozen_ids] = rnd
 
     def _assert_bounded(self) -> None:
         lens = np.diff(self._flow_ptr[: self._nslots + 1])
@@ -879,179 +553,17 @@ class StreamingMaxMin:
 
     # -------------------------- exact mode ----------------------------
     def _solve_exact(self, adds, removes) -> Dict[Flow, Fraction]:
+        """One exact reference solve of the committed routing."""
+        from repro.core.maxmin import max_min_fair
+
         with trace_span(
             "maxmin.water_fill_streaming",
             adds=len(adds),
             removes=len(removes),
             exact=True,
-        ) as span:
-            for flow in removes:
-                del self._paths[flow]
-            for flow, path in adds.items():
-                self._paths[flow] = path
-            if self._x_levels is None or self._full_needed:
-                self._exact_rebuild()
-                self._exact_waterfill(0)
-                self._fullsolves += 1
-                _FULLSOLVE.inc()
-                span.set(mode="full")
-            else:
-                r_star = self._exact_divergence(adds, removes)
-                self._exact_apply(adds, removes)
-                self._exact_waterfill(r_star)
-                if r_star > 0:
-                    self._patched += 1
-                    _PATCHED.inc()
-                    span.set(mode="patched", resume_round=r_star)
-                else:
-                    self._fullsolves += 1
-                    _FULLSOLVE.inc()
-                    span.set(mode="full", resume_round=0)
-            self._full_needed = False
-            self._needs_recompile = False
-            return {flow: self._x_rates[flow] for flow in self._paths}
-
-    def _exact_finite_links(self, path) -> List[Link]:
-        links = [
-            link for link in _path_links(path) if link in self._finite_set
-        ]
-        if not links:
-            raise UnboundedRateError(
-                f"flow with no finite-capacity link on its path: {path!r}"
-            )
-        return links
-
-    def _x_cap(self, link: Link) -> Fraction:
-        """Exact capacity of a traversed link, memoized lazily."""
-        cap = self._x_caps.get(link)
-        if cap is None:
-            cap = self._x_caps[link] = Fraction(self._caps[link])
-        return cap
-
-    def _exact_rebuild(self) -> None:
-        self._x_caps = {}
-        self._x_links = {}
-        self._x_members = {}
-        for flow, path in self._paths.items():
-            links = self._exact_finite_links(path)
-            self._x_links[flow] = links
-            for link in links:
-                self._x_cap(link)
-                self._x_members.setdefault(link, {})[flow] = None
-        self._x_levels = []
-        self._x_fr = {}
-        self._x_rates = {}
-        self._recompiles += 1
-        _RECOMPILES.inc()
-
-    def _exact_divergence(self, adds, removes) -> int:
-        levels = self._x_levels
-        n_rounds = len(levels)
-        if n_rounds == 0:
-            return 0
-        r_star = n_rounds
-        for flow in removes:
-            r_star = min(r_star, self._x_fr[flow])
-            if r_star == 0:
-                return 0
-        delta: Dict[Link, int] = {}
-        for flow, path in adds.items():
-            for link in self._exact_finite_links(path):
-                delta[link] = delta.get(link, 0) + 1
-        for flow in removes:
-            for link in self._x_links[flow]:
-                delta[link] = delta.get(link, 0) - 1
-        for link, extra in delta.items():
-            if extra <= 0:
-                continue
-            members = self._x_members.get(link, {})
-            per_round: Dict[int, int] = {}
-            for flow in members:
-                rnd = self._x_fr[flow]
-                per_round[rnd] = per_round.get(rnd, 0) + 1
-            residual = self._x_cap(link)
-            cnt = len(members)
-            for rnd in range(r_star):
-                # new level residual/(cnt+extra) <= λ_rnd joins (or
-                # undercuts) the round's saturation set — exact
-                # comparison, no float band.
-                if residual <= levels[rnd] * (cnt + extra):
-                    r_star = rnd
-                    break
-                frozen = per_round.get(rnd, 0)
-                if frozen:
-                    residual -= levels[rnd] * frozen
-                    cnt -= frozen
-            if r_star == 0:
-                return 0
-        return r_star
-
-    def _exact_apply(self, adds, removes) -> None:
-        for flow in removes:
-            for link in self._x_links.pop(flow):
-                members = self._x_members[link]
-                del members[flow]
-                if not members:
-                    del self._x_members[link]
-            self._x_fr.pop(flow, None)
-            self._x_rates.pop(flow, None)
-        for flow, path in adds.items():
-            links = self._exact_finite_links(path)
-            self._x_links[flow] = links
-            for link in links:
-                self._x_cap(link)
-                self._x_members.setdefault(link, {})[flow] = None
-
-    def _exact_waterfill(self, r_star: int) -> None:
-        """Re-solve rounds ``r_star, r_star+1, …`` over exact state."""
-        levels = self._x_levels
-        del levels[r_star:]
-        fr = self._x_fr
-        rates = self._x_rates
-        unfrozen = {
-            flow
-            for flow in self._x_links
-            if fr.get(flow, _NEVER) >= r_star
-        }
-        residual: Dict[Link, Fraction] = {}
-        cnt: Dict[Link, int] = {}
-        for link, members in self._x_members.items():
-            left = self._x_caps[link]
-            live = 0
-            for flow in members:
-                if fr.get(flow, _NEVER) < r_star:
-                    left -= rates[flow]
-                else:
-                    live += 1
-            residual[link] = left
-            cnt[link] = live
-        rnd = r_star
-        while unfrozen:
-            lam = None
-            for link, live in cnt.items():
-                if live > 0:
-                    level = residual[link] / live
-                    if lam is None or level < lam:
-                        lam = level
-            if lam is None:
-                raise AssertionError("water-filling invariant violated")
-            frozen = set()
-            for link, live in cnt.items():
-                if live > 0 and residual[link] == lam * live:
-                    for flow in self._x_members[link]:
-                        if flow in unfrozen:
-                            frozen.add(flow)
-            if not frozen:
-                raise AssertionError("water-filling invariant violated")
-            for flow in frozen:
-                rates[flow] = lam
-                fr[flow] = rnd
-                for link in self._x_links[flow]:
-                    residual[link] -= lam
-                    cnt[link] -= 1
-            levels.append(lam)
-            unfrozen -= frozen
-            rnd += 1
+        ):
+            self._commit(adds, removes)
+            return max_min_fair(self.routing(), self._caps).rates()
 
     # ---------------------- cross-checking ----------------------------
     def _shadow_interval(self) -> int:
@@ -1111,13 +623,12 @@ class StreamingMaxMin:
             disagreements=len(diffs),
             bundle=self.last_bundle,
         )
-        self._full_needed = True
+        self._needs_recompile = True
         ref_rates = reference.rates()
         if not self._exact:
             ref_rates = {
                 flow: float(rate) for flow, rate in ref_rates.items()
             }
-        self._rates = dict(ref_rates)
         return ref_rates
 
     def _validate_full(self, rates: Dict[Flow, Rate]) -> None:

@@ -12,12 +12,13 @@ water-filling as a handful of array operations per round:
 - a tolerance band selecting every link saturating at that level,
 - the frozen flows via one mask over all incidence entries (the owner
   row of every entry on a saturating link, kept if still active),
-- residual/count updates via one ``bincount`` over the frozen rows.
+- residual/count updates via one ``bincount`` over the frozen rows'
+  entries, picked by the same mask.
 
 Rounds are bounded by the number of finite links (every round saturates
 at least one), so total cost is ``O(rounds · (nnz + L))`` in C instead
-of per-element Python, in about ten NumPy calls per round: their fixed
-cost dominates small instances, the O(nnz) scan large ones with many
+of per-element Python, in under ten NumPy calls per round: their fixed
+cost dominates small instances, the O(nnz) scans large ones with many
 rounds (``docs/PERFORMANCE.md`` measures both sides).
 
 Compilation has two entry points over one array core.  A Clos routing
@@ -284,9 +285,8 @@ def _row_owner(flow_ptr):
 def _csr_transpose(flow_ptr, flow_link, n_links):
     """The link → flows CSR of a flow → links CSR: one stable
     ``argsort`` (each link's flows stay in ascending flow order) plus
-    one ``bincount`` for the row pointers.  The batched kernel and the
-    streaming solver's member lists use it; per-instance compiles do
-    not build it."""
+    one ``bincount`` for the row pointers.  Only the batched kernel
+    uses it; per-instance compiles do not build it."""
     link_ptr = np.zeros(n_links + 1, dtype=np.int64)
     np.bincount(flow_link, minlength=n_links).cumsum(out=link_ptr[1:])
     return link_ptr, _row_owner(flow_ptr)[flow_link.argsort(kind="stable")]
@@ -318,10 +318,8 @@ def _row_hits(flow_ptr, flow_link, frozen_ids, n_links):
     """Per-link occurrence counts over ``frozen_ids``' CSR rows.
 
     A vectorized multi-slice gather of the rows followed by one
-    ``bincount`` — the round kernel's "remove these flows from every
-    link they cross" step, shared with the streaming solver's
-    checkpoint replay (:mod:`repro.core.streaming`) and the batched
-    multi-scenario kernel (:mod:`repro.core.batched`).
+    ``bincount``: the "remove these flows from every link they cross"
+    step of the batched multi-scenario kernel (:mod:`repro.core.batched`).
     """
     columns = _csr_gather(flow_ptr, flow_link, frozen_ids)
     return np.bincount(columns, minlength=n_links)
@@ -336,8 +334,6 @@ def _run_rounds(
     active,
     rates,
     remaining,
-    start_round: int = 0,
-    on_round_start=None,
     on_round_end=None,
 ):
     """The water-filling round loop over raw incidence arrays.
@@ -346,32 +342,27 @@ def _run_rounds(
     and returns the number of rounds executed.  Only the first
     ``active.size`` rows of the CSR are read (the streaming solver's
     slot arrays carry spare capacity past them), and rows that are not
-    active — dead slots, frozen flows — are masked out.  Running the
-    identical float operation sequence over those slot arrays is what
-    makes incremental suffix resumption bit-exact against a
-    from-scratch solve.  ``on_round_start`` observes the pre-round
-    ``(residual, count)`` state (checkpointing); ``on_round_end``
-    observes each round's freeze level and frozen ids (trace
-    recording).  Neither hook may mutate the arrays.
+    active — dead slots, frozen flows — are masked out.
+    ``on_round_end`` observes each round's freeze level and frozen ids;
+    it may not mutate the arrays.
 
-    A round is about ten NumPy calls: levels, their minimum, the band
+    A round is a handful of NumPy calls: levels, their minimum, the band
     over links, one O(nnz) mask over all entries for the frozen rows,
-    and :func:`_row_hits` over those rows.
+    and one masked ``bincount`` of those rows' entries for the per-link
+    hits.
     """
     n_rows = active.size
     entries = flow_link[: int(flow_ptr[n_rows])]
     owner = _row_owner(flow_ptr[: n_rows + 1])
     levels = np.empty(n_links, dtype=np.float64)
     mark = np.zeros(n_rows, dtype=bool)
-    rnd = start_round
+    rnd = 0
     while remaining > 0:
         alive = count > 0
         if not alive.any():
             # Cannot happen: every active flow keeps each of its
             # links' counts positive.
             raise AssertionError("water-filling invariant violated")
-        if on_round_start is not None:
-            on_round_start(rnd, residual, count)
         levels.fill(_INF)
         np.divide(residual, count, out=levels, where=alive)
         lam = float(levels.min())
@@ -392,19 +383,21 @@ def _run_rounds(
             # Every member of the argmin link was already frozen —
             # impossible while its count stays positive.
             raise AssertionError("water-filling invariant violated")
+        # The frozen rows' entries, counted per link, while the mark
+        # still holds them.
+        hit = np.bincount(entries[mark[owner]], minlength=n_links)
         mark[frozen_ids] = False
         rates[frozen_ids] = lam
         active[frozen_ids] = False
         remaining -= int(frozen_ids.size)
 
-        hit = _row_hits(flow_ptr, flow_link, frozen_ids, n_links)
         residual -= lam * hit
         count -= hit
         if on_round_end is not None:
             on_round_end(rnd, lam, frozen_ids)
         rnd += 1
         _ROUNDS.inc()
-    return rnd - start_round
+    return rnd
 
 
 def waterfill(compiled: CompiledRouting, caps) -> "Sequence[float]":

@@ -11,17 +11,18 @@ churn_workload`):
 
 - ``per-event`` — the classic loop: one from-scratch vectorized solve
   per solver-visible event (:func:`repro.sim.flowsim.simulate`).
-- ``streaming`` — same per-event cadence, but each solve patches only
-  the affected suffix of water-fill rounds
-  (``MaxMinCongestionControl(backend="streaming")``); results are
-  byte-identical to ``per-event``.
+- ``streaming`` — same per-event cadence, but the solver keeps its
+  flow×link incidence between consults and applies only the arrivals
+  and departures (``MaxMinCongestionControl(backend="streaming")``);
+  results are byte-identical to ``per-event``.
 - ``batched`` — the micro-batching loop on top of the streaming solver
   (:func:`repro.sim.stream.simulate_stream`): re-solve at most once per
   ``batch_window`` of simulated time.
 
 Each row reports wall-clock seconds, arrival-event throughput
 (events/sec of the *workload*, the tentpole's headline number), solver
-consultations, and the streaming solver's patched/full split.
+consultations, and the streaming solver's patched/full split (every
+solve is full now, so ``patched`` reads 0).
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ import functools
 from repro.core.bottleneck import certify_max_min_fair
 from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min
+from repro.core.solve import EXACT_BACKENDS
 from repro.core.theorems import theorem_4_3 as predict
 from repro.lp.feasibility import find_feasible_routing, splittable_feasible
 from repro.parallel import parallel_map
@@ -122,6 +123,8 @@ def _starvation_point(
 
     # The exact solvers hand every flow of one class the same rate
     # object, so each distinct object is compared once per flow type.
+    # Float backends get the batched path's rule: a 1e-9 relative
+    # tolerance for the rates and for the certificate.
     macro_rates, lex_rates = macro.rates(), alloc.rates()
     rates_match = True
     for type_name in ("type1", "type2", "type3"):
@@ -132,11 +135,15 @@ def _starvation_point(
         ):
             got = list(map(rates.__getitem__, flows))
             for rate in dict(zip(map(id, got), got)).values():
-                if rate != want:
+                if not _rate_close(rate, want):
                     rates_match = False
 
+    exact = backend is None or backend in EXACT_BACKENDS
     certified = (
-        certify_max_min_fair(routing, alloc, capacities) is None
+        certify_max_min_fair(
+            routing, alloc, capacities, tol=0.0 if exact else 1e-9
+        )
+        is None
         if certify
         else True
     )

@@ -108,9 +108,11 @@ def enable(memory: bool = False) -> None:
 
 
 def disable() -> None:
-    """Turn observability off and stop memory tracking."""
+    """Turn observability off and stop memory tracking (tracemalloc
+    too, if observability started it)."""
     STATE.enabled = False
     STATE.memory = False
+    TRACER.stop_memory()
 
 
 def tracer() -> Tracer:

@@ -252,6 +252,13 @@ class MetricsRegistry:
         for instrument in self._instruments.values():
             instrument.reset()
 
+    def reset_gauges(self) -> None:
+        """Unset every gauge, so the next readings cover only what runs
+        from here on (a manifest step's own peak, not an earlier one)."""
+        for instrument in self._instruments.values():
+            if isinstance(instrument, Gauge):
+                instrument.reset()
+
     # ------------------------------------------------------------------
     # Cross-process state shipping (see repro.obs.pipeline)
     # ------------------------------------------------------------------

@@ -137,6 +137,8 @@ class Tracer:
         self._local = threading.local()
         self._roots: List[Span] = []
         self._lock = threading.Lock()
+        #: Did a span start tracemalloc (so :meth:`stop_memory` may stop it)?
+        self._started_tracemalloc = False
 
     # ------------------------------------------------------------------
     # Stack management
@@ -148,11 +150,19 @@ class Tracer:
             self._local.stack = stack
         return stack
 
+    def stop_memory(self) -> None:
+        """Stop tracemalloc if a span started it; tracing someone else
+        started is left running."""
+        if self._started_tracemalloc:
+            self._started_tracemalloc = False
+            tracemalloc.stop()
+
     def _push(self, span: Span) -> None:
         stack = self._stack()
         if STATE.memory:
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
+                self._started_tracemalloc = True
             if not stack:
                 tracemalloc.reset_peak()
             span._mem0 = tracemalloc.get_traced_memory()[0]

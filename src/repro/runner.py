@@ -391,7 +391,10 @@ class ResilientRunner:
 
             buffer = StringIO()
             observing = obs.enabled()
-            metrics_before = obs.metrics_snapshot() if observing else None
+            metrics_before = None
+            if observing:
+                obs.metrics().reset_gauges()
+                metrics_before = obs.metrics_snapshot()
             step_span = None
             try:
                 with redirect_stdout(buffer):

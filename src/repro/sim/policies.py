@@ -68,10 +68,11 @@ class MaxMinCongestionControl:
     rows (:func:`repro.core.vectorized.compile_link_ids`); capacity
     changes cost one :class:`~repro.core.vectorized.LinkTable` rebuild
     per failure event, no per-flow objects.  The streaming
-    backend goes further: it diffs the active set against the previous
-    consultation and re-solves only the affected suffix of water-fill
-    rounds, so sustained churn costs far less than a solve per event
-    (rates stay bit-identical to the vectorized backend).
+    backend diffs the active set against the previous consultation and
+    hands only the arrivals and departures to a
+    :class:`~repro.core.streaming.StreamingMaxMin`, which keeps its
+    incidence between solves (rates stay bit-identical to the
+    vectorized backend).
     """
 
     #: Rates depend only on the active job set, pinning, and capacities —
@@ -207,13 +208,13 @@ class MaxMinCongestionControl:
         return dict(zip(jids, rates.tolist()))
 
     def _rates_streaming(self, active: Mapping[int, FlowJob]) -> Dict[int, float]:
-        """Incremental solve: diff the active set, patch, re-solve the
-        affected suffix of water-fill rounds.
+        """Incremental solve: diff the active set against the tracked
+        one, stage the arrivals and departures, re-solve.
 
-        Rates are bit-identical to :meth:`_rates_vectorized` (the
-        streaming solver replays the exact float operation sequence of a
-        from-scratch vectorized solve), so the two backends produce
-        byte-identical :class:`~repro.sim.flowsim.SimulationResult`\\ s.
+        Rates are bit-identical to :meth:`_rates_vectorized` (each
+        streaming solve runs the vectorized round kernel over the same
+        flow set), so the two backends produce byte-identical
+        :class:`~repro.sim.flowsim.SimulationResult`\\ s.
         """
         from repro.core.streaming import StreamingMaxMin
 
@@ -235,9 +236,7 @@ class MaxMinCongestionControl:
                 )
                 stream.add(flow, path)
                 tracked[jid] = flow
-        return {
-            flow.tag: rate for flow, rate in stream.solve().items()
-        }
+        return {flow.tag: rate for flow, rate in stream.solve().items()}
 
     def forget(self, job_id: int) -> None:
         """Drop routing state for a completed job."""

@@ -20,8 +20,8 @@ bounded amount of rate *staleness* for throughput:
   to it.
 
 Pair it with ``MaxMinCongestionControl(backend="streaming")`` so
-each batched re-solve is itself incremental: the solver patches the
-affected suffix of water-fill rounds instead of starting over.
+each batched re-solve applies only the batch's arrivals and departures
+to the solver's kept incidence instead of recompiling it.
 """
 
 from __future__ import annotations

@@ -102,6 +102,22 @@ class TestMain:
         assert main(["run", "e4", "--sizes", "64", "--backend", "quotient"]) == 0
         assert seen.get("certify", True) is True
 
+    @pytest.mark.parametrize("backend", ["vectorized", "streaming", "batched"])
+    def test_run_e4_float_backends_match_and_certify(self, capsys, backend):
+        """Float rates are compared and certified with a 1e-9 relative
+        tolerance, so no row reports a false mismatch."""
+        argv = ["run", "e4", "--sizes", "3,4,5", "--backend", backend]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("n "))
+        assert header.split()[-3:] == ["certified", "rates", "match"]
+        rows = {
+            line.split()[0]: line.split()[-2:]
+            for line in lines
+            if line.split() and line.split()[0] in ("3", "4", "5")
+        }
+        assert rows == {n: ["True", "True"] for n in ("3", "4", "5")}
+
     def test_run_is_case_insensitive(self, capsys):
         assert main(["run", "E1"]) == 0
 

@@ -94,6 +94,9 @@ class TestSpans:
         assert root.name == "decorated.fn"
 
     def test_memory_tracking_records_peak(self):
+        import tracemalloc
+
+        assert not tracemalloc.is_tracing(), "left running by an earlier test"
         obs.reset()
         obs.enable(memory=True)
         try:
@@ -106,6 +109,22 @@ class TestSpans:
         finally:
             obs.reset()
             obs.disable()
+        # disable() stops the tracemalloc the span started.
+        assert not tracemalloc.is_tracing()
+
+    def test_disable_leaves_foreign_tracemalloc_running(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            obs.enable(memory=True)
+            with obs.trace_span("alloc"):
+                pass
+            obs.reset()
+            obs.disable()
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
 
 
 class TestMetrics:
@@ -359,11 +378,20 @@ class TestRunnerManifests:
         runner = ResilientRunner(
             manifest=RunManifest(path), stream=io.StringIO()
         )
-        runner.run({"ten": lambda: fill(10), "fourteen": lambda: fill(14)})
+        runner.run(
+            {
+                "ten": lambda: fill(10),
+                "fourteen": lambda: fill(14),
+                # The gauge is a running maximum; each step still
+                # reports its own, also below an earlier step's.
+                "five": lambda: fill(5),
+                "none": lambda: None,
+            }
+        )
         with open(path) as handle:
-            first, second = json.load(handle)["steps"]
-        assert first["metrics"]["sim.queue_peak"] == 10
-        assert second["metrics"]["sim.queue_peak"] == 14
+            steps = json.load(handle)["steps"]
+        peaks = [step["metrics"].get("sim.queue_peak") for step in steps]
+        assert peaks == [10, 14, 5, None]
 
 
 class TestJsonlRoundTrip:

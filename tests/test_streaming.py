@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.core.streaming` — incremental max-min
-water-filling under flow churn.
+"""Tests for :mod:`repro.core.streaming` — max-min water-filling over
+an incrementally maintained incidence under flow churn.
 
 The load-bearing property: after *every* prefix of a random
 arrival/departure sequence, the streaming solver's rates are
@@ -48,10 +48,13 @@ def random_path(rng, nodes, caps):
     return None
 
 
-def churn_step(rng, solver, live, counter, nodes, caps, p_remove=0.45):
-    """Stage 1–3 random arrivals/departures; returns the event count."""
+def churn_step(
+    rng, solver, live, counter, nodes, caps, p_remove=0.45, max_events=3
+):
+    """Stage 1–``max_events`` random arrivals/departures; returns the
+    event count."""
     staged = 0
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, max_events)):
         if live and rng.random() < p_remove:
             flow = rng.choice(sorted(live, key=repr))
             solver.remove(flow)
@@ -80,17 +83,22 @@ class TestBitIdentity:
     bit-for-bit after every solve of a churn sequence."""
 
     @pytest.mark.parametrize("seed", [0, 7, 23])
-    @pytest.mark.parametrize("checkpoint_every", [1, 3, 16])
-    def test_prefixes_match_from_scratch(self, seed, checkpoint_every):
+    @pytest.mark.parametrize("max_events", [1, 3, 16])
+    def test_prefixes_match_from_scratch(self, seed, max_events):
+        """``max_events`` bounds the events one solve absorbs: 1 is the
+        per-event simulator, 16 kills enough slots in one batch to
+        trigger compactions."""
         from repro.core.streaming import StreamingMaxMin
         from repro.core.vectorized import max_min_fair_vectorized
 
         nodes, caps = random_fabric(seed)
         rng = random.Random(seed + 1)
-        solver = StreamingMaxMin(caps, checkpoint_every=checkpoint_every)
+        solver = StreamingMaxMin(caps)
         live, ids = {}, counter_gen()
         for step in range(60):
-            churn_step(rng, solver, live, ids, nodes, caps)
+            churn_step(
+                rng, solver, live, ids, nodes, caps, max_events=max_events
+            )
             if not live:
                 continue
             rates = solver.solve()
@@ -107,9 +115,7 @@ class TestBitIdentity:
 
         nodes, caps = random_fabric(3)
         rng = random.Random(4)
-        solver = StreamingMaxMin(
-            caps, checkpoint_every=2, max_dead_fraction=0.0
-        )
+        solver = StreamingMaxMin(caps, max_dead_fraction=0.0)
         live, ids = {}, counter_gen()
         for step in range(50):
             churn_step(rng, solver, live, ids, nodes, caps, p_remove=0.5)
@@ -128,7 +134,7 @@ class TestExactMode:
 
         nodes, caps = random_fabric(11)
         rng = random.Random(12)
-        solver = StreamingMaxMin(caps, exact=True, checkpoint_every=2)
+        solver = StreamingMaxMin(caps, exact=True)
         live, ids = {}, counter_gen()
         for step in range(40):
             churn_step(rng, solver, live, ids, nodes, caps)
@@ -154,7 +160,7 @@ class TestCapacityChurn:
         caps = dict(caps)
         flip = next(link for link, cap in caps.items() if cap != INF)
         rng = random.Random(22)
-        solver = StreamingMaxMin(caps, checkpoint_every=4)
+        solver = StreamingMaxMin(caps)
         live, ids = {}, counter_gen()
         for step in range(45):
             churn_step(rng, solver, live, ids, nodes, caps, p_remove=0.3)
@@ -303,7 +309,7 @@ class TestMutationEdges:
 class TestShadowMismatch:
     """A forced disagreement must quarantine the event prefix under
     reason ``stream-mismatch``, answer with the reference rates, and
-    force the next solve full."""
+    make the next solve recompile the incidence from the paths."""
 
     def test_mismatch_quarantined(self, tmp_path, monkeypatch):
         from repro.core.streaming import StreamingMaxMin
@@ -334,7 +340,7 @@ class TestShadowMismatch:
         assert solver.stats["mismatches"] == 1
         # Degraded gracefully: the reference rates, not the wrong ones.
         assert answered == clean
-        assert solver._full_needed
+        assert solver._needs_recompile
         bundle = solver.last_bundle
         assert bundle is not None
 
@@ -385,6 +391,8 @@ class TestShadowMismatch:
 
 class TestCounters:
     def test_patched_and_fullsolve_counters(self):
+        """Every solve is a full water-fill: ``fullsolve`` counts all of
+        them and ``patched`` stays 0."""
         from repro import obs
         from repro.core.streaming import StreamingMaxMin
 
@@ -395,20 +403,22 @@ class TestCounters:
             solver = StreamingMaxMin(caps)
             solver.add(Flow("a", "b", tag="0"), ("a", "b"))
             solver.add(Flow("a", "b", tag="1"), ("a", "b"))
-            solver.solve()  # first solve is always full: one 0.5 round
-            # A disjoint arrival whose level (2.0) sits above every
-            # stored round can only extend the bottleneck sequence, so
-            # this solve patches the suffix instead of starting over.
+            solver.solve()
+            # A disjoint arrival above every earlier round's level.
             solver.add(Flow("c", "d", tag="2"), ("c", "d"))
             rates = solver.solve()
             assert rates[Flow("c", "d", tag="2")] == 2.0
+            solver.remove(Flow("a", "b", tag="0"))
+            assert solver.solve()[Flow("a", "b", tag="1")] == 1.0
             snapshot = obs.metrics_snapshot()
         finally:
             obs.reset()
             obs.disable()
-        assert snapshot.get("solver.stream.fullsolve", 0) >= 1
-        assert snapshot.get("solver.stream.patched", 0) >= 1
-        assert solver.stats["patched"] >= 1
+        stats = solver.stats
+        assert stats["solves"] == 3
+        assert stats["fullsolve"] == stats["solves"]
+        assert stats["patched"] == 0
+        assert snapshot["solver.stream.fullsolve"] == 3
 
     def test_stats_shape(self):
         from repro.core.streaming import StreamingMaxMin

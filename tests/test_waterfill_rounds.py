@@ -93,8 +93,7 @@ class RecordingRounds:
 
     def __call__(
         self, flow_ptr, flow_link, n_links, residual, count, active,
-        rates, remaining, start_round=0, on_round_start=None,
-        on_round_end=None,
+        rates, remaining, on_round_end=None,
     ):
         call = {
             "rows": [
@@ -115,8 +114,7 @@ class RecordingRounds:
 
         return self.run_rounds(
             flow_ptr, flow_link, n_links, residual, count, active, rates,
-            remaining, start_round=start_round,
-            on_round_start=on_round_start, on_round_end=end,
+            remaining, on_round_end=end,
         )
 
     def check(self):
@@ -198,18 +196,22 @@ def test_streaming_rounds_match_oracle_with_dead_and_spare_slots(monkeypatch):
     recorder = RecordingRounds(streaming_module._run_rounds)
     monkeypatch.setattr(streaming_module, "_run_rounds", recorder)
     solver = StreamingMaxMin(caps)
-    seen = {"dead": 0, "spare": 0}
+    seen = {"dead": 0, "spare": 0, "both": 0}
 
     def solve_and_check():
         before = len(recorder.calls)
         solver.solve()
-        for call in recorder.calls[before:]:
-            # The kernel sees exactly the used slots, never the spare
-            # capacity of the slot arrays.
-            assert len(call["active"]) == solver._nslots
-            alive = solver._alive[: solver._nslots]
-            seen["dead"] += int((~alive).sum())
-            seen["spare"] += solver._alive.size - solver._nslots
+        (call,) = recorder.calls[before:]
+        # The kernel sees exactly the used slots, never the spare
+        # capacity of the slot arrays, and starts from every alive one.
+        assert len(call["active"]) == solver._nslots
+        alive = solver._alive[: solver._nslots]
+        assert call["active"] == alive.tolist()
+        dead = int((~alive).sum())
+        spare = solver._alive.size - solver._nslots
+        seen["dead"] += dead
+        seen["spare"] += spare
+        seen["both"] += bool(dead and spare)
         recorder.check()
 
     tracked = []
@@ -223,10 +225,9 @@ def test_streaming_rounds_match_oracle_with_dead_and_spare_slots(monkeypatch):
         if step % 3 == 0:
             solver.remove(tracked.pop(rng.randrange(len(tracked))))
         solve_and_check()
-    stats = solver.stats
-    assert stats["patched"] > 0 and stats["fullsolve"] > 0
     assert seen["dead"] > 0, "no solve ran with dead slots"
     assert seen["spare"] > 0, "no solve ran with spare slots"
+    assert seen["both"] > 0, "no solve ran with dead and spare slots"
 
 
 @pytest.mark.parametrize("seed", range(3))
