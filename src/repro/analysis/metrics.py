@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
@@ -51,22 +51,36 @@ def compare_to_macro(
     Flows whose macro rate is zero are skipped in the ratio map (the
     macro-switch max-min allocation never assigns zero to a flow with a
     path, so this only triggers for degenerate inputs).
+
+    Exact allocations share a few rate objects among many flows, so
+    each distinct (network rate, macro rate) object pair is divided
+    once, and the summaries run over the distinct ratios weighted by
+    how many flows hold them.
     """
     ratios: Dict[Flow, Rate] = {}
-    for flow in macro_alloc.flows():
-        macro_rate = macro_alloc.rate(flow)
+    # (id(network rate), id(macro rate)) -> [ratio, flows]; both
+    # allocations hold their rate objects, so the ids stay unique.
+    pairs: Dict[Tuple[int, int], List] = {}
+    for flow, macro_rate in macro_alloc.items():
         if macro_rate == 0:
             continue
-        ratios[flow] = network_alloc.rate(flow) / macro_rate
+        rate = network_alloc.rate(flow)
+        key = (id(rate), id(macro_rate))
+        entry = pairs.get(key)
+        if entry is None:
+            entry = pairs[key] = [rate / macro_rate, 0]
+        ratios[flow] = entry[0]
+        entry[1] += 1
     if not ratios:
         raise ValueError("no comparable flows")
-    values = list(ratios.values())
+    distinct = list(pairs.values())
+    values = [ratio for ratio, _ in distinct]
     return RateComparison(
         ratios=ratios,
         min_ratio=min(values),
         max_ratio=max(values),
-        num_degraded=sum(1 for v in values if v < 1),
-        num_starved=sum(1 for v in values if v == 0),
+        num_degraded=sum(count for ratio, count in distinct if ratio < 1),
+        num_starved=sum(count for ratio, count in distinct if ratio == 0),
     )
 
 

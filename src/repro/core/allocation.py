@@ -10,13 +10,36 @@ rates) and with an explicit tolerance (for float rates).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.flows import Flow
 from repro.core.routing import Routing
 
 Rate = Union[int, float, Fraction]
+
+
+def distinct_objects(values: Collection[Rate]) -> Dict[int, Rate]:
+    """The distinct objects in ``values``, keyed by ``id``, in order of
+    first appearance.
+
+    The exact solvers hand one rate object to every flow frozen at the
+    same level, so work done once per object is done once per level.
+    The ids stay unique only while ``values`` holds its objects.
+    """
+    return dict(zip(map(id, values), values))
 
 
 class Allocation:
@@ -35,13 +58,16 @@ class Allocation:
         self._rates: Dict[Flow, Rate] = dict(rates)
         # Flows of one route usually share one rate object: test each
         # distinct object once, and name the first offending flow.
-        values = self._rates.values()
-        distinct = dict(zip(map(id, values), values)).values()
-        if any(rate < 0 for rate in distinct):
+        # ``rate >= 0`` is false for NaN as well as for negative rates.
+        distinct = distinct_objects(self._rates.values()).values()
+        if not all(rate >= 0 for rate in distinct):
             flow, rate = next(
-                (flow, rate) for flow, rate in self._rates.items() if rate < 0
+                (flow, rate)
+                for flow, rate in self._rates.items()
+                if not rate >= 0
             )
-            raise ValueError(f"negative rate {rate!r} for flow {flow!r}")
+            kind = "negative" if rate < 0 else "NaN"
+            raise ValueError(f"{kind} rate {rate!r} for flow {flow!r}")
         # Sorted vector and throughput, computed once on demand:
         # allocations are immutable, and the search layers compare the
         # same incumbent's sorted vector against every candidate.
@@ -71,16 +97,38 @@ class Allocation:
         """A copy of the flow → rate map."""
         return dict(self._rates)
 
+    def _groups(self) -> List[Tuple[Rate, int]]:
+        """Each distinct rate object with the number of flows holding it,
+        in order of first appearance."""
+        values = self._rates.values()
+        counts = Counter(map(id, values))
+        return list(zip(distinct_objects(values).values(), counts.values()))
+
     def throughput(self) -> Rate:
         """Total rate over all flows — ``t(a)`` in the paper."""
         if self._throughput is None:
-            self._throughput = sum(self._rates.values())
+            values = self._rates.values()
+            if all(isinstance(rate, (int, Fraction)) for rate in values):
+                # Exact sums do not depend on order: Σ rate · count.
+                self._throughput = sum(
+                    rate if count == 1 else rate * count
+                    for rate, count in self._groups()
+                )
+            else:
+                # Float sums do: keep the left-to-right sum over flows.
+                self._throughput = sum(values)
         return self._throughput
 
     def sorted_vector(self) -> List[Rate]:
         """Rates sorted from lowest to highest — ``a↑`` in the paper."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._rates.values()))
+            # Sort the distinct objects, then expand each to its
+            # multiplicity (a stable sort, so equal rates keep their
+            # order of first appearance).
+            vector: List[Rate] = []
+            for rate, count in sorted(self._groups(), key=itemgetter(0)):
+                vector += [rate] * count
+            self._sorted = tuple(vector)
         return list(self._sorted)
 
     def as_float(self) -> "Allocation":
@@ -100,11 +148,9 @@ def lex_compare(
     ``left > right`` — all in lexicographic order with per-component
     tolerance ``tol`` (use ``tol=0`` with exact ``Fraction`` rates).
 
-    Following the convention for max-min comparisons over allocations of
-    different sizes, a missing component compares as *larger* than any
-    present one (a strict prefix is lexicographically smaller only if a
-    differing component is found first; equal-prefix shorter vectors are
-    treated as smaller).
+    Vectors of different sizes compare component by component first;
+    when one is a prefix of the other (within ``tol``), the shorter one
+    is the smaller.
     """
     for a, b in zip(left, right):
         if a < (b - tol if tol else b):

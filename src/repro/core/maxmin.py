@@ -49,7 +49,7 @@ from repro.errors import (
     UnboundedRateError,
     UnknownLinkError,
 )
-from repro.core.allocation import Allocation, Rate
+from repro.core.allocation import Allocation, Rate, distinct_objects
 from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
 from repro.obs import counter, trace_span
@@ -160,15 +160,17 @@ def max_min_fair(
     link_flows: Dict[Link, List[Flow]] = routing.flows_per_link()
     validate_capacities(link_flows, capacities)
 
-    def coerce(value: Rate) -> Rate:
-        if value == _INF:
-            return _INF
-        return Fraction(value) if exact else float(value)
-
+    # Links share a few capacity objects: coerce each distinct one once
+    # (None for ∞).
+    raw = [capacities[link] for link in link_flows]
+    coerced = {
+        key: None if value == _INF else (Fraction(value) if exact else float(value))
+        for key, value in distinct_objects(raw).items()
+    }
     finite_links: Dict[Link, Rate] = {}
-    for link, members in link_flows.items():
-        capacity = coerce(capacities[link])
-        if capacity != _INF:
+    for link, value in zip(link_flows, raw):
+        capacity = coerced[id(value)]
+        if capacity is not None:
             finite_links[link] = capacity
 
     # Flows constrained by no finite link would rise forever.

@@ -20,18 +20,18 @@ macro-switch rates.  This harness reproduces both halves:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.analysis.metrics import compare_to_macro, summarize_rates
 from repro.core.allocation import Allocation, lex_compare
-from repro.core.flows import FlowCollection
+from repro.core.flows import Flow, FlowCollection
 from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork, MacroSwitch
 from repro.routers.congestion_local_search import local_search_congestion
 from repro.routers.ecmp import ecmp_routing
-from repro.routers.greedy import greedy_least_congested, macro_switch_demands
+from repro.routers.greedy import greedy_least_congested
 from repro.routers.two_choice import two_choice_routing
 from repro.workloads.adversarial import theorem_4_3
 from repro.workloads.stochastic import hotspot, permutation, rack_local, uniform_random
@@ -51,9 +51,13 @@ class RouterComparisonRow(NamedTuple):
 
 
 def _routers(
-    network: ClosNetwork, flows: FlowCollection, seed: int
+    network: ClosNetwork,
+    flows: FlowCollection,
+    seed: int,
+    demands: Mapping[Flow, Fraction],
 ) -> Dict[str, Routing]:
-    demands = macro_switch_demands(network, flows)
+    """The four routers' routings; ``demands`` are the macro-switch rates
+    the caller has already solved for ``flows``."""
     greedy = greedy_least_congested(network, flows, demands=demands)
     return {
         "ecmp": ecmp_routing(network, flows, seed=seed),
@@ -180,12 +184,13 @@ def stochastic_comparison(
         }
         for name, flows in workloads.items():
             macro_alloc = macro_switch_max_min(macro_network, flows)
+            routers = _routers(network, flows, seed, macro_alloc.rates())
             if backend == "batched":
                 macro_allocs[(name, seed)] = macro_alloc
-                for router, routing in _routers(network, flows, seed).items():
+                for router, routing in routers.items():
                     cells.append((name, router, seed, routing))
                 continue
-            for router, routing in _routers(network, flows, seed).items():
+            for router, routing in routers.items():
                 rows.append(
                     _compare(
                         name, router, seed, network, macro_alloc, routing,
@@ -203,7 +208,9 @@ def adversarial_comparison(
     """E6, worst-case half: the same routers on the Theorem 4.3 flows."""
     instance = theorem_4_3(n)
     macro_alloc = macro_switch_max_min(instance.macro, instance.flows)
-    routers = _routers(instance.clos, instance.flows, seed=0)
+    routers = _routers(
+        instance.clos, instance.flows, seed=0, demands=macro_alloc.rates()
+    )
     if backend == "batched":
         cells = [
             ("theorem_4_3", router, 0, routing)
@@ -232,12 +239,12 @@ def allocation_summaries(
     network = ClosNetwork(n)
     macro_network = MacroSwitch(n)
     flows = uniform_random(network, num_flows, seed=seed)
+    macro_alloc = macro_switch_max_min(macro_network, flows)
     result: Dict[str, Dict[str, float]] = {
-        "macro_switch": summarize_rates(
-            macro_switch_max_min(macro_network, flows)
-        )
+        "macro_switch": summarize_rates(macro_alloc)
     }
-    for router, routing in _routers(network, flows, seed).items():
+    routers = _routers(network, flows, seed, macro_alloc.rates())
+    for router, routing in routers.items():
         if backend is not None:
             from repro.core.solve import solve_max_min
 
@@ -287,7 +294,8 @@ def locality_sweep(
     for locality in localities:
         flows = rack_local(network, num_flows, locality=locality, seed=seed)
         macro_alloc = macro_switch_max_min(macro_network, flows)
-        for router, routing in _routers(network, flows, seed).items():
+        routers = _routers(network, flows, seed, macro_alloc.rates())
+        for router, routing in routers.items():
             if router == "local_search":
                 continue  # greedy is representative; keep the sweep fast
             alloc = max_min_fair(routing, network.graph.capacities())

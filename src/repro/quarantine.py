@@ -415,7 +415,7 @@ def replay(
        the flow set down to a minimal failing subset and write it as a
        new bundle next to the original.
     """
-    from repro.validate import allocation_failures
+    from repro.validate import rate_failures
 
     if isinstance(bundle, str):
         bundle = load_bundle(bundle)
@@ -431,11 +431,10 @@ def replay(
         if len(covered) < len(bundle.routing):
             stored_failures.append("stored rates do not cover every flow")
         else:
-            stored_failures = allocation_failures(
-                bundle.routing,
-                bundle.capacities,
-                Allocation(covered),
-                level="full",
+            # Certify the raw map: a NaN or negative stored rate is a
+            # defect to list, which an ``Allocation`` would refuse.
+            stored_failures = rate_failures(
+                bundle.routing, bundle.capacities, covered, level="full"
             )
 
     live_failures = _live_failures(

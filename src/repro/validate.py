@@ -283,13 +283,30 @@ def allocation_failures(
     ``level=None`` resolves the ambient level (``off`` returns []);
     ``tol=None`` picks :func:`default_tolerance` from the rate types.
     """
+    return rate_failures(
+        routing, capacities, allocation.rates(), level=level, tol=tol
+    )
+
+
+def rate_failures(
+    routing: Routing,
+    capacities: Mapping[Link, Rate],
+    all_rates: Mapping[Flow, Rate],
+    level: Optional[str] = None,
+    tol: Optional[float] = None,
+) -> List[str]:
+    """:func:`allocation_failures` on a raw flow → rate map.
+
+    The map may hold rates an :class:`Allocation` refuses (NaN,
+    negative), such as a quarantine bundle's stored rates; they are
+    reported as defects.
+    """
     level = _resolve(level)
     if level == "off":
         return []
     # Missing flows are a *defect to report* (via the coverage check in
     # structure_failures), not a crash — hence no allocation.rate(),
     # which raises on unknown flows.
-    all_rates = allocation.rates()
     rates = {
         flow: all_rates[flow]
         for flow in routing.flows()

@@ -1,5 +1,6 @@
 """Unit and property tests for allocations and lexicographic order."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,16 @@ class TestAllocation:
             assert str(error.value) == (
                 f"negative rate {rates[first]!r} for flow {flows[first]!r}"
             )
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_nan_rate_rejected(self, clos, first):
+        """NaN passes a ``rate < 0`` test; left in, it would make the
+        sorted vector depend on insertion order."""
+        f, g = _flow(clos), _flow(clos, tag=1)
+        rates = [(f, math.nan), (g, 0.5)]
+        with pytest.raises(ValueError) as error:
+            Allocation(dict(rates if first else rates[::-1]))
+        assert str(error.value) == f"NaN rate nan for flow {f!r}"
 
     def test_zero_rate_allowed(self, clos):
         a = Allocation({_flow(clos): 0})
@@ -136,6 +147,64 @@ class TestLexCompare:
     def test_transitivity(self, a, b, c):
         if lex_compare(a, b) >= 0 and lex_compare(b, c) >= 0:
             assert lex_compare(a, c) >= 0
+
+
+#: Exact rate objects: ints, Fractions, and the same value in both.
+_exact_rates = st.one_of(
+    st.integers(0, 3),
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _shared_rates(draw, rates=_exact_rates, max_size=12):
+    """Per-flow rates drawn from a small pool of objects, so flows share
+    rate objects and equal values also sit in distinct objects."""
+    pool = draw(st.lists(rates, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_size))
+    return [pool[i] for i in picks]
+
+
+def _allocation(values):
+    clos = ClosNetwork(2)
+    return Allocation({_flow(clos, tag=tag): v for tag, v in enumerate(values)})
+
+
+class TestPerObjectPaths:
+    """Throughput and the sorted vector work once per distinct rate
+    object; they must agree with the per-flow definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shared_rates())
+    def test_exact_rates_match_per_flow(self, values):
+        a = _allocation(values)
+        assert a.sorted_vector() == sorted(values)
+        expected = sum(values)
+        assert a.throughput() == expected
+        assert type(a.throughput()) is type(expected)
+
+    def test_equal_values_in_distinct_objects(self):
+        values = [Fraction(1, 2), 1, Fraction(1), Fraction(1, 2), 1, Fraction(1, 2)]
+        a = _allocation(values)
+        assert a.sorted_vector() == sorted(values)
+        assert a.throughput() == Fraction(9, 2)
+        assert type(a.throughput()) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _shared_rates(
+            st.one_of(
+                st.floats(0, 10, allow_nan=False, allow_infinity=False),
+                _exact_rates,
+            )
+        )
+    )
+    def test_float_throughput_is_the_per_flow_sum(self, values):
+        a = _allocation(values)
+        expected = sum(values)
+        assert type(a.throughput()) is type(expected)
+        assert repr(a.throughput()) == repr(expected)
+        assert a.sorted_vector() == sorted(values)
 
 
 class TestFeasibility:

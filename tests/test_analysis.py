@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import (
     compare_to_macro,
@@ -81,6 +83,83 @@ class TestCompareToMacro:
         macro = Allocation({f1: Fraction(1), f2: Fraction(1, 2)})
         comparison = compare_to_macro(network, macro)
         assert relative_max_min_floor(comparison) == Fraction(1, 4)
+
+
+def _reference_compare(network, macro):
+    """``compare_to_macro`` as one division and one test per flow."""
+    ratios = {}
+    for flow in macro.flows():
+        if macro.rate(flow) == 0:
+            continue
+        ratios[flow] = network.rate(flow) / macro.rate(flow)
+    if not ratios:
+        raise ValueError("no comparable flows")
+    values = list(ratios.values())
+    return (
+        ratios,
+        min(values),
+        max(values),
+        sum(1 for v in values if v < 1),
+        sum(1 for v in values if v == 0),
+    )
+
+
+#: Exact rate objects, zeros included, as ints and as Fractions.
+_rates = st.one_of(
+    st.integers(0, 2),
+    st.fractions(min_value=0, max_value=2, max_denominator=4),
+)
+
+
+class TestCompareToMacroPerObject:
+    """Flows share rate objects; one division per distinct (network,
+    macro) object pair must give every field the per-flow loop gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_flow_reference(self, data):
+        network_pool = data.draw(st.lists(_rates, min_size=1, max_size=4))
+        macro_pool = data.draw(st.lists(_rates, min_size=1, max_size=4))
+        picks = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(network_pool) - 1),
+                    st.integers(0, len(macro_pool) - 1),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        flows = _flows(len(picks))
+        network = Allocation(
+            {f: network_pool[i] for f, (i, _) in zip(flows, picks)}
+        )
+        macro = Allocation({f: macro_pool[j] for f, (_, j) in zip(flows, picks)})
+        try:
+            expected = _reference_compare(network, macro)
+        except ValueError:
+            with pytest.raises(ValueError, match="no comparable flows"):
+                compare_to_macro(network, macro)
+            return
+        comparison = compare_to_macro(network, macro)
+        ratios, low, high, degraded, starved = expected
+        assert list(comparison.ratios.items()) == list(ratios.items())
+        assert all(
+            type(comparison.ratios[f]) is type(r) for f, r in ratios.items()
+        )
+        assert (comparison.min_ratio, comparison.max_ratio) == (low, high)
+        assert type(comparison.min_ratio) is type(low)
+        assert type(comparison.max_ratio) is type(high)
+        assert comparison.num_degraded == degraded
+        assert comparison.num_starved == starved
+
+    def test_network_may_omit_flows_with_zero_macro_rate(self):
+        kept, skipped = _flows(2)
+        network = Allocation({kept: Fraction(1, 2)})
+        macro = Allocation({kept: Fraction(1), skipped: 0})
+        comparison = compare_to_macro(network, macro)
+        assert comparison.ratios == {kept: Fraction(1, 2)}
+        assert comparison.num_degraded == 1
 
 
 class TestJain:

@@ -429,14 +429,21 @@ class TestCertificateMatchesReference:
 
     def test_nan_bar_is_never_reached(self):
         """A NaN rate makes the shared source link's bar NaN; the other
-        flow still finds its bottleneck on the next link of its path."""
+        flow still finds its bottleneck on the next link of its path.
+
+        ``Allocation`` rejects NaN rates, so the rates reach the
+        certificate through a bare object with the two reads it makes.
+        """
         clos = ClosNetwork(2)
         flows = FlowCollection()
         first, second = flows.add_pair(
             clos.source(1, 1), clos.destination(3, 1), count=2
         )
         routing = Routing.from_middles(clos, flows, {first: 1, second: 2})
-        allocation = Allocation({first: float("nan"), second: 1.0})
+        rates = {first: float("nan"), second: 1.0}
+        with pytest.raises(ValueError, match="NaN rate"):
+            Allocation(rates)
+        allocation = _UncheckedRates(rates)
         capacities = clos.graph.capacities()
         for tol in (0.0, 1e-9):
             assert flows_without_bottleneck(
@@ -452,6 +459,20 @@ class TestCertificateMatchesReference:
             ) == ref_bottleneck_links(
                 routing, allocation, capacities, second, tol
             ) != []
+
+
+class _UncheckedRates:
+    """An allocation's ``rate``/``rates`` reads over a raw map, with no
+    check on the rates."""
+
+    def __init__(self, rates: Mapping[Flow, Rate]) -> None:
+        self._rates = dict(rates)
+
+    def rate(self, flow: Flow) -> Rate:
+        return self._rates[flow]
+
+    def rates(self) -> Dict[Flow, Rate]:
+        return dict(self._rates)
 
 
 def _separate_paths(routing: Routing) -> Routing:

@@ -107,6 +107,86 @@ class TestE6:
         assert all("jain" in s for s in summaries.values())
 
 
+#: ``stochastic_comparison(n=4, num_flows=40, seeds=[0, 1])``, recorded
+#: before E6 scored per distinct rate object: (workload, router, seed,
+#: flows, throughput fraction, worst ratio, mean ratio, lex ≤ macro).
+E6_ROWS_N4 = [
+    ("uniform", "ecmp", 0, 40, "380/447", "1/2", 0.8995833333333334, True),
+    ("uniform", "two_choice", 0, 40, "431/447", "1/2", 0.9809374999999999, True),
+    ("uniform", "greedy", 0, 40, "1", "1", 1.0, True),
+    ("uniform", "local_search", 0, 40, "1", "1", 1.0, True),
+    ("permutation", "ecmp", 0, 32, "113/192", "1/3", 0.5885416666666665, True),
+    ("permutation", "two_choice", 0, 32, "43/64", "1/2", 0.671875, True),
+    ("permutation", "greedy", 0, 32, "27/32", "1/2", 0.84375, True),
+    ("permutation", "local_search", 0, 32, "7/8", "1/2", 0.875, True),
+    ("hotspot", "ecmp", 0, 40, "2002/2505", "13/33", 0.9065151515151516, True),
+    ("hotspot", "two_choice", 0, 40, "797/835", "6/11", 0.9836363636363636, True),
+    ("hotspot", "greedy", 0, 40, "1", "1", 1.0, True),
+    ("hotspot", "local_search", 0, 40, "1", "1", 1.0, True),
+    ("uniform", "ecmp", 1, 40, "301/366", "5/12", 0.8823145933014356, True),
+    ("uniform", "two_choice", 1, 40, "57/61", "1/2", 0.9542543859649124, True),
+    ("uniform", "greedy", 1, 40, "1", "1", 1.0, True),
+    ("uniform", "local_search", 1, 40, "1", "1", 1.0, True),
+    ("permutation", "ecmp", 1, 32, "233/384", "1/4", 0.6067708333333334, True),
+    ("permutation", "two_choice", 1, 32, "23/32", "1/2", 0.71875, True),
+    ("permutation", "greedy", 1, 32, "15/16", "1/2", 0.9375, True),
+    ("permutation", "local_search", 1, 32, "15/16", "1/2", 0.9375, True),
+    ("hotspot", "ecmp", 1, 40, "252/277", "1/2", 0.9647619047619049, True),
+    ("hotspot", "two_choice", 1, 40, "2213/2216", "67/70", 0.9989285714285714, True),
+    ("hotspot", "greedy", 1, 40, "1", "1", 1.0, True),
+    ("hotspot", "local_search", 1, 40, "1", "1", 1.0, True),
+]
+
+
+class TestE6MacroSolvedOnce:
+    """Every E6 entry point hands its one macro-switch solve to the
+    routers; none of them solves the macro switch a second time."""
+
+    @pytest.fixture(autouse=True)
+    def no_second_macro_solve(self, monkeypatch):
+        """The routers' own macro solve, and the one inside it, raise."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("routers re-solved the macro switch")
+
+        for name in ("macro_switch_demands", "macro_switch_max_min"):
+            monkeypatch.setattr(f"repro.routers.greedy.{name}", refuse)
+
+    @pytest.mark.parametrize("backend", [None, "batched"])
+    def test_stochastic_comparison(self, backend):
+        rows = ecmp_simulation.stochastic_comparison(
+            n=2, num_flows=10, seeds=[0, 1], backend=backend
+        )
+        assert len(rows) == 24
+
+    @pytest.mark.parametrize("backend", [None, "batched"])
+    def test_adversarial_comparison(self, backend):
+        assert len(ecmp_simulation.adversarial_comparison(n=3, backend=backend)) == 4
+
+    def test_locality_sweep(self):
+        rows = ecmp_simulation.locality_sweep(
+            n=2, num_flows=10, localities=(0.0, 1.0)
+        )
+        assert len(rows) == 6  # local_search is left out of the sweep
+
+    def test_allocation_summaries(self):
+        summaries = ecmp_simulation.allocation_summaries(n=2, num_flows=10)
+        assert len(summaries) == 5
+
+    def test_rows_pinned(self):
+        rows = ecmp_simulation.stochastic_comparison(
+            n=4, num_flows=40, seeds=[0, 1]
+        )
+        expected = [
+            (name, router, seed, flows, Fraction(tput), Fraction(worst), mean, lex)
+            for name, router, seed, flows, tput, worst, mean, lex in E6_ROWS_N4
+        ]
+        assert [tuple(row) for row in rows] == expected
+        for row in rows:
+            assert type(row.throughput_fraction) is Fraction
+            assert type(row.min_rate_ratio) is Fraction
+
+
 class TestE7:
     def test_equivalence(self):
         rows = konig_equivalence.equivalence_checks(

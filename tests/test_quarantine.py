@@ -100,6 +100,18 @@ class TestQuarantineRoundTrip:
         assert result.live_failures == []
         assert result.minimized_path is None
 
+    def test_stored_nan_rate_is_listed_not_raised(self, instance):
+        routing, capacities = instance
+        rates = max_min_fair(routing, capacities, exact=False).rates()
+        bad = routing.flows()[0]
+        rates[bad] = float("nan")
+        path = write_bundle(
+            routing, capacities, "nan", "vectorized", False, rates=rates
+        )
+        result = replay(path, minimize=False)
+        assert result.stored_failures == [f"NaN rate for flow {bad!r}"]
+        assert not result.reproduced
+
 
 class TestCorruptedBackendEndToEnd:
     """The acceptance scenario: a corrupted vectorized kernel is caught

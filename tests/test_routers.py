@@ -208,7 +208,7 @@ class TestCongestionLowerBound:
             demands = macro_switch_demands(network, flows)
             bound = self._lower_bound(network, demands)
             assert isinstance(bound, Fraction)
-            routers = _routers(network, flows, seed)
+            routers = _routers(network, flows, seed, demands)
             assert sorted(routers) == [
                 "ecmp", "greedy", "local_search", "two_choice"
             ]
