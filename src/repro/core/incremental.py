@@ -11,8 +11,8 @@ unchanged by construction).
 
 :class:`MoveEvaluator` keeps the link-occupancy structure of a routing
 *mutable* and evaluates a move by patching those four entries, running
-the shared water-filling loop (:func:`repro.core.maxmin._fill`) on fresh
-residual/count dicts, and reverting the patch.  The rates produced are
+the shared water-filling loop (:func:`repro.core.maxmin._fill`) with one
+route per flow, and reverting the patch.  The rates produced are
 the max-min fair allocation of the *moved* routing — the allocation is
 unique per routing, so in exact mode the result is ``Fraction``-identical
 to a full :func:`~repro.core.maxmin.max_min_fair` solve (property-tested
@@ -116,25 +116,17 @@ class MoveEvaluator:
         }
         validate_capacities(self._link_flows, self.capacities)
 
-        # Coerced capacity per link, grown lazily as moves touch new
-        # links.  Infinite capacities map to None (unconstraining).
-        self._coerced: Dict[Link, Optional[Rate]] = {}
-        self._zero: Rate = Fraction(0) if exact else 0.0
-
-        # Base residual/count structures for `_fill`, maintained across
-        # patches so each evaluation starts from a C-speed dict copy
-        # instead of a Python rebuild loop.  Entries whose count drops
-        # to 0 are kept (harmless: the heap skips them).
-        self._residual0: Dict[Link, Rate] = {}
-        self._count0: Dict[Link, int] = {}
-        for link, members in self._link_flows.items():
-            if not members:
-                continue
-            capacity = self._capacity(link)
-            if capacity is None:
-                continue
-            self._residual0[link] = capacity
-            self._count0[link] = len(members)
+        # Finite links get int ids in order of first sight, grown
+        # lazily as moves touch new links (None marks an infinite,
+        # unconstraining link); each flow keeps the ids of its path's
+        # finite links for `_fill`.
+        self._link_id: Dict[Link, Optional[int]] = {}
+        self._link_capacity: List[Rate] = []
+        self._flow_ids: Dict[Flow, List[int]] = {
+            flow: self._finite_ids(links)
+            for flow, links in self._flow_links.items()
+        }
+        self._routes: List[Tuple[Flow]] = [(flow,) for flow in self._flows]
 
         # Canonical fingerprint of the base routing + each flow's slot,
         # so candidate fingerprints are single-entry tuple splices.
@@ -178,32 +170,34 @@ class MoveEvaluator:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def _capacity(self, link: Link) -> Optional[Rate]:
-        """Coerced finite capacity of ``link``, or ``None`` if infinite."""
-        try:
-            return self._coerced[link]
-        except KeyError:
-            raw = self.capacities[link]
-            if raw == _INF:
-                coerced: Optional[Rate] = None
-            else:
-                coerced = Fraction(raw) if self.exact else float(raw)
-            self._coerced[link] = coerced
-            return coerced
+    def _finite_ids(self, links: List[Link]) -> List[int]:
+        """The ids of the finite-capacity ``links``, assigning new ones."""
+        ids = []
+        for link in links:
+            try:
+                index = self._link_id[link]
+            except KeyError:
+                raw = self.capacities[link]
+                index = None
+                if raw != _INF:
+                    index = len(self._link_capacity)
+                    self._link_capacity.append(
+                        Fraction(raw) if self.exact else float(raw)
+                    )
+                self._link_id[link] = index
+            if index is not None:
+                ids.append(index)
+        return ids
 
     def _solve_current(self) -> Allocation:
         """Water-fill the current (possibly patched) link occupancy."""
-        residual: Dict[Link, Rate] = dict(self._residual0)
-        unfrozen_count: Dict[Link, int] = dict(self._count0)
-        rates: Dict[Flow, Rate] = {f: self._zero for f in self._flows}
+        rates: Dict[Flow, Rate] = {}
         _fill(
-            self._flows,
-            self._link_flows,
-            self._flow_links,
+            self._routes,
+            [self._flow_ids[flow] for flow in self._flows],
+            self._link_capacity,
             rates,
-            residual,
-            unfrozen_count,
-            self._zero,
+            self.exact,
         )
         from repro.validate import validate_structure, validation_level
 
@@ -228,17 +222,12 @@ class MoveEvaluator:
         old_mid, new_mid = MiddleSwitch(old_m), MiddleSwitch(new_m)
         for link in ((inp, old_mid), (old_mid, out)):
             self._link_flows[link].remove(flow)
-            if link in self._count0:
-                self._count0[link] -= 1
         for link in ((inp, new_mid), (new_mid, out)):
             self._link_flows.setdefault(link, []).append(flow)
-            capacity = self._capacity(link)
-            if capacity is not None:
-                self._residual0[link] = capacity
-                self._count0[link] = self._count0.get(link, 0) + 1
         path = self.network.path_via(flow.source, flow.dest, new_m)
         self._paths[flow] = path
-        self._flow_links[flow] = list(zip(path, path[1:]))
+        self._flow_links[flow] = links = list(zip(path, path[1:]))
+        self._flow_ids[flow] = self._finite_ids(links)
         self._middles[flow] = new_m
 
     def base_allocation(self) -> Allocation:

@@ -14,26 +14,41 @@ Implementation notes:
   saturate: ``(capacity − frozen rate on the link) / #unfrozen flows on
   the link``.  The minimum of these over all links is the next freeze
   level.
+- The problem is built once per route (:meth:`Routing.routes`): links
+  become int ids in order of first traversal, and each route carries
+  the ids of its finite links and its weight (its number of flows).
+  Parallel flows share every link, so they always freeze together, and
+  a round does per-route work.
 - The next freeze level is selected with a lazy-deletion min-heap of
-  per-link saturation levels rather than an O(links) scan per round.
-  Lazy deletion is sound because freezing flows can only *raise* a
-  link's saturation level: a popped stale entry is always ≤ the link's
-  true level and can be re-pushed without missing the global minimum.
-  Freeze levels therefore come out in non-decreasing order, and the
-  reported round count is the number of distinct levels — the same
-  quantity the historical per-round min-scan reported.  Float mode
-  counts levels within one saturation band (``_BAND``) as one, so an
-  exact tie that rounding splits by an ulp is still one round.
-- The algorithm is generic over the rate type.  With ``exact=True``
-  capacities are coerced to :class:`fractions.Fraction` and the result is
-  exact — this is what every theorem-verification path uses, since the
-  paper's claims are exact rational numbers.  With ``exact=False`` the
-  computation runs in floats (used by the large stochastic simulations).
+  ``(key, link id)`` entries.  Freezing flows can only *raise* a link's
+  saturation level, so freeze levels come out in non-decreasing order
+  and the reported round count is the number of distinct levels.
+- Exact mode (``exact=True``, the default: every theorem check uses it)
+  keeps each link's residual as an integer ``num/den`` pair and keys the
+  heap on the float ``num / (den · count)``.  CPython divides two ints
+  with correct rounding, so the key is a monotone function of the exact
+  level: a strictly smaller key always means a strictly smaller level,
+  and equal levels get equal keys.  The float keys can only merge
+  distinct levels, never reorder them.  Each pop therefore takes every
+  fresh entry that shares the minimum key, picks the exact minimum among
+  them by integer cross-multiplication, freezes every link at that level
+  as one round and pushes the others back.  After a round, each touched
+  link whose key changed is pushed again; an entry is fresh exactly
+  when its key equals the link's current key.  One normalized
+  :class:`~fractions.Fraction` is built per level and handed to every
+  flow frozen at it.
+- Float mode (``exact=False``, the large stochastic simulations) keys
+  the heap on the float level itself, breaks ties in push order, and
+  subtracts the freeze level once per frozen flow, so its rates do not
+  depend on how the flows group into routes.  Levels within one
+  saturation band (``_BAND``) count as one round, so an exact tie that
+  rounding splits by an ulp is still one round.
 - Infinite-capacity links (macro-switch interior) never constrain and
-  are skipped.  A flow crossing only infinite-capacity links would have
-  an unbounded rate; this cannot happen in the paper's topologies (every
-  path starts and ends on a unit-capacity server link) and raises
-  :class:`UnboundedRateError` if constructed by hand.
+  are left out of the routes' link lists.  A flow crossing only
+  infinite-capacity links would have an unbounded rate; this cannot
+  happen in the paper's topologies (every path starts and ends on a
+  unit-capacity server link) and raises :class:`UnboundedRateError` if
+  constructed by hand.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Mapping, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import (
     CapacityValidationError,
@@ -70,27 +85,6 @@ _SATURATIONS = counter("maxmin.saturated_links")
 _FREEZES = counter("maxmin.flows_frozen")
 
 
-class _Rat:
-    """A minimal unnormalized rational used as a heap key.
-
-    :class:`~fractions.Fraction` pays gcd normalization on construction
-    and ABC dispatch on every comparison — per profile, most of the
-    exact-mode water-fill.  Heap keys only ever need ``<`` (and ties
-    fall through to the tiebreak counter), so a bare cross-multiplied
-    comparison on a slotted pair suffices.  Denominators are positive by
-    construction.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int) -> None:
-        self.n = n
-        self.d = d
-
-    def __lt__(self, other: "_Rat") -> bool:
-        return self.n * other.d < other.n * self.d
-
-
 __all__ = [
     "UnboundedRateError",
     "max_min_fair",
@@ -102,33 +96,44 @@ __all__ = [
 def validate_capacities(
     link_flows: Mapping[Link, object],
     capacities: Mapping[Link, Rate],
-) -> None:
+) -> List[Rate]:
     """Reject capacity maps the water-filling algorithms cannot consume.
 
-    ``link_flows`` is keyed by the traversed links; only its keys are read.
+    ``link_flows`` is keyed by the traversed links; only its keys are
+    read.  Returns the capacity of each of those links, in their order.
 
     Raises :class:`~repro.errors.UnknownLinkError` naming *every*
     traversed link absent from ``capacities``, or
-    :class:`~repro.errors.CapacityValidationError` on negative or
-    non-numeric capacities — instead of a bare ``KeyError``/``TypeError``
-    deep inside the solver loop.
+    :class:`~repro.errors.CapacityValidationError` naming every link
+    whose capacity is negative, NaN or not a number — instead of a bare
+    ``KeyError``/``TypeError`` deep inside the solver loop.
     """
-    missing = [link for link in link_flows if link not in capacities]
-    if missing:
-        raise UnknownLinkError(missing)
-    bad: Dict[Link, Rate] = {}
-    for link in link_flows:
-        capacity = capacities[link]
+    try:
+        raw = [capacities[link] for link in link_flows]
+    except KeyError:
+        raise UnknownLinkError(
+            [link for link in link_flows if link not in capacities]
+        ) from None
+    # Links share a few capacity objects: judge each distinct one once.
+    # ``capacity >= 0`` is false for NaN as well as for negatives.
+    rejected = set()
+    for key, capacity in distinct_objects(raw).items():
         try:
-            negative = capacity < 0
+            valid = capacity >= 0
         except TypeError:
-            negative = True
-        if negative:
-            bad[link] = capacity
-    if bad:
+            valid = False
+        if not valid:
+            rejected.add(key)
+    if rejected:
+        bad = {
+            link: capacity
+            for link, capacity in zip(link_flows, raw)
+            if id(capacity) in rejected
+        }
         raise CapacityValidationError(
             f"capacities must be non-negative numbers: {bad!r}"
         )
+    return raw
 
 
 def max_min_fair(
@@ -139,8 +144,8 @@ def max_min_fair(
     """The max-min fair allocation for ``routing`` (water-filling).
 
     ``capacities`` maps every link traversed by the routing to its
-    capacity.  With ``exact=True`` (default) all arithmetic is done in
-    :class:`~fractions.Fraction` and the returned rates are exact.
+    capacity.  With ``exact=True`` (default) all arithmetic is exact and
+    the returned rates are :class:`~fractions.Fraction`.
 
     >>> from repro.core.topology import MacroSwitch
     >>> from repro.core.flows import FlowCollection
@@ -153,221 +158,242 @@ def max_min_fair(
     >>> alloc.sorted_vector()
     [Fraction(1, 2), Fraction(1, 2)]
     """
-    flows = routing.flows()
-    if not flows:
+    routes = routing.routes()
+    if not routes:
         return Allocation({})
 
-    link_flows: Dict[Link, List[Flow]] = routing.flows_per_link()
-    validate_capacities(link_flows, capacities)
+    # Link ids in order of first traversal; one id list per route.
+    link_id: Dict[Link, int] = {}
+    route_links = [
+        [link_id.setdefault(link, len(link_id)) for link in zip(path, path[1:])]
+        for path, _ in routes
+    ]
+    raw = validate_capacities(link_id, capacities)
 
     # Links share a few capacity objects: coerce each distinct one once
-    # (None for ∞).
-    raw = [capacities[link] for link in link_flows]
+    # (None for ∞).  Infinite links constrain nothing, so routes drop them.
     coerced = {
         key: None if value == _INF else (Fraction(value) if exact else float(value))
         for key, value in distinct_objects(raw).items()
     }
-    finite_links: Dict[Link, Rate] = {}
-    for link, value in zip(link_flows, raw):
-        capacity = coerced[id(value)]
-        if capacity is not None:
-            finite_links[link] = capacity
+    capacity = [coerced[id(value)] for value in raw]
+    if any(value is None for value in coerced.values()):
+        route_links = [
+            [link for link in links if capacity[link] is not None]
+            for links in route_links
+        ]
+    route_flows = [members for _, members in routes]
 
     # Flows constrained by no finite link would rise forever.
-    constrained: Set[Flow] = set()
-    for link in finite_links:
-        constrained.update(link_flows[link])
-    unbounded = [f for f in flows if f not in constrained]
+    unbounded = [
+        flow
+        for members, links in zip(route_flows, route_links)
+        if not links
+        for flow in members
+    ]
     if unbounded:
         raise UnboundedRateError(
             f"flows with no finite-capacity link on their path: {unbounded!r}"
         )
 
-    zero: Rate = Fraction(0) if exact else 0.0
-    rates: Dict[Flow, Rate] = {f: zero for f in flows}
-    # Per finite link: residual capacity after frozen flows, count of
-    # unfrozen flows.  Both are maintained incrementally.
-    residual: Dict[Link, Rate] = dict(finite_links)
-    unfrozen_count: Dict[Link, int] = {
-        link: len(link_flows[link]) for link in finite_links
-    }
-    flow_links: Dict[Flow, List[Link]] = {
-        f: routing.links_of(f) for f in flows
-    }
-
+    rates: Dict[Flow, Rate] = {}
     _SOLVES.inc()
     with trace_span(
-        "maxmin.water_fill", flows=len(flows), exact=exact
+        "maxmin.water_fill", flows=len(routing), exact=exact
     ) as span:
-        rounds = _fill(
-            flows, link_flows, flow_links, rates, residual, unfrozen_count,
-            zero,
-        )
+        rounds = _fill(route_flows, route_links, capacity, rates, exact)
         span.set(rounds=rounds)
 
-    from repro.validate import validate_structure
+    from repro.validate import validate_structure, validation_level
 
-    validate_structure(
-        link_flows, flow_links, rates, capacities,
-        context="maxmin.reference",
-    )
+    level = validation_level()
+    if level != "off":
+        validate_structure(
+            routing.flows_per_link(),
+            {flow: routing.links_of(flow) for flow in routing.flows()},
+            rates, capacities, level=level,
+            context="maxmin.reference",
+        )
     return Allocation(rates)
 
 
 def _fill(
-    flows,
-    link_flows: Mapping[Link, List[Flow]],
-    flow_links: Mapping[Flow, List[Link]],
+    route_flows: Sequence[Sequence[Flow]],
+    route_links: Sequence[List[int]],
+    capacity: Sequence[Rate],
     rates: Dict[Flow, Rate],
-    residual: Dict[Link, Rate],
-    unfrozen_count: Dict[Link, int],
-    zero: Rate,
+    exact: bool,
 ) -> int:
-    """The water-filling loop; mutates ``rates`` (and the bookkeeping
-    dicts) in place and returns the number of rounds (distinct freeze
-    levels, up to the float saturation band).
+    """The water-filling loop over routes; writes each flow's rate into
+    ``rates`` (in route order) and returns the number of rounds
+    (distinct freeze levels, up to the float saturation band).
 
-    Saturation levels are tracked in a lazy-deletion min-heap.  An entry
-    is stale when the link has fully frozen (count 0) or when freezes
-    since the push raised its level; in the latter case the current
-    level is re-pushed.  Because freezing can never *lower* a link's
-    level, the popped minimum is always trustworthy once fresh, and the
-    sequence of freeze levels is non-decreasing — the allocation is the
-    same (exactly, in ``Fraction`` mode) as the historical per-round
-    min-scan computed.
-
-    Exact mode runs on raw numerator/denominator integer pairs and
-    builds one normalized :class:`~fractions.Fraction` per freeze level;
-    the resulting rates are identical (``Fraction`` normalizes on
-    construction) at a fraction of the arithmetic cost.
+    ``route_links[r]`` lists the finite link ids of route ``r``, whose
+    flows are ``route_flows[r]``; ``capacity[i]`` is link ``i``'s
+    capacity, a ``Fraction`` when ``exact`` and a float otherwise
+    (links that no route lists are never read).  Every route must
+    cross at least one link.
     """
-    if isinstance(zero, Fraction):
-        return _fill_exact(
-            flows, link_flows, flow_links, rates, residual, unfrozen_count
-        )
-    return _fill_generic(
-        flows, link_flows, flow_links, rates, residual, unfrozen_count, zero
-    )
+    weight = [len(flows) for flows in route_flows]
+    count = [0] * len(capacity)
+    link_routes: List[List[int]] = [[] for _ in capacity]
+    for route, links in enumerate(route_links):
+        w = weight[route]
+        for link in links:
+            count[link] += w
+            link_routes[link].append(route)
 
-
-def _fill_exact(
-    flows,
-    link_flows: Mapping[Link, List[Flow]],
-    flow_links: Mapping[Flow, List[Link]],
-    rates: Dict[Flow, Rate],
-    residual: Dict[Link, Rate],
-    unfrozen_count: Dict[Link, int],
-) -> int:
-    """Exact-mode water-fill over integer numerator/denominator pairs."""
-    # Rate values here are Fractions (or ints), both of which expose
-    # numerator/denominator directly — no wrapping needed.
-    rnum: Dict[Link, int] = {}
-    rden: Dict[Link, int] = {}
-    for link, capacity in residual.items():
-        rnum[link] = capacity.numerator
-        rden[link] = capacity.denominator
-
-    # (level, tiebreak, link): links are heterogeneous tuples that do
-    # not compare with each other, so a counter breaks level ties.
-    tiebreak = itertools.count()
-    heap: List[Tuple] = [
-        (_Rat(rnum[link], rden[link] * count), next(tiebreak), link)
-        for link, count in unfrozen_count.items()
-        if count
-    ]
-    heapq.heapify(heap)
-
-    frozen: Set[Flow] = set()
-    rounds = 0
-    last_n, last_d = None, 1
-    while len(frozen) < len(flows):
-        if not heap:
-            # All remaining flows cross only saturated... cannot happen:
-            # every unfrozen flow sits on at least one finite link with
-            # a positive unfrozen count (itself).
-            raise AssertionError("water-filling invariant violated")
-        level, _, link = heapq.heappop(heap)
-        count = unfrozen_count[link]
-        if count == 0:
-            continue  # stale: the link fully froze after the push
-        cn, cd = rnum[link], rden[link] * count
-        if cn * level.d > level.n * cd:
-            # Stale: freezes since the push raised this link's level.
-            heapq.heappush(heap, (_Rat(cn, cd), next(tiebreak), link))
-            continue
-
-        if last_n is None or cn * last_d > last_n * cd:
-            rounds += 1
-            _ROUNDS.inc()
-            last_n, last_d = cn, cd
-            # One normalized Fraction per distinct level; consecutive
-            # saturations at the same level (levels are non-decreasing)
-            # reuse it.
-            current = Fraction(cn, cd)
-            curn, curd = current.numerator, current.denominator
-        _SATURATIONS.inc()
-        newly_frozen = [f for f in link_flows[link] if f not in frozen]
-        _FREEZES.inc(len(newly_frozen))
-        for flow in newly_frozen:
-            rates[flow] = current
-            frozen.add(flow)
-            for other in flow_links[flow]:
-                if other in rnum:
-                    n = rnum[other] * curd - curn * rden[other]
-                    d = rden[other] * curd
-                    g = gcd(n, d)
-                    if g > 1:
-                        n //= g
-                        d //= g
-                    rnum[other] = n
-                    rden[other] = d
-                    unfrozen_count[other] -= 1
-
+    fill = _fill_exact if exact else _fill_float
+    levels, rounds = fill(route_links, weight, capacity, count, link_routes)
+    _FREEZES.inc(sum(weight))
+    for flows, level in zip(route_flows, levels):
+        for flow in flows:
+            rates[flow] = level
     return rounds
 
 
-def _fill_generic(
-    flows,
-    link_flows: Mapping[Link, List[Flow]],
-    flow_links: Mapping[Flow, List[Link]],
-    rates: Dict[Flow, Rate],
-    residual: Dict[Link, Rate],
-    unfrozen_count: Dict[Link, int],
-    zero: Rate,
-) -> int:
-    """Float-mode water-fill on the rate type itself (see :func:`_fill`)."""
-    # (level, tiebreak, link): links are heterogeneous tuples that do
-    # not compare with each other, so a monotone counter breaks ties.
+def _fill_exact(
+    route_links: Sequence[List[int]],
+    weight: List[int],
+    capacity: Sequence[Fraction],
+    count: List[int],
+    link_routes: List[List[int]],
+) -> Tuple[List[Fraction], int]:
+    """Exact water-fill on integer residuals (see the module notes);
+    returns each route's level and the round count."""
+    size = len(capacity)
+    num = [0] * size
+    den = [1] * size
+    key_of = [0.0] * size
+    heap: List[Tuple[float, int]] = []
+    for link, c in enumerate(count):
+        if c:
+            value = capacity[link]
+            n = num[link] = value.numerator
+            d = den[link] = value.denominator
+            key = key_of[link] = _key(n, d * c)
+            heap.append((key, link))
+    heapq.heapify(heap)
+
+    levels: List[Optional[Fraction]] = [None] * len(route_links)
+    remaining = len(route_links)
+    rounds = 0
+    pop, push = heapq.heappop, heapq.heappush
+    while remaining:
+        if not heap:
+            # Cannot happen: every unfrozen route crosses at least one
+            # link with a positive unfrozen count (its own).
+            raise AssertionError("water-filling invariant violated")
+        key, link = pop(heap)
+        if not count[link] or key_of[link] != key:
+            continue  # stale: fully frozen, or raised since the push
+        tied = [link]
+        while heap and heap[0][0] == key:
+            other = pop(heap)[1]
+            if count[other] and key_of[other] == key:
+                tied.append(other)
+
+        # The exact minimum among links sharing the minimum key.
+        ln, ld = num[link], den[link] * count[link]
+        saturated = tied
+        if len(tied) > 1:
+            exact_levels = [(i, num[i], den[i] * count[i]) for i in tied]
+            for _, n, d in exact_levels:
+                if n * ld < ln * d:
+                    ln, ld = n, d
+            saturated = []
+            for i, n, d in exact_levels:
+                if n * ld == ln * d:
+                    saturated.append(i)
+                else:
+                    push(heap, (key, i))
+
+        rounds += 1
+        level = Fraction(ln, ld)
+        curn, curd = level.numerator, level.denominator
+        # Freeze every route on the saturated links at `level`, then
+        # take the frozen weight off every link those routes cross.
+        dropped: Dict[int, int] = {}
+        for i in saturated:
+            for route in link_routes[i]:
+                if levels[route] is None:
+                    levels[route] = level
+                    remaining -= 1
+                    w = weight[route]
+                    for other in route_links[route]:
+                        dropped[other] = dropped.get(other, 0) + w
+        for other, w in dropped.items():
+            c = count[other] - w
+            count[other] = c
+            if not c:
+                continue
+            d = den[other]
+            n = num[other] * curd - curn * w * d
+            d *= curd
+            g = gcd(n, d)
+            if g > 1:
+                n //= g
+                d //= g
+            num[other] = n
+            den[other] = d
+            key = _key(n, d * c)
+            if key != key_of[other]:
+                key_of[other] = key
+                push(heap, (key, other))
+        _SATURATIONS.inc(len(saturated))
+    _ROUNDS.inc(rounds)
+    return levels, rounds
+
+
+def _key(num: int, den: int) -> float:
+    """``num / den`` correctly rounded; ∞ past the float range (still
+    monotone, and ties among keys are decided exactly)."""
+    try:
+        return num / den
+    except OverflowError:
+        return _INF
+
+
+def _fill_float(
+    route_links: Sequence[List[int]],
+    weight: List[int],
+    capacity: Sequence[float],
+    count: List[int],
+    link_routes: List[List[int]],
+) -> Tuple[List[float], int]:
+    """Float water-fill; returns each route's level and the round count."""
+    residual = list(capacity)
+    # (level, tiebreak, link): equal levels pop in push order.
     tiebreak = itertools.count()
-    heap: List[Tuple] = [
-        (residual[link] / count, next(tiebreak), link)
-        for link, count in unfrozen_count.items()
-        if count
+    heap: List[Tuple[float, int, int]] = [
+        (residual[link] / c, next(tiebreak), link)
+        for link, c in enumerate(count)
+        if c
     ]
     heapq.heapify(heap)
 
-    frozen: Set[Flow] = set()
-    total = len(flows)
+    levels: List[Optional[float]] = [None] * len(route_links)
+    remaining = len(route_links)
     rounds = 0
     last_level = None
-    while len(frozen) < total:
+    while remaining:
         if not heap:
-            # Cannot happen: every unfrozen flow sits on at least one
-            # finite link with a positive unfrozen count (itself).
+            # Cannot happen: every unfrozen route crosses at least one
+            # link with a positive unfrozen count (its own).
             raise AssertionError("water-filling invariant violated")
         level, _, link = heapq.heappop(heap)
-        count = unfrozen_count[link]
-        if count == 0:
+        c = count[link]
+        if not c:
             continue  # stale: the link fully froze after the push
-        current = residual[link] / count
+        current = residual[link] / c
         if current > level:
             # Stale: freezes since the push raised this link's level.
             heapq.heappush(heap, (current, next(tiebreak), link))
             continue
-        if current < zero:
+        if current < 0.0:
             # Float rounding can leave a residual at -1e-16; clamp so
             # the resulting rates stay non-negative.
-            current = zero
+            current = 0.0
 
         if last_level is None or current > last_level + _BAND * (
             1 + last_level
@@ -380,18 +406,20 @@ def _fill_generic(
             last_level = current
         _SATURATIONS.inc()
 
-        # Freeze every unfrozen flow on the saturating link at `current`.
-        newly_frozen = [f for f in link_flows[link] if f not in frozen]
-        _FREEZES.inc(len(newly_frozen))
-        for flow in newly_frozen:
-            rates[flow] = current
-            frozen.add(flow)
-            for other in flow_links[flow]:
-                if other in residual:
-                    residual[other] -= current
-                    unfrozen_count[other] -= 1
-
-    return rounds
+        # Freeze every unfrozen route on the saturating link at
+        # `current`, subtracting it once per flow.
+        for route in link_routes[link]:
+            if levels[route] is None:
+                levels[route] = current
+                remaining -= 1
+                w = weight[route]
+                for other in route_links[route]:
+                    value = residual[other]
+                    for _ in range(w):
+                        value -= current
+                    residual[other] = value
+                    count[other] -= w
+    return levels, rounds
 
 
 def max_min_fair_for_network(

@@ -13,7 +13,6 @@ feasibility checks and the water-filling algorithm.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import InfeasibleRoutingError, UnknownFlowError
@@ -143,15 +142,18 @@ class Routing:
         [3]
         """
         if self._routes is None:
-            flows = list(self._paths)
-            paths = list(self._paths.values())
-            routes = []
-            start = 0
-            for _, run in groupby(map(id, paths)):
-                stop = start + len(list(run))
-                routes.append((paths[start], tuple(flows[start:stop])))
-                start = stop
-            self._routes = tuple(routes)
+            runs: List[Tuple[Path, List[Flow]]] = []
+            last = None
+            for flow, path in self._paths.items():
+                if path is last:
+                    members.append(flow)
+                else:
+                    members = [flow]
+                    runs.append((path, members))
+                    last = path
+            self._routes = tuple(
+                [(path, tuple(members)) for path, members in runs]
+            )
         return self._routes
 
     def fingerprint(self) -> Tuple[Tuple[Flow, Path], ...]:

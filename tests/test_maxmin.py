@@ -16,12 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import Allocation, is_feasible, lex_compare
+from repro import obs
+from repro.core.allocation import (
+    Allocation,
+    distinct_objects,
+    is_feasible,
+    lex_compare,
+)
 from repro.core.bottleneck import certify_max_min_fair, is_max_min_fair
 from repro.core.flows import Flow, FlowCollection
 from repro.core.maxmin import UnboundedRateError, max_min_fair
+from repro.core.quotient import build_quotient
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork, MacroSwitch
+from repro.errors import CapacityValidationError
 from repro.graph.digraph import DiGraph
 
 from tests.helpers import random_flows, random_routing
@@ -141,6 +149,20 @@ class TestNumericModes:
         alloc = max_min_fair(routing, clos.graph.capacities(), exact=False)
         assert alloc.rates() == {f1: 0.5}
 
+    @pytest.mark.parametrize("scale", [Fraction(10**400), Fraction(1, 10**400)])
+    def test_exact_levels_beyond_float_range(self, scale):
+        # The exact heap keys levels by their float value, which is ∞ or
+        # 0.0 here: every comparison must still be decided exactly.
+        from repro.workloads.adversarial import lemma_4_6_routing, theorem_4_3
+
+        instance = theorem_4_3(3)
+        routing = lemma_4_6_routing(instance)
+        capacities = instance.clos.graph.capacities()
+        scaled = {link: scale * value for link, value in capacities.items()}
+        unit = max_min_fair(routing, capacities)
+        alloc = max_min_fair(routing, scaled)
+        assert alloc.rates() == {f: scale * r for f, r in unit.items()}
+
     @pytest.mark.parametrize("seed", range(5))
     def test_modes_agree(self, seed):
         clos = ClosNetwork(2)
@@ -226,6 +248,83 @@ class TestInvariants:
             # keeping everyone else fixed must violate some capacity,
             # because f has a saturated bottleneck link
             assert not is_feasible(routing, Allocation(raised), capacities)
+
+
+class TestCapacityValidation:
+    """NaN passes ``capacity < 0`` as well as ``capacity >= 0`` fails:
+    a NaN capacity must be rejected, not water-filled."""
+
+    SOLVERS = {
+        "exact": lambda routing, caps: max_min_fair(routing, caps, exact=True),
+        "float": lambda routing, caps: max_min_fair(routing, caps, exact=False),
+        "quotient": build_quotient,
+    }
+
+    @staticmethod
+    def _instance():
+        ms = MacroSwitch(1)
+        flows = FlowCollection.from_pairs(
+            [(ms.source(1, 1), ms.destination(1, 1)),
+             (ms.source(2, 1), ms.destination(1, 1))]
+        )
+        routing = Routing.for_macro_switch(ms, flows)
+        return ms, flows, routing, ms.graph.capacities()
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_nan_source_link_rejected(self, solver):
+        _, flows, routing, capacities = self._instance()
+        uplink = routing.links_of(flows[0])[0]
+        capacities[uplink] = float("nan")
+        with pytest.raises(CapacityValidationError) as info:
+            self.SOLVERS[solver](routing, capacities)
+        assert repr(uplink) in str(info.value)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_every_offending_link_listed(self, solver):
+        # One NaN object on both source links plus a negative
+        # destination link: each of the three is named.
+        _, flows, routing, capacities = self._instance()
+        nan = float("nan")
+        offending = [routing.links_of(flow)[0] for flow in flows]
+        for link in offending:
+            capacities[link] = nan
+        downlink = routing.links_of(flows[0])[-1]
+        capacities[downlink] = -1
+        offending.append(downlink)
+        with pytest.raises(CapacityValidationError) as info:
+            self.SOLVERS[solver](routing, capacities)
+        for link in offending:
+            assert repr(link) in str(info.value)
+
+
+class TestRateObjects:
+    """Exact solves hand one rate object to every flow frozen at the
+    same level, and build one per level: the per-object scoring of
+    ``Allocation`` and ``compare_to_macro`` relies on it."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_rate_object_per_round(self, seed):
+        rng = random.Random(seed)
+        clos = ClosNetwork(2 + seed % 3)
+        flows = random_flows(clos, 10 + 5 * seed, seed)
+        routing = random_routing(clos, flows, seed)
+        capacities = clos.graph.capacities()
+        if seed % 2:
+            capacities = {
+                link: Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                for link in capacities
+            }
+        obs.reset()
+        obs.enable()
+        try:
+            alloc = max_min_fair(routing, capacities)
+            rounds = obs.metrics_snapshot()["maxmin.rounds"]
+        finally:
+            obs.reset()
+            obs.disable()
+        rates = alloc.rates().values()
+        assert len(distinct_objects(rates)) == rounds
+        assert len(set(rates)) == rounds
 
 
 class TestAgainstLP:

@@ -18,14 +18,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flows import FlowCollection
+from repro.core.doom_switch import doom_switch_routing
+from repro.core.flows import Flow, FlowCollection
 from repro.core.maxmin import max_min_fair
+from repro.core.nodes import InputSwitch, OutputSwitch
 from repro.core.quotient import build_quotient, quotient_max_min
 from repro.core.routing import Routing
 from repro.core.solve import BACKENDS, EXACT_BACKENDS, solve_max_min
 from repro.core.topology import ClosNetwork
 from repro.errors import UnboundedRateError
-from repro.workloads.adversarial import lemma_4_6_routing, theorem_4_3
+from repro.workloads.adversarial import (
+    lemma_4_6_routing,
+    theorem_4_3,
+    theorem_5_4,
+)
 
 from tests.helpers import random_flows, random_routing
 
@@ -76,6 +82,49 @@ class TestQuotientExactIdentity:
         # Color refinement must actually collapse the instance: the
         # construction has O(n³) flows but O(1) orbit types.
         assert len(q.flow_classes) < len(routing)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (7, 1), (7, 3)])
+    def test_identical_on_theorem_5_4(self, n, k):
+        """The Doom-Switch routing of Figure 4."""
+        instance = theorem_5_4(n, k)
+        capacities = instance.clos.graph.capacities()
+        routing = doom_switch_routing(instance.clos, instance.flows)
+        reference = max_min_fair(routing, capacities, exact=True)
+        alloc = quotient_max_min(routing, capacities)
+        assert alloc.rates() == reference.rates()
+
+    @pytest.mark.parametrize("epsilon_on", ["uplink", "downlink"])
+    def test_near_tie_decided_exactly(self, epsilon_on):
+        """Two saturation levels, 1/6 and 1/6 + ε/2, that are one float:
+        the exact minimum must freeze first, whichever link carries ε."""
+        epsilon = Fraction(1, 10**30)
+        clos = ClosNetwork(2)
+        s11, s21 = clos.source(1, 1), clos.source(2, 1)
+        t11, t21 = clos.destination(1, 1), clos.destination(2, 1)
+        flows = FlowCollection()
+        a = flows.add(Flow(s11, t11))
+        b = flows.add(Flow(s11, t21))
+        c = flows.add(Flow(s21, t21))
+        routing = Routing.uniform(clos, flows, 1)
+        uplink, downlink = (s11, InputSwitch(1)), (OutputSwitch(2), t21)
+        capacities = clos.graph.capacities()
+        capacities[uplink] = Fraction(1, 3)
+        capacities[downlink] = Fraction(1, 3)
+        if epsilon_on == "uplink":
+            capacities[uplink] += epsilon
+        else:
+            capacities[downlink] += epsilon
+        up_level, down_level = capacities[uplink] / 2, capacities[downlink] / 2
+        assert up_level != down_level
+        assert float(up_level) == float(down_level)
+
+        sixth = Fraction(1, 6)
+        if epsilon_on == "uplink":
+            expected = {a: sixth + epsilon, b: sixth, c: sixth}
+        else:
+            expected = {a: sixth, b: sixth, c: sixth + epsilon}
+        assert max_min_fair(routing, capacities).rates() == expected
+        assert quotient_max_min(routing, capacities).rates() == expected
 
     def test_prebuilt_quotient_reused(self):
         clos = ClosNetwork(2)
