@@ -44,18 +44,3 @@ def test_bench_a2_search(benchmark):
     for row in rows:
         assert row.space_reduced < row.space_full
         assert row.local_gap >= 0  # local search never beats the optimum
-
-
-def test_bench_a3_global_search(benchmark):
-    from repro.experiments.ablations import global_search_ablation
-
-    rows = benchmark(global_search_ablation, 2, 5, range(5))
-
-    hill = sum(row.hill_matches for row in rows)
-    multi = sum(row.multi_start_matches for row in rows)
-    annealed = sum(row.anneal_matches for row in rows)
-    assert multi >= hill
-    print(
-        f"\n[A3] lex-optimum hit rate over {len(rows)} instances:"
-        f" hill-climb {hill}, multi-start {multi}, anneal {annealed}"
-    )

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from repro.core.allocation import Allocation, lex_compare
-from repro.core.cache import AllocationCache
 from repro.core.flows import FlowCollection
 from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
@@ -38,7 +37,6 @@ def _allocation_stream(
     capacities,
     exact: bool,
     use_symmetry: bool,
-    cache: Optional[AllocationCache],
     batch_size: Optional[int],
 ):
     """The (routing, allocation) pairs an objective search walks.
@@ -46,11 +44,11 @@ def _allocation_stream(
     ``batch_size`` switches from one solver call per routing to
     block-diagonal batched solving (see
     :func:`repro.search.enumeration.batched_allocations`) — much faster
-    over many small routings, but it bypasses ``cache`` and, for float
-    runs, computes rates with the vectorized kernel (bit-identical to
-    per-instance ``backend="vectorized"`` solves, not to the reference
-    float path).  Both objectives compare sorted vectors/throughputs,
-    which the kernels agree on to 1e-12, so optima are unaffected on
+    over many small routings, but for float runs it computes rates with
+    the vectorized kernel (bit-identical to per-instance
+    ``backend="vectorized"`` solves, not to the reference float path).
+    Both objectives compare sorted vectors/throughputs, which the
+    kernels agree on to 1e-12, so optima are unaffected on
     non-degenerate instances; exact runs are exactly identical.
     """
     if batch_size is not None:
@@ -60,10 +58,7 @@ def _allocation_stream(
         )
         return
     for routing in enumerate_routings(network, flows, use_symmetry=use_symmetry):
-        if cache is None:
-            yield routing, max_min_fair(routing, capacities, exact=exact)
-        else:
-            yield routing, cache.solve(routing, capacities, exact=exact)
+        yield routing, max_min_fair(routing, capacities, exact=exact)
 
 
 class OptimalAllocation(NamedTuple):
@@ -101,7 +96,6 @@ def lex_max_min_fair(
     flows: FlowCollection,
     exact: bool = True,
     use_symmetry: bool = True,
-    cache: Optional[AllocationCache] = None,
     batch_size: Optional[int] = None,
 ) -> OptimalAllocation:
     """``a^{L-MmF}``: an exact lex-max-min fair allocation (Definition 2.4).
@@ -112,27 +106,21 @@ def lex_max_min_fair(
     upper-bounds every Clos routing's vector (§2.3) — on instances where
     the macro abstraction *is* attainable this prunes most of the space.
 
-    Pass ``cache`` to share solved allocations with a sibling sweep over
-    the same instance (e.g. the throughput objective enumerates the same
-    orbit representatives).  ``batch_size`` solves that many routings
+    ``batch_size`` solves that many routings
     per block-diagonal batched water-fill instead of one at a time (see
     :func:`_allocation_stream` for the trade-offs; early termination
     still applies, at batch granularity).
     """
     if not len(flows):
         raise ValueError("cannot optimize over an empty flow collection")
-    capacities = (
-        network.graph.capacities()
-        if cache is None
-        else cache.capacities_for(network)
-    )
+    capacities = network.graph.capacities()
     macro_bound = macro_switch_max_min(
         MacroSwitch(network.n), flows, exact=exact
     ).sorted_vector()
     best: Optional[OptimalAllocation] = None
     examined = 0
     for routing, allocation in _allocation_stream(
-        network, flows, capacities, exact, use_symmetry, cache, batch_size
+        network, flows, capacities, exact, use_symmetry, batch_size
     ):
         examined += 1
         if best is None or (
@@ -153,7 +141,6 @@ def throughput_max_min_fair(
     exact: bool = True,
     use_symmetry: bool = True,
     stop_at_max_throughput: bool = False,
-    cache: Optional[AllocationCache] = None,
     batch_size: Optional[int] = None,
 ) -> OptimalAllocation:
     """``a^{T-MmF}``: an exact throughput-max-min fair allocation (Def. 2.5).
@@ -168,16 +155,12 @@ def throughput_max_min_fair(
     """
     if not len(flows):
         raise ValueError("cannot optimize over an empty flow collection")
-    capacities = (
-        network.graph.capacities()
-        if cache is None
-        else cache.capacities_for(network)
-    )
+    capacities = network.graph.capacities()
     throughput_bound = max_throughput_value(flows) if stop_at_max_throughput else None
     best: Optional[OptimalAllocation] = None
     examined = 0
     for routing, allocation in _allocation_stream(
-        network, flows, capacities, exact, use_symmetry, cache, batch_size
+        network, flows, capacities, exact, use_symmetry, batch_size
     ):
         examined += 1
         if best is None:

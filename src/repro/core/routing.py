@@ -39,7 +39,6 @@ class Routing:
 
     def __init__(self, assignment: Mapping[Flow, Path]) -> None:
         self._paths: Dict[Flow, Path] = dict(assignment)
-        self._fingerprint: Optional[Tuple[Tuple[Flow, Path], ...]] = None
         self._routes: Optional[Tuple[Route, ...]] = None
 
     # ------------------------------------------------------------------
@@ -51,15 +50,19 @@ class Routing:
     ) -> "Routing":
         """The unique routing in a macro-switch.
 
-        Flows on one ``(source, dest)`` pair share one path object.
+        Flows on one ``(source, dest)`` pair share one path object.  A
+        run of consecutive flows on one pair reuses the previous path
+        without a lookup.
         """
         shared: Dict[tuple, Path] = {}
         paths: Dict[Flow, Path] = {}
+        source = dest = path = None
         for flow in flows:
-            pair = (flow.source, flow.dest)
-            path = shared.get(pair)
-            if path is None:
-                path = shared[pair] = network.path(*pair)
+            if flow.source is not source or flow.dest is not dest:
+                source, dest = pair = flow.source, flow.dest
+                path = shared.get(pair)
+                if path is None:
+                    path = shared[pair] = network.path(*pair)
             paths[flow] = path
         return cls(paths)
 
@@ -155,19 +158,6 @@ class Routing:
                 [(path, tuple(members)) for path, members in runs]
             )
         return self._routes
-
-    def fingerprint(self) -> Tuple[Tuple[Flow, Path], ...]:
-        """A canonical, hashable identity for this routing.
-
-        The sorted tuple of ``(flow, path)`` pairs: two routings of the
-        same flows over the same paths produce equal fingerprints no
-        matter the order their assignments were built in.  Computed once
-        and cached (routings are immutable), so repeated cache lookups
-        (:class:`repro.core.cache.AllocationCache`) cost a tuple hash.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = tuple(sorted(self._paths.items()))
-        return self._fingerprint
 
     def middle_of(self, network: ClosNetwork, flow: Flow) -> MiddleSwitch:
         """The middle switch ``flow`` traverses (Clos routings only)."""

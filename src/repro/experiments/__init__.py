@@ -16,7 +16,7 @@
 - E14 ``failure_degradation``— middle-switch failure injection
 - E15 ``oversubscription``   — breaking the full-bisection premise
 - E16 ``splittable_equivalence`` — §1's premise: splitting restores MS_n
-- A1/A2/A3 ``ablations``     — Doom-Switch dump policy; search strategies
+- A1/A2 ``ablations``        — Doom-Switch dump policy; search strategies
 """
 
 import importlib

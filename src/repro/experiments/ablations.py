@@ -21,15 +21,13 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.core.allocation import lex_compare
 from repro.core.doom_switch import doom_switch
-from repro.core.maxmin import max_min_fair
 from repro.core.objectives import (
     lex_max_min_fair,
     macro_switch_max_min,
     throughput_max_min_fair,
 )
-from repro.core.topology import ClosNetwork, MacroSwitch
+from repro.core.topology import ClosNetwork
 from repro.routers.ecmp import ecmp_routing
-from repro.search.annealing import anneal, multi_start
 from repro.search.enumeration import routing_space_size
 from repro.search.local_search import improve_routing
 from repro.workloads.adversarial import theorem_5_4
@@ -117,55 +115,6 @@ def search_ablation(
                 throughput_exact=exact_thr.allocation.throughput(),
                 local_gap=exact_thr.allocation.throughput()
                 - local_thr.throughput(),
-            )
-        )
-    return rows
-
-
-class GlobalSearchRow(NamedTuple):
-    """A3: escape strategies vs the exact lex optimum on one instance."""
-
-    seed: int
-    hill_matches: bool  # single-start hill climb reaches the optimum
-    multi_start_matches: bool
-    anneal_matches: bool
-
-
-def global_search_ablation(
-    n: int = 2, num_flows: int = 5, seeds: Sequence[int] = range(5)
-) -> List[GlobalSearchRow]:
-    """A3: do restarts / annealing close hill climbing's optimality gap?
-
-    Expected shape: multi-start and annealing match the exhaustive lex
-    optimum at least as often as a single hill climb (they subsume it).
-    """
-    network = ClosNetwork(n)
-    rows: List[GlobalSearchRow] = []
-    for seed in seeds:
-        flows = uniform_random(network, num_flows, seed=seed)
-        exact = lex_max_min_fair(network, flows)
-        optimum = exact.allocation.sorted_vector()
-
-        start = ecmp_routing(network, flows, seed=seed)
-        _, hill = improve_routing(network, start, objective="lex")
-        _, multi = multi_start(
-            network, flows, objective="lex", starts=4, seed=seed
-        )
-        _, annealed = anneal(
-            network, flows, objective="lex", steps=100, seed=seed
-        )
-        rows.append(
-            GlobalSearchRow(
-                seed=seed,
-                hill_matches=lex_compare(hill.sorted_vector(), optimum) == 0,
-                multi_start_matches=lex_compare(
-                    multi.sorted_vector(), optimum
-                )
-                == 0,
-                anneal_matches=lex_compare(
-                    annealed.sorted_vector(), optimum
-                )
-                == 0,
             )
         )
     return rows

@@ -1,4 +1,9 @@
-"""Routing-space search: symmetry-reduced enumeration and local search."""
+"""Routing-space search: symmetry-reduced enumeration and local search.
+
+Local search moves one flow to another middle switch at a time and
+scores each move with a plain :func:`~repro.core.maxmin.max_min_fair`
+solve of the moved routing.
+"""
 
 from repro.search.enumeration import (
     all_assignments,
@@ -6,16 +11,13 @@ from repro.search.enumeration import (
     enumerate_routings,
     routing_space_size,
 )
-from repro.search.annealing import anneal, multi_start
 from repro.search.local_search import improve_routing, is_local_optimum
 
 __all__ = [
     "all_assignments",
-    "anneal",
     "canonical_assignments",
     "enumerate_routings",
     "improve_routing",
     "is_local_optimum",
-    "multi_start",
     "routing_space_size",
 ]

@@ -16,17 +16,17 @@ plays in our Theorem 4.3 verification: the paper proves the closed-form
 lex-max-min allocation optimal, and we confirm that no single-flow move
 beats it (the optimum must be a local optimum).
 
-Performance: candidate moves are evaluated by
-:class:`repro.core.incremental.MoveEvaluator` (patching four
-link-occupancy entries instead of re-solving from a fresh
-:class:`~repro.core.routing.Routing`), already-seen routings are served
-from an :class:`~repro.core.cache.AllocationCache`, and the
-first-improvement scan *rotates*: after an accepted move the next round
-resumes at the following flow rather than restarting from the first, so
-a stretch of unimprovable flows is not re-probed on every round.  Both
-:func:`improve_routing` and :func:`is_local_optimum` draw their moves
-from the single :func:`candidate_moves` generator, so the definition of
-the move neighborhood cannot drift between them.
+Each candidate move is judged by a plain
+:func:`~repro.core.maxmin.max_min_fair` solve of the moved routing
+(:meth:`~repro.core.routing.Routing.reassigned`), so every move passes
+the same capacity validation and validation-level certificate as any
+other solve.  The first-improvement scan *rotates*: after an accepted
+move the next round resumes at the following flow rather than
+restarting from the first, so a stretch of unimprovable flows is not
+re-probed on every round.  Both :func:`improve_routing` and
+:func:`is_local_optimum` draw their moves from the single
+:func:`candidate_moves` generator, so the definition of the move
+neighborhood cannot drift between them.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.allocation import Allocation, lex_compare
-from repro.core.cache import AllocationCache
 from repro.core.flows import Flow
-from repro.core.incremental import MoveEvaluator
+from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork
 from repro.obs import counter, trace_span
@@ -47,22 +46,22 @@ _PROPOSED = counter("search.local.moves_proposed")
 _ACCEPTED = counter("search.local.moves_accepted")
 
 
+def _check_objective(objective: str) -> None:
+    """Reject an unknown objective before any move is scored."""
+    if objective not in ("lex", "throughput"):
+        raise ValueError(f"unknown objective: {objective!r}")
+
+
 def _is_better(
     objective: str,
     candidate: Allocation,
     incumbent: Allocation,
 ) -> bool:
-    if objective == "lex":
-        return (
-            lex_compare(candidate.sorted_vector(), incumbent.sorted_vector()) > 0
-        )
-    if objective == "throughput":
-        if candidate.throughput() != incumbent.throughput():
-            return candidate.throughput() > incumbent.throughput()
-        return (
-            lex_compare(candidate.sorted_vector(), incumbent.sorted_vector()) > 0
-        )
-    raise ValueError(f"unknown objective: {objective!r}")
+    if objective == "throughput" and (
+        candidate.throughput() != incumbent.throughput()
+    ):
+        return candidate.throughput() > incumbent.throughput()
+    return lex_compare(candidate.sorted_vector(), incumbent.sorted_vector()) > 0
 
 
 def candidate_moves(
@@ -96,7 +95,6 @@ def improve_routing(
     exact: bool = True,
     max_rounds: Optional[int] = None,
     on_improvement: Optional[Callable[[Routing, Allocation], None]] = None,
-    cache: Optional[AllocationCache] = None,
 ) -> Tuple[Routing, Allocation]:
     """Hill-climb from ``routing`` using single-flow middle-switch moves.
 
@@ -104,19 +102,12 @@ def improve_routing(
     applies the first improving move found, resuming the scan just past
     the previously accepted move (rotating first-improvement); the
     search stops when a full wrap-around finds no improving move or
-    after ``max_rounds`` accepted-move rounds.  Pass ``cache`` to share
-    solved allocations with other searches over the same network.
+    after ``max_rounds`` accepted-move rounds.
     """
-    if cache is None:
-        cache = AllocationCache()
-    evaluator = MoveEvaluator(
-        network,
-        routing,
-        capacities=cache.capacities_for(network),
-        exact=exact,
-        cache=cache,
-    )
-    best_alloc = evaluator.base_allocation()
+    _check_objective(objective)
+    capacities = network.graph.capacities()
+    best_alloc = max_min_fair(routing, capacities, exact=exact)
+    middles = routing.middles(network)
     flow_order = routing.flows()
     start = 0
     rounds = 0
@@ -130,23 +121,24 @@ def improve_routing(
             _ROUNDS.inc()
             improved = False
             for index, flow, m in candidate_moves(
-                network.num_middles, evaluator.middles, flow_order, start
+                network.num_middles, middles, flow_order, start
             ):
                 _PROPOSED.inc()
-                candidate_alloc = evaluator.evaluate(flow, m)
+                candidate = routing.reassigned(network, flow, m)
+                candidate_alloc = max_min_fair(candidate, capacities, exact=exact)
                 if _is_better(objective, candidate_alloc, best_alloc):
-                    evaluator.apply(flow, m)
-                    best_alloc = candidate_alloc
+                    routing, best_alloc = candidate, candidate_alloc
+                    middles[flow] = m
                     improved = True
                     _ACCEPTED.inc()
                     start = (index + 1) % len(flow_order)
                     if on_improvement is not None:
-                        on_improvement(evaluator.routing(), best_alloc)
+                        on_improvement(routing, best_alloc)
                     break
             if not improved:
                 break
         span.set(rounds=rounds)
-    return evaluator.routing(), best_alloc
+    return routing, best_alloc
 
 
 def is_local_optimum(
@@ -154,17 +146,17 @@ def is_local_optimum(
     routing: Routing,
     objective: str = "lex",
     exact: bool = True,
-    cache: Optional[AllocationCache] = None,
 ) -> bool:
     """True if no single-flow middle-switch move improves the objective."""
-    capacities = None if cache is None else cache.capacities_for(network)
-    evaluator = MoveEvaluator(
-        network, routing, capacities=capacities, exact=exact, cache=cache
-    )
-    incumbent = evaluator.base_allocation()
+    _check_objective(objective)
+    capacities = network.graph.capacities()
+    incumbent = max_min_fair(routing, capacities, exact=exact)
     for _, flow, m in candidate_moves(
-        network.num_middles, evaluator.middles, routing.flows()
+        network.num_middles, routing.middles(network), routing.flows()
     ):
-        if _is_better(objective, evaluator.evaluate(flow, m), incumbent):
+        moved = routing.reassigned(network, flow, m)
+        if _is_better(
+            objective, max_min_fair(moved, capacities, exact=exact), incumbent
+        ):
             return False
     return True

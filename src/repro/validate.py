@@ -1,8 +1,8 @@
 """Invariant certificates for solver outputs — the self-checking runtime.
 
-Five solver backends, an LRU cache, and an incremental move evaluator
-can all produce "the max-min fair allocation"; this module certifies a
-result *before* experiments and theorem checks consume it.  Three levels:
+Several solver backends can produce "the max-min fair allocation";
+this module certifies a result *before* experiments and theorem checks
+consume it.  Three levels:
 
 - ``off``   — no checking (the default; zero overhead).
 - ``cheap`` — structural sanity: every routed flow has a rate, rates are
@@ -171,8 +171,7 @@ def structure_failures(
     """Certificate defects of ``rates`` against a link-occupancy structure.
 
     The occupancy-level core shared by :func:`allocation_failures` and
-    the incremental move evaluator (whose patched occupancy never
-    materializes a :class:`~repro.core.routing.Routing`).  ``level``
+    the reference water-fill's in-solver check.  ``level``
     must be ``"cheap"`` or ``"full"``; returns a list of human-readable
     defect strings, empty when the certificate holds.
     """
@@ -388,9 +387,8 @@ def validate_structure(
 ) -> None:
     """:func:`validate_allocation` for a raw link-occupancy structure.
 
-    The incremental move evaluator certifies its patched occupancy
-    through this (no :class:`Routing` ever materializes for a candidate
-    move); raises :class:`CertificateError` on defects.
+    The reference water-fill certifies its result through this;
+    raises :class:`CertificateError` on defects.
     """
     level = _resolve(level)
     if level == "off":

@@ -290,14 +290,3 @@ class TestAblations:
         rows = ablations.search_ablation(n=2, num_flows=4, seeds=range(2))
         assert all(row.space_reduced < row.space_full for row in rows)
         assert all(row.local_gap >= 0 for row in rows)
-
-
-class TestGlobalSearchAblation:
-    def test_rows_and_dominance(self):
-        from repro.experiments.ablations import global_search_ablation
-
-        rows = global_search_ablation(n=2, num_flows=4, seeds=range(3))
-        assert len(rows) == 3
-        assert sum(r.multi_start_matches for r in rows) >= sum(
-            r.hill_matches for r in rows
-        )

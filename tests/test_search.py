@@ -5,9 +5,11 @@ import pytest
 from repro.core.allocation import lex_compare
 from repro.core.flows import Flow, FlowCollection
 from repro.core.maxmin import max_min_fair
+from repro.core.nodes import InputSwitch, MiddleSwitch
 from repro.core.objectives import lex_max_min_fair, throughput_max_min_fair
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork
+from repro.errors import CapacityValidationError
 from repro.search.enumeration import (
     all_assignments,
     canonical_assignments,
@@ -161,12 +163,35 @@ class TestLocalSearch:
         start = Routing.uniform(clos, flows, 1)
         with pytest.raises(ValueError, match="objective"):
             improve_routing(clos, start, objective="nope")
+        # C_1 has one middle switch, so there is no move to score: the
+        # objective must still be checked.
+        c1 = ClosNetwork(1)
+        single = Routing.uniform(c1, random_flows(c1, 1, seed=0), 1)
+        with pytest.raises(ValueError, match="objective"):
+            improve_routing(c1, single, objective="nope")
+        with pytest.raises(ValueError, match="objective"):
+            is_local_optimum(c1, single, objective="nope")
 
     def test_lemma_4_6_routing_is_lex_local_optimum(self):
         """The paper's posited optimum survives single-flow probing."""
         instance = theorem_4_3(3)
         routing = lemma_4_6_routing(instance)
         assert is_local_optimum(instance.clos, routing, objective="lex")
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_nan_capacity_reached_only_by_a_move_rejected(self, exact):
+        # Both flows start on M_1; only a move onto M_2 crosses the NaN
+        # link, and it must be rejected as any solve would reject it.
+        clos = ClosNetwork(2)
+        clos.graph.add_link(InputSwitch(1), MiddleSwitch(2), float("nan"))
+        flows = FlowCollection()
+        flows.add(Flow(clos.source(1, 1), clos.destination(3, 1)))
+        flows.add(Flow(clos.source(1, 2), clos.destination(3, 2)))
+        start = Routing.uniform(clos, flows, 1)
+        with pytest.raises(CapacityValidationError):
+            is_local_optimum(clos, start, exact=exact)
+        with pytest.raises(CapacityValidationError):
+            improve_routing(clos, start, exact=exact)
 
     def test_improvement_callback_invoked(self):
         clos = ClosNetwork(2)

@@ -12,8 +12,6 @@ from fractions import Fraction
 import pytest
 
 from repro.core.allocation import Allocation
-from repro.core.cache import AllocationCache
-from repro.core.incremental import MoveEvaluator
 from repro.core.maxmin import max_min_fair
 from repro.core.solve import BACKENDS, EXACT_BACKENDS, solve_max_min
 from repro.core.topology import ClosNetwork
@@ -105,31 +103,6 @@ class TestCorrectAllocationsCertify:
                 exact=True if exact else False,
             )
         assert len(allocation) == len(flows)
-
-    def test_cache_hit_certifies_at_full(self, clos2):
-        flows = random_flows(clos2, 6, seed=5)
-        routing = random_routing(clos2, flows, seed=5)
-        capacities = clos2.graph.capacities()
-        cache = AllocationCache()
-        with validation("full"):
-            first = cache.solve(routing, capacities)
-            again = cache.solve(routing, capacities)  # hit, re-certified
-        assert first.rates() == again.rates()
-        assert cache.stats()["hits"] == 1
-
-    def test_incremental_moves_certify_at_full(self, clos3):
-        flows = random_flows(clos3, 9, seed=7)
-        routing = random_routing(clos3, flows, seed=7)
-        evaluator = MoveEvaluator(
-            clos3, routing, clos3.graph.capacities()
-        )
-        flow = routing.flows()[0]
-        target = next(
-            m for m in range(1, clos3.n + 1)
-            if m != routing.middles(clos3)[flow]
-        )
-        with validation("full"):
-            evaluator.evaluate(flow, target)
 
 
 class TestMutationsAreCaught:
