@@ -5,14 +5,10 @@ Usage::
     python -m repro list                 # show available experiments
     python -m repro run e1               # Figure 1 / Example 2.3 (e1..e16)
     python -m repro run e2 --ks 1,2,4,8  # R1 sweep with custom k values
-    python -m repro run e4 --jobs 4      # sweep points across 4 processes
-    python -m repro run all              # everything (minutes)
+    python -m repro run e4 --sizes 64 --backend quotient  # exact, n = 64
+    python -m repro run all              # everything (seconds)
 
-``--jobs N`` computes sweep points in ``N`` worker processes
-(``--jobs 0`` = all cores).  Results — tables, manifests, exit codes —
-are identical to a sequential run; see :mod:`repro.parallel`.  A
-``--backend batched`` sweep is one in-process solve, so ``--jobs``
-does not change its work.
+Every sweep runs its points one after another in this process.
 
 Each experiment prints the same measured-vs-paper table its benchmark
 target prints, so the CLI is the interactive face of the harness.
@@ -28,16 +24,13 @@ without recomputing (or re-printing differently) what already ran.
 ``profile`` runs one experiment under :mod:`repro.obs` tracing and
 prints the span tree (wall time, share of total, peak memory) plus
 every counter the hot paths incremented; ``--trace out.jsonl`` writes
-the span trees as JSONL.  Profiling with ``--jobs N`` works: worker
-telemetry is shipped back and merged (see :mod:`repro.obs.pipeline`),
-with each worker's spans under a ``worker:<i>`` root.  ``stats``
-renders the same summary from a manifest written by a sweep that ran
-with ``REPRO_OBS=1``::
+the span trees as JSONL.  ``stats`` renders the same summary from a
+manifest written by a sweep that ran with ``REPRO_OBS=1``::
 
     python -m repro profile e2
     REPRO_OBS=1 python -m repro run all --manifest sweep.json
     python -m repro stats sweep.json
-    python -m repro profile e4 --jobs 4 --trace e4.jsonl
+    python -m repro profile e4 --trace e4.jsonl
 
 Performance is measured outside the package, by ``perfbench/run.py``
 (see ``docs/PERFORMANCE.md``).
@@ -83,7 +76,6 @@ def _checked(cast: Callable, ok: Callable, requirement: str) -> Callable:
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
-_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
 
 
@@ -126,7 +118,7 @@ def run_e2(args: argparse.Namespace) -> None:
     from repro.experiments.r1_price_of_fairness import sweep
 
     ks = _parse_ints(args.ks) if args.ks else [1, 2, 4, 8, 16, 32, 64]
-    rows = sweep(ks, jobs=getattr(args, "jobs", 1))
+    rows = sweep(ks)
     print(
         format_series(
             "k",
@@ -146,7 +138,7 @@ def run_e3(args: argparse.Namespace) -> None:
     from repro.experiments.r2_starvation import infeasibility_sweep
 
     sizes = _parse_ints(args.sizes) if args.sizes else [3]
-    rows = infeasibility_sweep(sizes, jobs=getattr(args, "jobs", 1))
+    rows = infeasibility_sweep(sizes)
     print(
         format_table(
             ["n", "flows", "splittable", "unsplittable"],
@@ -172,7 +164,6 @@ def run_e4(args: argparse.Namespace) -> None:
     rows = starvation_sweep(
         sizes,
         check_local_optimality=False,
-        jobs=getattr(args, "jobs", 1),
         backend=backend,
     )
     print(
@@ -194,10 +185,7 @@ def run_e4(args: argparse.Namespace) -> None:
 def run_e5(args: argparse.Namespace) -> None:
     from repro.experiments.r3_doom_switch import sweep
 
-    rows = sweep(
-        jobs=getattr(args, "jobs", 1),
-        backend=getattr(args, "backend", None),
-    )
+    rows = sweep(backend=getattr(args, "backend", None))
     print(
         format_series(
             "(n,k)",
@@ -307,7 +295,7 @@ def run_e9(args: argparse.Namespace) -> None:
 def run_e11(args: argparse.Namespace) -> None:
     from repro.experiments.convergence import paper_instances
 
-    rows = paper_instances(jobs=getattr(args, "jobs", 1))
+    rows = paper_instances()
     print(
         format_table(
             ["instance", "flows", "levels", "rounds", "max error"],
@@ -377,7 +365,7 @@ def run_e14(args: argparse.Namespace) -> None:
 def run_e15(args: argparse.Namespace) -> None:
     from repro.experiments.oversubscription import sweep
 
-    rows = sweep(jobs=getattr(args, "jobs", 1))
+    rows = sweep()
     print(
         format_table(
             ["c", "oversub", "T^MT", "T Clos", "Lemma 5.2", "tput frac", "worst ratio"],
@@ -574,14 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="skip tracemalloc peak-memory accounting (faster)",
     )
-    profile.add_argument(
-        "--jobs",
-        type=_NON_NEGATIVE_INT,
-        default=1,
-        help="worker processes for sweep points (non-negative; 0 means "
-        "all cores; worker telemetry is shipped back and merged; a "
-        "--backend batched sweep is one in-process solve either way)",
-    )
 
     stats = sub.add_parser(
         "stats",
@@ -623,14 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(quotient = exact symmetry reduction, scales to n >= 64; "
         "streaming = incremental under churn; batched = all sweep "
         "points stacked into one block-diagonal float batch)",
-    )
-    run.add_argument(
-        "--jobs",
-        type=_NON_NEGATIVE_INT,
-        default=1,
-        help="worker processes for sweep points (non-negative; 0 means "
-        "all cores; results are identical to --jobs 1; a --backend "
-        "batched sweep is one in-process solve either way)",
     )
     run.add_argument(
         "--timeout",
@@ -1067,12 +1039,6 @@ def _run_command(args: argparse.Namespace) -> int:
             "timeout": args.timeout,
             "retries": args.retries,
         }
-        # Only record a non-default --jobs: parallelism does not change
-        # results, and default-run manifests stay byte-identical to
-        # manifests written before the knob existed.
-        jobs = getattr(args, "jobs", 1)
-        if jobs != 1:
-            params["jobs"] = jobs
         manifest = RunManifest(
             manifest_path, experiments=names, params=params
         )

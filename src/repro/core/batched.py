@@ -35,9 +35,7 @@ dispatched per-instance to the reference solver — still through the one
 point for both modes.
 
 The whole batch is compiled and water-filled in the calling process.
-Compilation, not the water-fill, is most of a batched sweep's cost, so
-splitting the kernel over worker processes never paid for itself;
-``--jobs`` spreads sweep points only on the per-point backends.
+Compilation, not the water-fill, is most of a batched sweep's cost.
 
 See ``docs/PERFORMANCE.md`` ("Batched multi-scenario solving") for
 measured crossover points and the CI gate that holds the batched

@@ -28,37 +28,7 @@ from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
 from repro.core.throughput import max_throughput_value
 from repro.core.topology import ClosNetwork, MacroSwitch
-from repro.search.enumeration import batched_allocations, enumerate_routings
-
-
-def _allocation_stream(
-    network: ClosNetwork,
-    flows: FlowCollection,
-    capacities,
-    exact: bool,
-    use_symmetry: bool,
-    batch_size: Optional[int],
-):
-    """The (routing, allocation) pairs an objective search walks.
-
-    ``batch_size`` switches from one solver call per routing to
-    block-diagonal batched solving (see
-    :func:`repro.search.enumeration.batched_allocations`) — much faster
-    over many small routings, but for float runs it computes rates with
-    the vectorized kernel (bit-identical to per-instance
-    ``backend="vectorized"`` solves, not to the reference float path).
-    Both objectives compare sorted vectors/throughputs, which the
-    kernels agree on to 1e-12, so optima are unaffected on
-    non-degenerate instances; exact runs are exactly identical.
-    """
-    if batch_size is not None:
-        yield from batched_allocations(
-            network, flows, capacities=capacities,
-            use_symmetry=use_symmetry, batch_size=batch_size, exact=exact,
-        )
-        return
-    for routing in enumerate_routings(network, flows, use_symmetry=use_symmetry):
-        yield routing, max_min_fair(routing, capacities, exact=exact)
+from repro.search.enumeration import enumerate_routings
 
 
 class OptimalAllocation(NamedTuple):
@@ -96,7 +66,6 @@ def lex_max_min_fair(
     flows: FlowCollection,
     exact: bool = True,
     use_symmetry: bool = True,
-    batch_size: Optional[int] = None,
 ) -> OptimalAllocation:
     """``a^{L-MmF}``: an exact lex-max-min fair allocation (Definition 2.4).
 
@@ -105,11 +74,6 @@ def lex_max_min_fair(
     incumbent reaches the macro-switch max-min sorted vector, which
     upper-bounds every Clos routing's vector (§2.3) — on instances where
     the macro abstraction *is* attainable this prunes most of the space.
-
-    ``batch_size`` solves that many routings
-    per block-diagonal batched water-fill instead of one at a time (see
-    :func:`_allocation_stream` for the trade-offs; early termination
-    still applies, at batch granularity).
     """
     if not len(flows):
         raise ValueError("cannot optimize over an empty flow collection")
@@ -119,9 +83,8 @@ def lex_max_min_fair(
     ).sorted_vector()
     best: Optional[OptimalAllocation] = None
     examined = 0
-    for routing, allocation in _allocation_stream(
-        network, flows, capacities, exact, use_symmetry, batch_size
-    ):
+    for routing in enumerate_routings(network, flows, use_symmetry=use_symmetry):
+        allocation = max_min_fair(routing, capacities, exact=exact)
         examined += 1
         if best is None or (
             lex_compare(
@@ -141,7 +104,6 @@ def throughput_max_min_fair(
     exact: bool = True,
     use_symmetry: bool = True,
     stop_at_max_throughput: bool = False,
-    batch_size: Optional[int] = None,
 ) -> OptimalAllocation:
     """``a^{T-MmF}``: an exact throughput-max-min fair allocation (Def. 2.5).
 
@@ -150,8 +112,6 @@ def throughput_max_min_fair(
     throughput=True`` terminates as soon as the incumbent's throughput
     reaches ``T^MT`` (which upper-bounds every allocation, §5) — exact
     on throughput but forfeits the lexicographic tie-break refinement.
-    ``batch_size`` batches the per-routing solves exactly as in
-    :func:`lex_max_min_fair`.
     """
     if not len(flows):
         raise ValueError("cannot optimize over an empty flow collection")
@@ -159,9 +119,8 @@ def throughput_max_min_fair(
     throughput_bound = max_throughput_value(flows) if stop_at_max_throughput else None
     best: Optional[OptimalAllocation] = None
     examined = 0
-    for routing, allocation in _allocation_stream(
-        network, flows, capacities, exact, use_symmetry, batch_size
-    ):
+    for routing in enumerate_routings(network, flows, use_symmetry=use_symmetry):
+        allocation = max_min_fair(routing, capacities, exact=exact)
         examined += 1
         if best is None:
             best = OptimalAllocation(routing, allocation, examined)

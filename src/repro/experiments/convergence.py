@@ -18,13 +18,12 @@ Shape to expect:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
-from repro.core.topology import ClosNetwork, MacroSwitch
+from repro.core.topology import ClosNetwork
 from repro.dynamics.waterlevel import AimdDynamics, LinkFairShareDynamics
-from repro.parallel import parallel_map
 from repro.workloads.adversarial import (
     example_2_3,
     example_2_3_routings,
@@ -62,50 +61,34 @@ def _measure(name: str, routing: Routing, capacities) -> ConvergenceRow:
     )
 
 
-#: Task descriptors for :func:`paper_instances` — primitive tuples so
-#: they pickle; :func:`_paper_point` rebuilds each instance from its
-#: descriptor deterministically.
-_PAPER_TASKS: Tuple[Tuple[str, object], ...] = (
-    ("example_2_3", "routing_a"),
-    ("example_2_3", "routing_b"),
-    ("example_2_3", "macro"),
-    ("theorem_4_3", 3),
-    ("theorem_4_3", 4),
-    ("theorem_4_3", 5),
-)
-
-
-def _paper_point(task: Tuple[str, object]) -> ConvergenceRow:
-    """One worked-construction measurement (module-level: picklable)."""
-    kind, variant = task
-    if kind == "example_2_3":
-        instance = example_2_3()
-        if variant == "macro":
-            routing = Routing.for_macro_switch(instance.macro, instance.flows)
-            capacities = instance.macro.graph.capacities()
-        else:
-            routing_a, routing_b = example_2_3_routings(instance)
-            routing = routing_a if variant == "routing_a" else routing_b
-            capacities = instance.clos.graph.capacities()
-        return _measure(f"example_2_3/{variant}", routing, capacities)
-    if kind == "theorem_4_3":
-        inst = theorem_4_3(variant)
-        return _measure(
-            f"theorem_4_3(n={variant})",
-            lemma_4_6_routing(inst),
-            inst.clos.graph.capacities(),
-        )
-    raise ValueError(f"unknown paper-instance task {task!r}")
-
-
-def paper_instances(jobs: int = 1) -> List[ConvergenceRow]:
+def paper_instances() -> List[ConvergenceRow]:
     """E11 part 1: the paper's worked constructions."""
-    return parallel_map(_paper_point, _PAPER_TASKS, jobs=jobs)
+    instance = example_2_3()
+    routing_a, routing_b = example_2_3_routings(instance)
+    clos_capacities = instance.clos.graph.capacities()
+    rows = [
+        _measure("example_2_3/routing_a", routing_a, clos_capacities),
+        _measure("example_2_3/routing_b", routing_b, clos_capacities),
+        _measure(
+            "example_2_3/macro",
+            Routing.for_macro_switch(instance.macro, instance.flows),
+            instance.macro.graph.capacities(),
+        ),
+    ]
+    for n in (3, 4, 5):
+        inst = theorem_4_3(n)
+        rows.append(
+            _measure(
+                f"theorem_4_3(n={n})",
+                lemma_4_6_routing(inst),
+                inst.clos.graph.capacities(),
+            )
+        )
+    return rows
 
 
-def _stochastic_point(task: Tuple[int, int, int]) -> ConvergenceRow:
-    """One seeded ECMP workload measurement (picklable)."""
-    n, num_flows, seed = task
+def _stochastic_point(n: int, num_flows: int, seed: int) -> ConvergenceRow:
+    """One seeded ECMP workload measurement."""
     network = ClosNetwork(n)
     capacities = network.graph.capacities()
     flows = uniform_random(network, num_flows, seed=seed)
@@ -117,11 +100,9 @@ def stochastic_instances(
     n: int = 3,
     num_flows: int = 30,
     seeds: Sequence[int] = range(4),
-    jobs: int = 1,
 ) -> List[ConvergenceRow]:
     """E11 part 2: random workloads under ECMP routing."""
-    tasks = [(n, num_flows, seed) for seed in seeds]
-    return parallel_map(_stochastic_point, tasks, jobs=jobs)
+    return [_stochastic_point(n, num_flows, seed) for seed in seeds]
 
 
 class AimdRow(NamedTuple):

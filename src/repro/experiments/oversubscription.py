@@ -21,7 +21,7 @@ paper's premise) downward and measures which guarantees survive:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min
@@ -29,7 +29,6 @@ from repro.core.throughput import max_throughput_value
 from repro.core.topology import ClosNetwork, MacroSwitch
 from repro.lp.feasibility import splittable_feasible
 from repro.lp.maxthroughput import max_throughput_lp
-from repro.parallel import parallel_map
 from repro.routers.greedy import greedy_least_congested
 from repro.workloads.stochastic import permutation, uniform_random
 
@@ -52,15 +51,14 @@ class OversubscriptionRow(NamedTuple):
 
 
 def _sweep_point(
-    task: Tuple[int, Fraction, int, int]
+    n: int, capacity: Fraction, num_flows: int, seed: int
 ) -> OversubscriptionRow:
-    """One interior-capacity level of E15 (module-level: picklable).
+    """One interior-capacity level of E15.
 
     Rebuilds the reference network/workload from ``(n, num_flows, seed)``
     — deterministic, so every capacity level sees identical flows and
-    macro rates regardless of which process computes it.
+    macro rates.
     """
-    n, capacity, num_flows, seed = task
     macro_network = MacroSwitch(n)
     reference = ClosNetwork(n)
     flows = uniform_random(reference, num_flows, seed=seed)
@@ -115,11 +113,11 @@ def sweep(
     ),
     num_flows: int = 24,
     seed: int = 0,
-    jobs: int = 1,
 ) -> List[OversubscriptionRow]:
     """The E15 sweep on a uniform-random workload."""
-    tasks = [(n, capacity, num_flows, seed) for capacity in capacities]
-    return parallel_map(_sweep_point, tasks, jobs=jobs)
+    return [
+        _sweep_point(n, capacity, num_flows, seed) for capacity in capacities
+    ]
 
 
 class PermutationRow(NamedTuple):
@@ -130,9 +128,10 @@ class PermutationRow(NamedTuple):
     expected: Fraction  # min(c, 1): uplinks cap each server's flow
 
 
-def _permutation_point(task: Tuple[int, Fraction, int]) -> PermutationRow:
-    """One capacity level of the permutation sweep (picklable)."""
-    n, capacity, seed = task
+def _permutation_point(
+    n: int, capacity: Fraction, seed: int
+) -> PermutationRow:
+    """One capacity level of the permutation sweep."""
     reference = ClosNetwork(n)
     flows = permutation(reference, seed=seed)
     network = ClosNetwork(n, interior_capacity=capacity)
@@ -157,10 +156,8 @@ def permutation_sweep(
         Fraction(1, 4),
     ),
     seed: int = 0,
-    jobs: int = 1,
 ) -> List[PermutationRow]:
     """Permutation traffic under oversubscription has a closed form:
     a perfect matching of unit demands gets exactly ``min(c, 1)`` per
     flow when routed link-disjointly (each flow alone on its uplink)."""
-    tasks = [(n, capacity, seed) for capacity in capacities]
-    return parallel_map(_permutation_point, tasks, jobs=jobs)
+    return [_permutation_point(n, capacity, seed) for capacity in capacities]

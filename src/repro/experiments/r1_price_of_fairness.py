@@ -15,13 +15,12 @@ but no experiment.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 from repro.core.objectives import macro_switch_max_min
 from repro.core.theorems import theorem_3_4 as predict
 from repro.core.throughput import max_throughput_value
 from repro.core.topology import ClosNetwork, MacroSwitch
-from repro.parallel import parallel_map
 from repro.workloads.adversarial import theorem_3_4
 from repro.workloads.stochastic import hotspot, uniform_random
 
@@ -38,7 +37,7 @@ class PriceOfFairnessRow(NamedTuple):
 
 
 def _sweep_point(k: int) -> PriceOfFairnessRow:
-    """One k of the Theorem 3.4 sweep (module-level: picklable)."""
+    """One k of the Theorem 3.4 sweep."""
     instance = theorem_3_4(1, k)
     t_mt = Fraction(max_throughput_value(instance.flows))
     t_mmf = macro_switch_max_min(instance.macro, instance.flows).throughput()
@@ -57,15 +56,10 @@ def _sweep_point(k: int) -> PriceOfFairnessRow:
 
 
 def sweep(
-    ks: Sequence[int] = (1, 2, 4, 8, 16, 32, 64), jobs: int = 1
+    ks: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
 ) -> List[PriceOfFairnessRow]:
-    """The adversarial sweep of Theorem 3.4's tight construction.
-
-    ``jobs > 1`` computes sweep points in worker processes (identical
-    results in identical order, and under ``REPRO_OBS=1`` worker
-    telemetry is merged back; see :mod:`repro.parallel`).
-    """
-    return parallel_map(_sweep_point, ks, jobs=jobs)
+    """The adversarial sweep of Theorem 3.4's tight construction."""
+    return [_sweep_point(k) for k in ks]
 
 
 class RandomBoundRow(NamedTuple):
@@ -78,9 +72,10 @@ class RandomBoundRow(NamedTuple):
     bound_holds: bool
 
 
-def _random_bound_point(task: Tuple[int, int, str, int]) -> RandomBoundRow:
-    """One (workload, seed) check (module-level: picklable)."""
-    n, num_flows, name, seed = task
+def _random_bound_point(
+    n: int, num_flows: int, name: str, seed: int
+) -> RandomBoundRow:
+    """One (workload, seed) check."""
     clos = ClosNetwork(n)
     macro = MacroSwitch(n)
     generator = uniform_random if name == "uniform" else hotspot
@@ -100,12 +95,10 @@ def random_bound_check(
     n: int = 3,
     num_flows: int = 40,
     seeds: Sequence[int] = range(5),
-    jobs: int = 1,
 ) -> List[RandomBoundRow]:
     """Validate Theorem 3.4's lower bound on stochastic macro-switch inputs."""
-    tasks = [
-        (n, num_flows, name, seed)
+    return [
+        _random_bound_point(n, num_flows, name, seed)
         for seed in seeds
         for name in ("uniform", "hotspot")
     ]
-    return parallel_map(_random_bound_point, tasks, jobs=jobs)

@@ -26,15 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-import functools
-
 from repro.core.bottleneck import certify_max_min_fair
 from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min
 from repro.core.solve import EXACT_BACKENDS
 from repro.core.theorems import theorem_4_3 as predict
 from repro.lp.feasibility import find_feasible_routing, splittable_feasible
-from repro.parallel import parallel_map
 from repro.search.local_search import is_local_optimum
 from repro.workloads.adversarial import (
     lemma_4_6_routing,
@@ -53,7 +50,7 @@ class InfeasibilityRow(NamedTuple):
 
 
 def _infeasibility_point(n: int) -> InfeasibilityRow:
-    """One network size of E3 (module-level: picklable)."""
+    """One network size of E3."""
     instance = theorem_4_2(n)
     demands = macro_switch_max_min(instance.macro, instance.flows).rates()
     routing = find_feasible_routing(instance.clos, instance.flows, demands)
@@ -67,16 +64,14 @@ def _infeasibility_point(n: int) -> InfeasibilityRow:
     )
 
 
-def infeasibility_sweep(
-    sizes: Sequence[int] = (3,), jobs: int = 1
-) -> List[InfeasibilityRow]:
+def infeasibility_sweep(sizes: Sequence[int] = (3,)) -> List[InfeasibilityRow]:
     """E3: macro-switch max-min rates cannot be routed unsplittably.
 
     The exhaustive search is exponential; ``n = 3`` decides in
     milliseconds and ``n = 4`` in seconds — pass ``sizes=(3, 4)`` for the
-    slower confirmation.  ``jobs > 1`` decides sizes in parallel.
+    slower confirmation.
     """
-    return parallel_map(_infeasibility_point, sizes, jobs=jobs)
+    return [_infeasibility_point(n) for n in sizes]
 
 
 class StarvationRow(NamedTuple):
@@ -98,7 +93,7 @@ def _starvation_point(
     backend: str = None,
     certify: bool = True,
 ) -> StarvationRow:
-    """One network size of E4 (module-level: picklable via ``partial``).
+    """One network size of E4.
 
     ``backend`` optionally selects an exact solver from
     :data:`repro.core.solve.BACKENDS` — ``"quotient"`` exploits the
@@ -251,7 +246,6 @@ def _starvation_rows_batched(
 def starvation_sweep(
     sizes: Sequence[int] = (3, 4, 5, 6),
     check_local_optimality: bool = True,
-    jobs: int = 1,
     backend: str = None,
     certify: bool = True,
 ) -> List[StarvationRow]:
@@ -262,24 +256,21 @@ def starvation_sweep(
     via symmetry reduction, or ``backend="batched"`` to stack every
     size's solves into one block-diagonal float batch (fastest for wide
     sweeps of moderate sizes; rate checks then use a 1e-9 relative
-    tolerance — see :func:`_starvation_rows_batched`).  ``jobs > 1``
-    computes sizes in worker processes; with ``REPRO_OBS=1`` the
-    workers' solver counters and spans are shipped back and merged, so
-    traced parallel sweeps report the same totals as sequential ones
-    (see :mod:`repro.obs.pipeline`).  The ``"batched"`` sweep is already
-    one in-process solve, so ``jobs`` does not change its work.
+    tolerance — see :func:`_starvation_rows_batched`).
     """
     if backend == "batched":
         return _starvation_rows_batched(
             sizes, check_local_optimality, certify
         )
-    point = functools.partial(
-        _starvation_point,
-        check_local_optimality=check_local_optimality,
-        backend=backend,
-        certify=certify,
-    )
-    return parallel_map(point, sizes, jobs=jobs)
+    return [
+        _starvation_point(
+            n,
+            check_local_optimality=check_local_optimality,
+            backend=backend,
+            certify=certify,
+        )
+        for n in sizes
+    ]
 
 
 class DominanceRow(NamedTuple):

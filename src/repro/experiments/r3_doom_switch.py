@@ -19,7 +19,6 @@ Doom-Switch lower bound) on the sweep.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -27,7 +26,6 @@ from repro.analysis.metrics import compare_to_macro
 from repro.core.doom_switch import doom_switch
 from repro.core.objectives import macro_switch_max_min, throughput_max_min_fair
 from repro.core.theorems import theorem_5_4 as predict
-from repro.parallel import parallel_map
 from repro.workloads.adversarial import theorem_5_4
 from repro.workloads.stochastic import uniform_random
 from repro.core.topology import ClosNetwork, MacroSwitch
@@ -48,13 +46,12 @@ class DoomSwitchRow(NamedTuple):
     min_rate_ratio: Fraction  # worst flow's (network rate / macro rate)
 
 
-def _sweep_point(point: Tuple[int, int], backend: str = None) -> DoomSwitchRow:
-    """One (n, k) of the Theorem 5.4 sweep (module-level: picklable).
+def _sweep_point(n: int, k: int, backend: str = None) -> DoomSwitchRow:
+    """One (n, k) of the Theorem 5.4 sweep.
 
     ``backend="quotient"`` solves both allocations by symmetry
     reduction, extending the exact sweep to n ≥ 64.
     """
-    n, k = point
     instance = theorem_5_4(n, k)
     macro = macro_switch_max_min(instance.macro, instance.flows, backend=backend)
     result = doom_switch(instance.clos, instance.flows, backend=backend)
@@ -139,7 +136,6 @@ def sweep(
         (11, 8),
         (13, 16),
     ),
-    jobs: int = 1,
     backend: str = None,
 ) -> List[DoomSwitchRow]:
     """The (n, k) sweep of Theorem 5.4's tight construction.
@@ -147,14 +143,11 @@ def sweep(
     Pass ``backend="quotient"`` to extend the exact sweep to n ≥ 64
     (e.g. ``points=((65, 8),)`` — n must be odd), or
     ``backend="batched"`` to solve every point's allocations in one
-    block-diagonal float batch (fastest for wide sweeps).  ``jobs > 1``
-    computes points in worker processes; the ``"batched"`` sweep is
-    already one in-process solve, so ``jobs`` does not change its work.
+    block-diagonal float batch (fastest for wide sweeps).
     """
     if backend == "batched":
         return _sweep_rows_batched(points)
-    point = functools.partial(_sweep_point, backend=backend)
-    return parallel_map(point, points, jobs=jobs)
+    return [_sweep_point(n, k, backend=backend) for n, k in points]
 
 
 class ExactBoundRow(NamedTuple):
@@ -169,9 +162,8 @@ class ExactBoundRow(NamedTuple):
     upper_bound_holds: bool
 
 
-def _exact_bound_point(task: Tuple[int, int, int]) -> ExactBoundRow:
-    """One seeded instance of the exact bound check (picklable)."""
-    n, num_flows, seed = task
+def _exact_bound_point(n: int, num_flows: int, seed: int) -> ExactBoundRow:
+    """One seeded instance of the exact bound check."""
     clos = ClosNetwork(n)
     macro_network = MacroSwitch(n)
     flows = uniform_random(clos, num_flows, seed=seed)
@@ -193,8 +185,6 @@ def exact_bound_check(
     n: int = 2,
     num_flows: int = 6,
     seeds: Sequence[int] = range(4),
-    jobs: int = 1,
 ) -> List[ExactBoundRow]:
     """Exact verification of ``T^{T-MmF} ≤ 2 T^MmF`` on random instances."""
-    tasks = [(n, num_flows, seed) for seed in seeds]
-    return parallel_map(_exact_bound_point, tasks, jobs=jobs)
+    return [_exact_bound_point(n, num_flows, seed) for seed in seeds]

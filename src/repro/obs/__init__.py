@@ -49,12 +49,6 @@ from repro.obs.metrics import (
     histogram,
     snapshot_delta,
 )
-from repro.obs.pipeline import (
-    MergedTelemetry,
-    TelemetryPayload,
-    capture_payload,
-    merge_payloads,
-)
 from repro.obs.state import STATE
 from repro.obs.trace import (
     TRACER,
@@ -70,13 +64,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MergedTelemetry",
     "MetricsRegistry",
     "Span",
     "StructuredLogger",
-    "TelemetryPayload",
     "Tracer",
-    "capture_payload",
     "counter",
     "disable",
     "enable",
@@ -84,7 +75,6 @@ __all__ = [
     "gauge",
     "get_logger",
     "histogram",
-    "merge_payloads",
     "metrics",
     "metrics_snapshot",
     "snapshot_delta",

@@ -34,18 +34,6 @@ def _json_value(value: Number) -> Any:
     return value
 
 
-def _parse_value(value: Any) -> Number:
-    """Invert :func:`_json_value`: ``"p/q"`` strings become Fractions.
-
-    The telemetry pipeline round-trips metric values through JSON when
-    shipping them across process boundaries; exact rationals must come
-    back exact.
-    """
-    if isinstance(value, str):
-        return Fraction(value)
-    return value
-
-
 class Counter:
     """A monotonically increasing count (rounds, events, moves...)."""
 
@@ -101,9 +89,7 @@ class Histogram:
     Fraction-safe: observing Fractions keeps the sum exact, so the mean
     of exact observations is an exact rational — and because every
     distinct value keeps its own bucket (up to :data:`MAX_BUCKETS`),
-    percentiles are exact too, and two histograms merge losslessly by
-    summing buckets (the cross-process telemetry pipeline relies on
-    this; see :mod:`repro.obs.pipeline`).
+    percentiles are exact too.
     """
 
     __slots__ = (
@@ -127,22 +113,19 @@ class Histogram:
     def observe(self, value: Number) -> None:
         if not STATE.enabled:
             return
-        self._absorb(value, 1)
-
-    def _absorb(self, value: Number, occurrences: int) -> None:
-        self.count += occurrences
-        self.total = self.total + value * occurrences
+        self.count += 1
+        self.total = self.total + value
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
         buckets = self.buckets
         if value in buckets:
-            buckets[value] += occurrences
+            buckets[value] += 1
         elif len(buckets) < MAX_BUCKETS:
-            buckets[value] = occurrences
+            buckets[value] = 1
         else:
-            self.overflow += occurrences
+            self.overflow += 1
 
     def mean(self) -> Optional[Number]:
         """The exact mean: a Fraction unless a float was ever observed.
@@ -258,85 +241,6 @@ class MetricsRegistry:
         for instrument in self._instruments.values():
             if isinstance(instrument, Gauge):
                 instrument.reset()
-
-    # ------------------------------------------------------------------
-    # Cross-process state shipping (see repro.obs.pipeline)
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Lossless, JSON-safe, *typed* dump of every active instrument.
-
-        Unlike :meth:`snapshot` (a display rendering), this keeps enough
-        structure to merge exactly in another process: instruments are
-        grouped by kind, and histograms ship their full value→count
-        bucket map alongside the summary fields.
-        """
-        counters: Dict[str, Any] = {}
-        gauges: Dict[str, Any] = {}
-        histograms: Dict[str, Any] = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Counter):
-                if instrument.value != 0:
-                    counters[name] = _json_value(instrument.value)
-            elif isinstance(instrument, Gauge):
-                if instrument.value is not None:
-                    gauges[name] = _json_value(instrument.value)
-            elif instrument.count > 0:
-                histograms[name] = {
-                    "count": instrument.count,
-                    "sum": _json_value(instrument.total),
-                    "min": _json_value(instrument.minimum),
-                    "max": _json_value(instrument.maximum),
-                    "buckets": [
-                        [_json_value(value), instrument.buckets[value]]
-                        for value in sorted(instrument.buckets)
-                    ],
-                    "overflow": instrument.overflow,
-                }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-
-    def absorb_state(self, state: Dict[str, Any]) -> None:
-        """Merge an :meth:`export_state` document into this registry.
-
-        Counters sum exactly, gauges take the incoming value (callers
-        order payloads so the semantics are last-write-wins), histogram
-        buckets add.  Values round-trip through
-        :func:`_parse_value`, so exact rationals stay exact.
-        """
-        for name, value in state.get("counters", {}).items():
-            counter = self.counter(name)
-            counter.value = counter.value + _parse_value(value)
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).value = _parse_value(value)
-        for name, entry in state.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            bucket_sum: Number = 0
-            for value, occurrences in entry.get("buckets", []):
-                parsed = _parse_value(value)
-                histogram._absorb(parsed, int(occurrences))
-                bucket_sum = bucket_sum + parsed * int(occurrences)
-            overflow = int(entry.get("overflow", 0))
-            if overflow:
-                # Overflowed observations lost their individual values;
-                # fold their count/sum (and the shipped min/max, which
-                # may live in the overflow) in without inventing buckets.
-                histogram.count += overflow
-                histogram.overflow += overflow
-                histogram.total = (
-                    histogram.total + _parse_value(entry["sum"]) - bucket_sum
-                )
-                for key, pick in (("min", min), ("max", max)):
-                    shipped = _parse_value(entry[key])
-                    current = getattr(histogram, f"{key}imum")
-                    setattr(
-                        histogram,
-                        f"{key}imum",
-                        shipped if current is None else pick(current, shipped),
-                    )
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe name → value map, zero-valued instruments omitted."""

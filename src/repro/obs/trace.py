@@ -193,17 +193,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         return _SpanContext(self, Span(name, attrs))
 
-    def adopt(self, span: Span) -> None:
-        """Attach a finished span built elsewhere (e.g. a worker's
-        re-parented tree): as a child of the innermost open span on this
-        thread, or as a finished root when none is open."""
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._lock:
-                self._roots.append(span)
-
     def current(self) -> Optional[Span]:
         stack = self._stack()
         return stack[-1] if stack else None

@@ -21,9 +21,8 @@ invariant under the symmetry.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
-from repro.core.allocation import Allocation
 from repro.core.flows import Flow, FlowCollection
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork
@@ -91,44 +90,6 @@ def enumerate_routings(
     generator = canonical_assignments if use_symmetry else all_assignments
     for assignment in generator(flows, network.num_middles):
         yield Routing.from_middles(network, flows, assignment)
-
-
-def batched_allocations(
-    network: ClosNetwork,
-    flows: FlowCollection,
-    capacities=None,
-    use_symmetry: bool = True,
-    batch_size: int = 64,
-    exact: bool = False,
-) -> Iterator[Tuple[Routing, Allocation]]:
-    """Yield ``(routing, allocation)`` over the enumeration, solved in batches.
-
-    Instead of one solver call per routing, ``batch_size`` routings at a
-    time are stacked into a block-diagonal incidence and water-filled
-    together by :func:`repro.core.batched.solve_max_min_batch` — the
-    per-round NumPy dispatch overhead is paid once per *batch* instead
-    of once per routing, which dominates at the small instance sizes
-    enumeration reaches.  Float allocations match per-instance
-    ``vectorized`` solves bit-for-bit; ``exact=True`` delegates to the
-    exact reference per instance (identical results, no speedup).
-    """
-    caps = network.graph.capacities() if capacities is None else capacities
-    from repro.core.batched import solve_max_min_batch
-
-    def flush(chunk: List[Routing]):
-        allocations = solve_max_min_batch(
-            [(routing, caps) for routing in chunk], exact=exact
-        )
-        return zip(chunk, allocations)
-
-    chunk: List[Routing] = []
-    for routing in enumerate_routings(network, flows, use_symmetry=use_symmetry):
-        chunk.append(routing)
-        if len(chunk) >= batch_size:
-            yield from flush(chunk)
-            chunk = []
-    if chunk:
-        yield from flush(chunk)
 
 
 def routing_space_size(num_flows: int, n: int, use_symmetry: bool) -> int:

@@ -27,6 +27,12 @@ re-probed on every round.  Both :func:`improve_routing` and
 :func:`is_local_optimum` draw their moves from the single
 :func:`candidate_moves` generator, so the definition of the move
 neighborhood cannot drift between them.
+
+Exact searches compare rates exactly.  Float searches accept a move
+only if it wins by more than rounding: the sorted vectors are compared
+at the repo's :data:`~repro.validate.FLOAT_TOL` (1e-9), and a
+throughput counts as higher only if it beats the incumbent's by more
+than ``FLOAT_TOL * (1 + |incumbent|)``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
 from repro.core.topology import ClosNetwork
 from repro.obs import counter, trace_span
+from repro.validate import FLOAT_TOL
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _ROUNDS = counter("search.local.rounds")
@@ -56,12 +63,22 @@ def _is_better(
     objective: str,
     candidate: Allocation,
     incumbent: Allocation,
+    tol: float,
 ) -> bool:
-    if objective == "throughput" and (
-        candidate.throughput() != incumbent.throughput()
-    ):
-        return candidate.throughput() > incumbent.throughput()
-    return lex_compare(candidate.sorted_vector(), incumbent.sorted_vector()) > 0
+    """Does ``candidate`` beat ``incumbent`` by more than ``tol``?"""
+    if objective == "throughput":
+        gap = candidate.throughput() - incumbent.throughput()
+        slack = tol * (1 + abs(incumbent.throughput())) if tol else 0
+        if gap > slack:
+            return True
+        if gap < -slack:
+            return False
+    return (
+        lex_compare(
+            candidate.sorted_vector(), incumbent.sorted_vector(), tol=tol
+        )
+        > 0
+    )
 
 
 def candidate_moves(
@@ -105,6 +122,7 @@ def improve_routing(
     after ``max_rounds`` accepted-move rounds.
     """
     _check_objective(objective)
+    tol = 0 if exact else FLOAT_TOL
     capacities = network.graph.capacities()
     best_alloc = max_min_fair(routing, capacities, exact=exact)
     middles = routing.middles(network)
@@ -126,7 +144,7 @@ def improve_routing(
                 _PROPOSED.inc()
                 candidate = routing.reassigned(network, flow, m)
                 candidate_alloc = max_min_fair(candidate, capacities, exact=exact)
-                if _is_better(objective, candidate_alloc, best_alloc):
+                if _is_better(objective, candidate_alloc, best_alloc, tol):
                     routing, best_alloc = candidate, candidate_alloc
                     middles[flow] = m
                     improved = True
@@ -149,6 +167,7 @@ def is_local_optimum(
 ) -> bool:
     """True if no single-flow middle-switch move improves the objective."""
     _check_objective(objective)
+    tol = 0 if exact else FLOAT_TOL
     capacities = network.graph.capacities()
     incumbent = max_min_fair(routing, capacities, exact=exact)
     for _, flow, m in candidate_moves(
@@ -156,7 +175,10 @@ def is_local_optimum(
     ):
         moved = routing.reassigned(network, flow, m)
         if _is_better(
-            objective, max_min_fair(moved, capacities, exact=exact), incumbent
+            objective,
+            max_min_fair(moved, capacities, exact=exact),
+            incumbent,
+            tol,
         ):
             return False
     return True

@@ -76,7 +76,6 @@ __all__ = [
     "validate_structure",
     "validation",
     "validation_level",
-    "validation_override",
 ]
 
 #: Process-wide override; ``None`` defers to the environment.
@@ -102,12 +101,6 @@ def validation_level() -> str:
     if _OVERRIDE is not None:
         return _OVERRIDE
     return _check_level(os.environ.get(ENV_VAR, "off").strip() or "off")
-
-
-def validation_override() -> Optional[str]:
-    """The :func:`set_validation_level` override, or ``None`` when the
-    level defers to the environment."""
-    return _OVERRIDE
 
 
 def set_validation_level(level: Optional[str]) -> None:

@@ -130,21 +130,6 @@ def test_batched_passes_full_validation(monkeypatch):
 # ----------------------------------------------------------------------
 # Callers routed through the batch front door
 # ----------------------------------------------------------------------
-def test_enumeration_batched_allocations_match_sequential():
-    from repro.search.enumeration import batched_allocations, enumerate_routings
-
-    network = ClosNetwork(2)
-    flows = uniform_random(network, 5, seed=3)
-    caps = network.graph.capacities()
-    expected = sum(1 for _ in enumerate_routings(network, flows))
-    seen = 0
-    for routing, alloc in batched_allocations(network, flows, batch_size=4):
-        single = solve_max_min(routing, caps, backend="vectorized")
-        assert alloc.rates() == single.rates()
-        seen += 1
-    assert seen == expected
-
-
 def test_r3_sweep_batched_matches_default():
     from repro.experiments.r3_doom_switch import sweep
 

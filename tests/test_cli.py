@@ -153,8 +153,8 @@ class TestArgumentBounds:
             ["run", "churn", "--horizon", "0"],
             ["run", "churn", "--horizon", "-0.5"],
             ["run", "churn", "--rate", "nan"],
-            ["run", "churn", "--jobs", "-1"],
-            ["profile", "e4", "--jobs", "-1"],
+            ["run", "e6", "--n", "-1"],
+            ["profile", "e6", "--n", "-1"],
             ["fuzz", "--seeds", "-2"],
             ["fuzz", "--seeds", "0"],
         ],
@@ -175,8 +175,7 @@ class TestArgumentBounds:
 
     def test_zero_window_reaches_churn(self, capsys, monkeypatch):
         """0 is a real ``--window`` (re-solve per event) and passes
-        through unchanged; ``--jobs`` is a sweep knob churn does not
-        take."""
+        through unchanged."""
         from repro.experiments import churn
 
         seen = {}
@@ -184,7 +183,7 @@ class TestArgumentBounds:
             churn, "churn_comparison", lambda **kw: seen.update(kw) or []
         )
         argv = ["run", "churn", "--n", "2", "--rate", "0.5",
-                "--horizon", "0.25", "--window", "0", "--jobs", "0"]
+                "--horizon", "0.25", "--window", "0"]
         assert main(argv) == 0
         assert seen == {"n": 2, "rate": 0.5, "horizon": 0.25,
                         "batch_window": 0.0}
@@ -194,6 +193,14 @@ class TestArgumentBounds:
             main(["run", "churn", "--pods", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --pods" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_jobs_option_is_gone(self, command, capsys):
+        """Sweeps run in-process; ``--jobs`` is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "e4", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "names", ["bogus", "heap,bogus", "batched", ",", "heap", "auto"]
@@ -305,6 +312,35 @@ class TestResilientRun:
 
         assert main(["run", "e1", "--resume", manifest]) == 0
         assert capsys.readouterr().out == first
+
+    def test_manifest_recording_jobs_still_resumes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``params`` is provenance only: a manifest whose params hold
+        ``"jobs": 2`` resumes its pending step, which prints what a
+        fresh run prints."""
+        import json
+
+        monkeypatch.setattr(
+            cli, "EXPERIMENTS", {"e1": cli.run_e1, "e2": cli.run_e2}
+        )
+        manifest = tmp_path / "all.json"
+        assert main(["run", "all", "--manifest", str(manifest)]) == 0
+        fresh = capsys.readouterr().out
+        document = json.loads(manifest.read_text())
+        fresh_e2 = document["steps"][1]["output"]
+        assert "E2" in fresh_e2
+        document["params"]["jobs"] = 2
+        document["steps"][1].update(status="pending", output=None)
+        manifest.write_text(json.dumps(document))
+
+        assert main(["run", "all", "--resume", str(manifest)]) == 0
+        resumed = capsys.readouterr().out
+        cut = "run summary"
+        assert resumed[: resumed.index(cut)] == fresh[: fresh.index(cut)]
+        steps = json.loads(manifest.read_text())["steps"]
+        assert [step["status"] for step in steps] == ["ok", "ok"]
+        assert steps[1]["output"] == fresh_e2
 
 
 @pytest.fixture

@@ -2,11 +2,13 @@
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.obs.logger import StructuredLogger
 from repro.obs.metrics import MetricsRegistry, snapshot_delta
 from repro.obs.trace import span_from_dict
@@ -519,3 +521,99 @@ class TestInstrumentedSubsystems:
         ecmp_routing(clos, permutation(clos, seed=1))
         assert obs.metrics_snapshot() == {}
         assert obs.tracer().collect() == []
+
+
+class TestCliFrontEnds:
+    def test_stats_degrades_without_traces(self, dark, tmp_path, capsys):
+        import io
+
+        from repro.runner import ResilientRunner, RunManifest
+
+        path = str(tmp_path / "sweep.json")
+        runner = ResilientRunner(
+            manifest=RunManifest(path), stream=io.StringIO()
+        )
+        runner.run({"s1": lambda: None})
+        assert main(["stats", path]) == 0
+        out = capsys.readouterr().out
+        assert "no span traces embedded" in out
+        assert "wall (span)" not in out  # degraded to the real columns
+
+
+def _tree_size(span):
+    return 1 + sum(_tree_size(child) for child in span.children)
+
+
+class TestOverheadGuard:
+    def test_disabled_instrumentation_under_five_percent(self, dark):
+        """Disabled-mode flag checks cost <5% of an exact solve."""
+        from repro.core.maxmin import max_min_fair
+        from repro.core.topology import ClosNetwork
+        from repro.routers.ecmp import ecmp_routing
+        from repro.workloads.stochastic import uniform_random
+
+        clos = ClosNetwork(4)
+        flows = uniform_random(clos, 120, seed=0)
+        routing = ecmp_routing(clos, flows)
+        capacities = clos.graph.capacities()
+
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            max_min_fair(routing, capacities, exact=True)
+            walls.append(time.perf_counter() - start)
+        solve_wall = min(walls)
+
+        # Count the instrument firings an enabled solve performs:
+        # counter bumps (one per reported unit) and span opens.
+        obs.enable()
+        obs.reset()
+        max_min_fair(routing, capacities, exact=True)
+        snapshot = obs.metrics_snapshot()
+        span_ops = sum(_tree_size(root) for root in obs.tracer().collect())
+        counter_ops = sum(
+            value for value in snapshot.values() if isinstance(value, int)
+        )
+        obs.reset()
+        obs.disable()
+
+        # Price one disabled counter bump / span open per loop iteration.
+        probe = obs.counter("test.overhead.probe")
+        iterations = 200_000
+        start = time.perf_counter()
+        for _ in range(iterations):
+            probe.inc()
+        counter_cost = (time.perf_counter() - start) / iterations
+        start = time.perf_counter()
+        for _ in range(iterations):
+            with obs.trace_span("test.overhead.span"):
+                pass
+        span_cost = (time.perf_counter() - start) / iterations
+
+        overhead = counter_ops * counter_cost + span_ops * span_cost
+        assert overhead < 0.05 * solve_wall, (
+            f"disabled instrumentation ~{overhead * 1e3:.3f}ms "
+            f"({counter_ops} counter ops, {span_ops} span ops) "
+            f"vs solve {solve_wall * 1e3:.1f}ms"
+        )
+
+
+class TestFlowsimHistogram:
+    def test_active_jobs_histogram_populated(self, observing):
+        from repro.core.topology import ClosNetwork
+        from repro.sim.flowsim import simulate
+        from repro.sim.jobs import FlowJob
+        from repro.sim.policies import MaxMinCongestionControl
+
+        clos = ClosNetwork(1)
+        jobs = [
+            FlowJob(0, clos.source(1, 1), clos.destination(2, 1), 0.0, 2.0),
+            FlowJob(1, clos.source(2, 1), clos.destination(1, 1), 0.5, 1.0),
+        ]
+        obs.reset()
+        simulate(jobs, MaxMinCongestionControl(clos))
+        snap = obs.metrics_snapshot()
+        hist = snap["sim.active_jobs"]
+        assert hist["count"] == snap["sim.events"]
+        assert set(hist) >= {"p50", "p90", "p99", "mean"}
+        assert hist["max"] >= 1

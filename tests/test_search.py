@@ -193,6 +193,29 @@ class TestLocalSearch:
         with pytest.raises(CapacityValidationError):
             improve_routing(clos, start, exact=exact)
 
+    @pytest.mark.parametrize("objective", ["lex", "throughput"])
+    def test_float_moves_beat_rounding_noise(self, objective):
+        """A float climb accepts a move only if it wins by more than the
+        1e-9 rule: on this instance the first lex move used to change
+        the sorted vector by 5.55e-17."""
+        clos = ClosNetwork(2)
+        flows = random_flows(clos, 7, seed=1)
+        start = random_routing(clos, flows, seed=1)
+        steps = [max_min_fair(start, clos.graph.capacities(), exact=False)]
+        improve_routing(
+            clos, start, objective=objective, exact=False,
+            on_improvement=lambda routing, alloc: steps.append(alloc),
+        )
+        for old, new in zip(steps, steps[1:]):
+            gain = new.throughput() - old.throughput()
+            if objective == "throughput" and gain > 1e-9 * (
+                1 + abs(old.throughput())
+            ):
+                continue
+            assert lex_compare(
+                new.sorted_vector(), old.sorted_vector(), tol=1e-9
+            ) > 0
+
     def test_improvement_callback_invoked(self):
         clos = ClosNetwork(2)
         flows = FlowCollection()
