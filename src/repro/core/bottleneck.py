@@ -13,7 +13,9 @@ way the proofs do.
 
 Every check here rests on one scan that walks each route
 (:meth:`Routing.routes`: a run of flows sharing one path object) once,
-filling each link's load and maximum member rate together.  With
+over the routing's int link ids (:meth:`Routing.link_ids`), filling
+each link's load and maximum member rate together.  A route whose flows
+all hold one rate object is read as that value once.  With
 ``tol == 0`` and only ``int``/``Fraction`` rates and finite capacities,
 the scan first multiplies every value by the LCM of their denominators
 (:func:`common_scale`), so loads, saturation and max-member tests are
@@ -27,8 +29,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
+from itertools import chain, repeat
+from operator import is_
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
@@ -69,10 +80,12 @@ class _Scan(NamedTuple):
     """What one walk over the routes found, in scan units."""
 
     scale: Optional[int]  # None: the raw values
-    values: List[List[Optional[Rate]]]  # per route, per flow; None = no rate
+    # Per route: its flows' values, or a single value when every flow of
+    # the route holds the same rate object.  None = no rate.
+    values: List[Sequence[Optional[Rate]]]
     missing: List[Flow]  # routed flows without a rate
     overloaded: List[Link]  # beyond capacity (+ tol), first-traversal order
-    bars: Dict[Link, Rate]  # saturated link -> its maximum member value
+    bars: List[Optional[Rate]]  # link id -> max member value if saturated
 
 
 def _scaled(value: Rate, scale: Optional[int]) -> Rate:
@@ -88,21 +101,26 @@ def _scan(
     tol: float,
 ) -> _Scan:
     routes = routing.routes()
+    link_id, route_links = routing.link_ids()
     rates = allocation.rates()
-    values = [list(map(rates.get, members)) for _, members in routes]
-    # Flows of one route usually share one rate object, so each distinct
-    # object is inspected (and scaled) once.
+    get = rates.get
+    # Flows of one route usually share one rate object: such a route
+    # keeps that object alone, and each distinct object is inspected
+    # (and scaled) once.
+    values: List[Sequence[Optional[Rate]]] = []
     distinct: Dict[int, Optional[Rate]] = {}
-    for mine in values:
-        distinct.update(zip(map(id, mine), mine))
+    for _, members in routes:
+        first = get(members[0])
+        if len(members) == 1 or all(map(is_, map(get, members), repeat(first))):
+            values.append((first,))
+            distinct[id(first)] = first
+        else:
+            mine = list(map(get, members))
+            values.append(mine)
+            distinct.update(zip(map(id, mine), mine))
     missing: List[Flow] = []
     if id(None) in distinct:
-        missing = [
-            flow
-            for (_, members), mine in zip(routes, values)
-            for flow, value in zip(members, mine)
-            if value is None
-        ]
+        missing = [flow for flow in routing.flows() if flow not in rates]
     scale = None
     if not tol:
         scale = common_scale(chain(
@@ -115,48 +133,49 @@ def _scan(
                 for key, value in distinct.items()
             }
             values = [
-                list(map(scaled.__getitem__, map(id, mine)))
-                for mine in values
+                list(map(scaled.__getitem__, map(id, mine))) for mine in values
             ]
-    links: Dict[Link, List[Rate]] = {}  # link -> [load, max member value]
-    for (path, _), mine in zip(routes, values):
-        present = (
-            [value for value in mine if value is not None] if missing else mine
-        )
-        if not present:
+    load: List[Rate] = [0] * len(link_id)
+    top: List[Optional[Rate]] = [None] * len(link_id)  # max member value
+    for (_, members), mine, ids in zip(routes, values, route_links):
+        # A route holding one rate object is that value, ``weight`` times.
+        weight = 1
+        if len(mine) == 1:
+            weight = len(members)
+        elif missing:
+            mine = [value for value in mine if value is not None]
+        if not mine or mine[0] is None:
             continue
-        entries = []
-        for link in zip(path, path[1:]):
-            entry = links.get(link)
-            if entry is None:
-                entry = links[link] = [0, None]
-            entries.append(entry)
         if scale is not None:
             # Exact ints: a route adds its total and its maximum once.
-            load, top = sum(present), max(present)
-            for entry in entries:
-                entry[0] += load
-                if entry[1] is None or top > entry[1]:
-                    entry[1] = top
+            total, peak = sum(mine) * weight, max(mine)
+            for j in ids:
+                load[j] += total
+                if top[j] is None or peak > top[j]:
+                    top[j] = peak
             continue
         # Raw values: add flow by flow, in flow order (routes are runs of
         # consecutive flows), so float loads match a direct per-link sum.
-        for value in present:
-            for entry in entries:
-                entry[0] += value
-                if entry[1] is None or value > entry[1]:
-                    entry[1] = value
+        for value in mine * weight:
+            for j in ids:
+                load[j] += value
+                if top[j] is None or value > top[j]:
+                    top[j] = value
+    # Links no route with a rate crosses have no max member and are
+    # skipped.
     overloaded: List[Link] = []
-    bars: Dict[Link, Rate] = {}
-    for link, (load, top) in links.items():
+    bars: List[Optional[Rate]] = [None] * len(link_id)
+    for j, (link, total, peak) in enumerate(zip(link_id, load, top)):
+        if peak is None:
+            continue
         capacity = capacities[link]
         if capacity == _INF:
             continue
         capacity = _scaled(capacity, scale)
-        if load > _bump(capacity, tol):
+        if total > _bump(capacity, tol):
             overloaded.append(link)
-        if not abs(load - capacity) > tol:
-            bars[link] = top
+        if not abs(total - capacity) > tol:
+            bars[j] = peak
     return _Scan(scale, values, missing, overloaded, bars)
 
 
@@ -171,22 +190,28 @@ def _without_bottleneck(
     (+ ``tol``) reaches its route's bar.  A NaN bar is never reached,
     so it is left out.  A flow without a rate has no bottleneck either.
     """
+    bars = scan.bars
     result: List[Flow] = []
-    for (path, members), mine in zip(routing.routes(), scan.values):
-        bars = [
-            bar
-            for bar in map(scan.bars.get, zip(path, path[1:]))
-            if bar is not None and bar == bar
-        ]
-        if not bars:
+    for (_, members), mine, ids in zip(
+        routing.routes(), scan.values, routing.link_ids()[1]
+    ):
+        bar = None
+        for j in ids:
+            here = bars[j]
+            if here is not None and here == here and (bar is None or here < bar):
+                bar = here
+        if bar is None:
             result.extend(members)
-            continue
-        bar = min(bars)
-        result.extend(
-            flow
-            for flow, value in zip(members, mine)
-            if value is None or not bar <= _bump(value, tol)
-        )
+        elif len(mine) == 1:
+            (value,) = mine
+            if value is None or not bar <= _bump(value, tol):
+                result.extend(members)
+        else:
+            result.extend(
+                flow
+                for flow, value in zip(members, mine)
+                if value is None or not bar <= _bump(value, tol)
+            )
     return result
 
 
@@ -219,8 +244,12 @@ def bottleneck_links(
     rate = allocation.rate(flow)
     path = routing.links_of(flow)
     level = _bump(_scaled(rate, scan.scale), tol)
+    link_id = routing.link_ids()[0]
+    bars = [scan.bars[link_id[link]] for link in path]
     return [
-        link for link in path if link in scan.bars and scan.bars[link] <= level
+        link
+        for link, bar in zip(path, bars)
+        if bar is not None and bar <= level
     ]
 
 

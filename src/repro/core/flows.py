@@ -34,6 +34,9 @@ class Flow(NamedTuple):
         return f"Flow({self.source!r}->{self.dest!r}{suffix})"
 
 
+_new_tuple = tuple.__new__
+
+
 class FlowCollection:
     """An ordered collection of flows with grouping helpers.
 
@@ -78,7 +81,12 @@ class FlowCollection:
         """
         pair = (source, dest)
         existing = self._pair_counts.get(pair, 0)
-        added = [Flow(source, dest, tag) for tag in range(existing, existing + count)]
+        # ``tuple.__new__`` skips the NamedTuple constructor's argument
+        # handling; the flows are the same.
+        added = [
+            _new_tuple(Flow, (source, dest, tag))
+            for tag in range(existing, existing + count)
+        ]
         if not self._seen.isdisjoint(added):
             clash = next(flow for flow in added if flow in self._seen)
             raise ValueError(f"duplicate flow: {clash!r}")

@@ -15,8 +15,9 @@ Implementation notes:
   the link``.  The minimum of these over all links is the next freeze
   level.
 - The problem is built once per route (:meth:`Routing.routes`): links
-  become int ids in order of first traversal, and each route carries
-  the ids of its finite links and its weight (its number of flows).
+  are int ids in order of first traversal (:meth:`Routing.link_ids`,
+  compiled once per routing), and each route carries the ids of its
+  finite links and its weight (its number of flows).
   Parallel flows share every link, so they always freeze together, and
   a round does per-route work.
 - The next freeze level is selected with a lazy-deletion min-heap of
@@ -162,12 +163,8 @@ def max_min_fair(
     if not routes:
         return Allocation({})
 
-    # Link ids in order of first traversal; one id list per route.
-    link_id: Dict[Link, int] = {}
-    route_links = [
-        [link_id.setdefault(link, len(link_id)) for link in zip(path, path[1:])]
-        for path, _ in routes
-    ]
+    # Link ids in order of first traversal; one id tuple per route.
+    link_id, route_links = routing.link_ids()
     raw = validate_capacities(link_id, capacities)
 
     # Links share a few capacity objects: coerce each distinct one once
@@ -219,7 +216,7 @@ def max_min_fair(
 
 def _fill(
     route_flows: Sequence[Sequence[Flow]],
-    route_links: Sequence[List[int]],
+    route_links: Sequence[Sequence[int]],
     capacity: Sequence[Rate],
     rates: Dict[Flow, Rate],
     exact: bool,
@@ -253,7 +250,7 @@ def _fill(
 
 
 def _fill_exact(
-    route_links: Sequence[List[int]],
+    route_links: Sequence[Sequence[int]],
     weight: List[int],
     capacity: Sequence[Fraction],
     count: List[int],
@@ -355,7 +352,7 @@ def _key(num: int, den: int) -> float:
 
 
 def _fill_float(
-    route_links: Sequence[List[int]],
+    route_links: Sequence[Sequence[int]],
     weight: List[int],
     capacity: Sequence[float],
     count: List[int],

@@ -110,42 +110,34 @@ def build_quotient(
     :class:`~repro.errors.UnboundedRateError` if some flow crosses only
     infinite links.
     """
-    # Index routes and links once, in first-traversal order.  Flows on one
-    # route get equal colors in every round, so refinement runs on the
-    # routes (:meth:`Routing.routes`), each weighted by its flow count,
-    # with int ids and int colors instead of hashing flows and paths.
+    # Routes and links as int ids, in first-traversal order
+    # (:meth:`Routing.link_ids`).  Flows on one route get equal colors in
+    # every round, so refinement runs on the routes, each weighted by its
+    # flow count, with int ids and int colors instead of hashing flows
+    # and paths.
     routes = routing.routes()
     weight = [len(members) for _, members in routes]  # route id -> flows
-    path_links: List[List[int]] = []  # route id -> link ids along it
-    link_id: Dict[Link, int] = {}
-    link_paths: List[List[int]] = []  # link id -> route ids crossing it
-    for p, (path, _) in enumerate(routes):
-        ids = []
-        for link in zip(path, path[1:]):
-            j = link_id.get(link)
-            if j is None:
-                j = link_id[link] = len(link_paths)
-                link_paths.append([])
-            link_paths[j].append(p)
-            ids.append(j)
-        path_links.append(ids)
+    link_id, route_links = routing.link_ids()
     _ROUTES.inc(len(routes))
-    validate_capacities(link_id, capacities)
+    raw = validate_capacities(link_id, capacities)
 
     # Finite links, renumbered 0.. in the same order.
     links: List[Link] = []
     capacity_of: List[Rate] = []
-    finite_id = [-1] * len(link_paths)
-    for link, j in link_id.items():
-        capacity = capacities[link]
-        if capacity != _INF:
-            finite_id[j] = len(links)
+    finite_id: List[int] = []
+    for link, capacity in zip(link_id, raw):
+        if capacity == _INF:
+            finite_id.append(-1)
+        else:
+            finite_id.append(len(links))
             links.append(link)
             capacity_of.append(capacity)
-    link_paths = [link_paths[j] for j, k in enumerate(finite_id) if k >= 0]
-    path_links = [
-        [finite_id[j] for j in ids if finite_id[j] >= 0] for ids in path_links
-    ]
+    path_links = route_links  # route id -> finite link ids along it
+    if len(links) < len(raw):
+        path_links = [
+            [finite_id[j] for j in ids if finite_id[j] >= 0]
+            for ids in route_links
+        ]
     unbounded = [
         flow
         for (_, members), ids in zip(routes, path_links)
@@ -156,12 +148,17 @@ def build_quotient(
         raise UnboundedRateError(
             f"flows with no finite-capacity link on their path: {unbounded!r}"
         )
+    link_paths: List[List[int]] = [[] for _ in links]  # link -> route ids
+    for p, ids in enumerate(path_links):
+        for k in ids:
+            link_paths[k].append(p)
 
     # --- color refinement to a fixpoint -----------------------------------
     # Colors are small ints numbered by first appearance; each round
     # re-canonicalizes the (old color, neighbor-color multiset)
     # signatures through a dict.  A link's multiset is kept as sorted
-    # (color, flow count) pairs.  Equal capacities of different numeric
+    # (color, flow count) pairs; most links carry a single route, whose
+    # pair is the whole multiset.  Equal capacities of different numeric
     # types are equal and hash alike, so they share a color.
     palette: Dict[Rate, int] = {}
     link_color = [
@@ -170,27 +167,42 @@ def build_quotient(
     link_count = len(palette)
     path_color = [0] * len(path_links)
     path_count = 1 if path_links else 0
+    single = [
+        crossing[0] if len(crossing) == 1 else -1 for crossing in link_paths
+    ]
 
+    rounds = 0
     while True:
         _REFINEMENTS.inc()
+        rounds += 1
         sig_pal: Dict[tuple, int] = {}
+        setdefault, colors = sig_pal.setdefault, link_color.__getitem__
         path_color = [
-            sig_pal.setdefault(
-                (color, tuple(sorted([link_color[k] for k in mine]))),
-                len(sig_pal),
-            )
+            setdefault((color, tuple(sorted(map(colors, mine)))), len(sig_pal))
             for color, mine in zip(path_color, path_links)
         ]
         path_stable = len(sig_pal) == path_count
         path_count = len(sig_pal)
+        if path_stable and rounds > 1:
+            # The link colors were refined by this same route partition
+            # last round, so the link pass would split nothing either.
+            break
 
         sig_pal = {}
+        setdefault = sig_pal.setdefault
         link_color = [
-            sig_pal.setdefault(
-                (color, _weighted_colors(crossing, path_color, weight)),
+            setdefault(
+                (
+                    color,
+                    ((path_color[p], weight[p]),)
+                    if p >= 0
+                    else tuple(sorted(
+                        _class_counts(crossing, path_color, weight).items()
+                    )),
+                ),
                 len(sig_pal),
             )
-            for color, crossing in zip(link_color, link_paths)
+            for color, p, crossing in zip(link_color, single, link_paths)
         ]
         link_stable = len(sig_pal) == link_count
         link_count = len(sig_pal)
@@ -230,19 +242,6 @@ def build_quotient(
     return QuotientInstance(
         flow_classes, link_classes, capacity, crossing, adjacency
     )
-
-
-def _weighted_colors(
-    members: List[int], color: List[int], weight: List[int]
-) -> tuple:
-    """Sorted (color, total weight) pairs of ``members``.
-
-    Most links carry a single route, which skips the count table.
-    """
-    if len(members) == 1:
-        (m,) = members
-        return ((color[m], weight[m]),)
-    return tuple(sorted(_class_counts(members, color, weight).items()))
 
 
 def _class_counts(

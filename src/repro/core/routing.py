@@ -23,6 +23,8 @@ from repro.core.topology import ClosNetwork, MacroSwitch, Path
 Link = Tuple[ClosNode, ClosNode]
 #: One run of consecutive flows on one path object: ``(path, flows)``.
 Route = Tuple[Path, Tuple[Flow, ...]]
+#: The routes compiled to int link ids: ``(link id map, ids per route)``.
+LinkIds = Tuple[Dict[Link, int], Tuple[Tuple[int, ...], ...]]
 
 
 class Routing:
@@ -40,6 +42,7 @@ class Routing:
     def __init__(self, assignment: Mapping[Flow, Path]) -> None:
         self._paths: Dict[Flow, Path] = dict(assignment)
         self._routes: Optional[Tuple[Route, ...]] = None
+        self._link_ids: Optional[LinkIds] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -158,6 +161,38 @@ class Routing:
                 [(path, tuple(members)) for path, members in runs]
             )
         return self._routes
+
+    def link_ids(self) -> LinkIds:
+        """The traversed links as int ids, and each route's ids.
+
+        Returns ``(ids, route_links)``.  ``ids`` maps every link some
+        path crosses to its id, numbered ``0, 1, …`` in order of first
+        traversal (walking :meth:`routes` in order, each path from
+        source to destination), so iterating it lists the links in that
+        order.  ``route_links[r]`` holds the ids of route ``r``'s links
+        along its path.  Computed once and cached; the map is shared, so
+        callers must not change it.
+
+        >>> from repro.core.flows import FlowCollection
+        >>> ms = MacroSwitch(1)
+        >>> flows = FlowCollection.from_pairs(
+        ...     [(ms.source(1, 1), ms.destination(1, 1)),
+        ...      (ms.source(2, 1), ms.destination(1, 1))])
+        >>> ids, route_links = Routing.for_macro_switch(ms, flows).link_ids()
+        >>> list(ids)
+        [(s1^1, I1), (I1, O1), (O1, t1^1), (s2^1, I2), (I2, O1)]
+        >>> route_links
+        ((0, 1, 2), (3, 4, 2))
+        """
+        if self._link_ids is None:
+            ids: Dict[Link, int] = {}
+            setdefault = ids.setdefault
+            route_links = tuple([
+                tuple([setdefault(link, len(ids)) for link in zip(path, path[1:])])
+                for path, _ in self.routes()
+            ])
+            self._link_ids = (ids, route_links)
+        return self._link_ids
 
     def middle_of(self, network: ClosNetwork, flow: Flow) -> MiddleSwitch:
         """The middle switch ``flow`` traverses (Clos routings only)."""

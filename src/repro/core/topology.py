@@ -22,7 +22,8 @@ network.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import operator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityValidationError, InfeasibleRoutingError
 from repro.core.nodes import (
@@ -44,7 +45,118 @@ def _check_size(n: int) -> None:
         raise ValueError(f"Clos size must be a positive integer, got {n!r}")
 
 
-class ClosNetwork:
+def _index(value: object, what: str, high: int) -> int:
+    """``value`` as an int in ``[1, high]``.
+
+    Anything :func:`operator.index` accepts (``int``, NumPy integers)
+    passes; floats, bools and out-of-range values raise
+    :class:`~repro.errors.InfeasibleRoutingError`.
+    """
+    index = value
+    if value.__class__ is not int:
+        try:
+            index = operator.index(value)
+        except TypeError:
+            index = None
+        if index is None or isinstance(value, bool):
+            raise InfeasibleRoutingError(
+                f"{what} index {value!r} is not an integer"
+            )
+    if not 0 < index <= high:
+        raise InfeasibleRoutingError(
+            f"{what} index {index} out of range [1, {high}]"
+        )
+    return index
+
+
+class _ServerFabric:
+    """The ToR switches and servers that ``C_n`` and ``MS_n`` share.
+
+    Each node exists once, in the lists below; the node helpers and the
+    paths hand out those objects rather than building equal copies.
+    """
+
+    def __init__(self, n: int) -> None:
+        _check_size(n)
+        self.n = n
+        self.graph = DiGraph()
+        self.input_switches: List[InputSwitch] = [
+            InputSwitch(i) for i in range(1, 2 * n + 1)
+        ]
+        self.output_switches: List[OutputSwitch] = [
+            OutputSwitch(i) for i in range(1, 2 * n + 1)
+        ]
+        self.sources: List[Source] = [
+            Source(i, j) for i in range(1, 2 * n + 1) for j in range(1, n + 1)
+        ]
+        self.destinations: List[Destination] = [
+            Destination(i, j) for i in range(1, 2 * n + 1) for j in range(1, n + 1)
+        ]
+        # Each server's position in its list, keyed by node equality.
+        self._position: Dict[object, int] = dict(
+            zip(self.sources, range(len(self.sources)))
+        )
+        self._position.update(zip(self.destinations, range(len(self.destinations))))
+
+    def _server_links(self, capacity: object) -> None:
+        """Add every ``s_i^j → I_i`` and ``O_i → t_i^j`` link."""
+        inputs, outputs = self.input_switches, self.output_switches
+        add_links = self.graph.add_links
+        add_links(
+            (src, inputs[src.switch - 1], capacity) for src in self.sources
+        )
+        add_links(
+            (outputs[dst.switch - 1], dst, capacity) for dst in self.destinations
+        )
+
+    # ------------------------------------------------------------------
+    # Node helpers (1-based, mirroring the paper's notation)
+    # ------------------------------------------------------------------
+    def source(self, i: int, j: int) -> Source:
+        """``s_i^j``: the ``j``-th source of input switch ``I_i``."""
+        return self.sources[self._server_offset(i, j)]
+
+    def destination(self, i: int, j: int) -> Destination:
+        """``t_i^j``: the ``j``-th destination of output switch ``O_i``."""
+        return self.destinations[self._server_offset(i, j)]
+
+    def _check_server_indices(self, i: int, j: int) -> None:
+        self._server_offset(i, j)
+
+    def _server_offset(self, i: int, j: int) -> int:
+        """The position of server ``(i, j)`` in :attr:`sources` and
+        :attr:`destinations`."""
+        n = self.n
+        return (_index(i, "ToR", 2 * n) - 1) * n + _index(j, "server", n) - 1
+
+    def _endpoints(
+        self, source: Source, dest: Destination
+    ) -> Tuple[Source, InputSwitch, OutputSwitch, Destination]:
+        """This network's ``source``, its input switch, ``dest``'s output
+        switch and ``dest``: the fixed nodes of every path between them."""
+        position = self._position
+        if source.__class__ is Source and dest.__class__ is Destination:
+            try:
+                i, k = position[source], position[dest]
+            except KeyError:
+                pass
+            else:
+                n = self.n
+                return (
+                    self.sources[i],
+                    self.input_switches[i // n],
+                    self.output_switches[k // n],
+                    self.destinations[k],
+                )
+        # Name a bad index if there is one, else the foreign endpoint.
+        self._server_offset(source.switch, source.server)
+        self._server_offset(dest.switch, dest.server)
+        raise InfeasibleRoutingError(
+            f"not a source and a destination of {self!r}: {source!r}, {dest!r}"
+        )
+
+
+class ClosNetwork(_ServerFabric):
     """The Clos network ``C_n`` of §2.1, with unit link capacities.
 
     ``middle_count`` generalizes the construction for the multirate-
@@ -85,42 +197,22 @@ class ClosNetwork:
             )
         if interior_capacity <= 0 or server_capacity <= 0:
             raise CapacityValidationError("link capacities must be positive")
-        self.n = n
+        super().__init__(n)
         self.num_middles = middle_count
         self.interior_capacity = interior_capacity
         self.server_capacity = server_capacity
-        self.graph = DiGraph()
-        self.input_switches: List[InputSwitch] = [
-            InputSwitch(i) for i in range(1, 2 * n + 1)
-        ]
-        self.output_switches: List[OutputSwitch] = [
-            OutputSwitch(i) for i in range(1, 2 * n + 1)
-        ]
         self.middle_switches: List[MiddleSwitch] = [
             MiddleSwitch(m) for m in range(1, middle_count + 1)
         ]
-        self.sources: List[Source] = [
-            Source(i, j) for i in range(1, 2 * n + 1) for j in range(1, n + 1)
-        ]
-        self.destinations: List[Destination] = [
-            Destination(i, j) for i in range(1, 2 * n + 1) for j in range(1, n + 1)
-        ]
-        self._build_links()
-
-    def _build_links(self) -> None:
-        server, interior = self.server_capacity, self.interior_capacity
+        self._server_links(server_capacity)
         add_links = self.graph.add_links
-        add_links((src, InputSwitch(src.switch), server) for src in self.sources)
         add_links(
-            (OutputSwitch(dst.switch), dst, server) for dst in self.destinations
-        )
-        add_links(
-            (inp, mid, interior)
+            (inp, mid, interior_capacity)
             for inp in self.input_switches
             for mid in self.middle_switches
         )
         add_links(
-            (mid, out, interior)
+            (mid, out, interior_capacity)
             for mid in self.middle_switches
             for out in self.output_switches
         )
@@ -133,36 +225,11 @@ class ClosNetwork:
         downlink = self.n * self.server_capacity
         return downlink / uplink
 
-    # ------------------------------------------------------------------
-    # Node helpers (1-based, mirroring the paper's notation)
-    # ------------------------------------------------------------------
-    def source(self, i: int, j: int) -> Source:
-        """``s_i^j``: the ``j``-th source of input switch ``I_i``."""
-        self._check_server_indices(i, j)
-        return Source(i, j)
-
-    def destination(self, i: int, j: int) -> Destination:
-        """``t_i^j``: the ``j``-th destination of output switch ``O_i``."""
-        self._check_server_indices(i, j)
-        return Destination(i, j)
-
     def middle(self, m: int) -> MiddleSwitch:
         """``M_m``."""
-        if not 1 <= m <= self.num_middles:
-            raise InfeasibleRoutingError(
-                f"middle switch index {m} out of range [1, {self.num_middles}]"
-            )
-        return MiddleSwitch(m)
-
-    def _check_server_indices(self, i: int, j: int) -> None:
-        if not 1 <= i <= 2 * self.n:
-            raise InfeasibleRoutingError(
-                f"ToR index {i} out of range [1, {2 * self.n}]"
-            )
-        if not 1 <= j <= self.n:
-            raise InfeasibleRoutingError(
-                f"server index {j} out of range [1, {self.n}]"
-            )
+        return self.middle_switches[
+            _index(m, "middle switch", self.num_middles) - 1
+        ]
 
     # ------------------------------------------------------------------
     # Paths
@@ -170,26 +237,18 @@ class ClosNetwork:
     def path_via(self, source: Source, dest: Destination, m: int) -> Path:
         """The unique ``source → dest`` path through middle switch ``M_m``.
 
-        Endpoints outside this network raise
+        The path is made of this network's own node objects.  Endpoints
+        outside this network raise
         :class:`~repro.errors.InfeasibleRoutingError` rather than
         producing a path over nonexistent links.
         """
-        self._check_server_indices(source.switch, source.server)
-        self._check_server_indices(dest.switch, dest.server)
-        return (
-            source,
-            InputSwitch(source.switch),
-            self.middle(m),
-            OutputSwitch(dest.switch),
-            dest,
-        )
+        src, inp, out, dst = self._endpoints(source, dest)
+        return (src, inp, self.middle(m), out, dst)
 
     def paths(self, source: Source, dest: Destination) -> List[Path]:
         """All paths between ``source`` and ``dest``, one per middle switch."""
-        return [
-            self.path_via(source, dest, m)
-            for m in range(1, self.num_middles + 1)
-        ]
+        src, inp, out, dst = self._endpoints(source, dest)
+        return [(src, inp, mid, out, dst) for mid in self.middle_switches]
 
     def middle_of_path(self, path: Sequence[ClosNode]) -> MiddleSwitch:
         """The middle switch a path traverses (validates the path shape)."""
@@ -203,7 +262,7 @@ class ClosNetwork:
         return f"ClosNetwork(n={self.n})"
 
 
-class MacroSwitch:
+class MacroSwitch(_ServerFabric):
     """The macro-switch abstraction ``MS_n`` of §2.1.
 
     Links between ToR switches have infinite capacity, so feasibility is
@@ -217,63 +276,18 @@ class MacroSwitch:
     """
 
     def __init__(self, n: int) -> None:
-        _check_size(n)
-        self.n = n
-        self.graph = DiGraph()
-        self.input_switches: List[InputSwitch] = [
-            InputSwitch(i) for i in range(1, 2 * n + 1)
-        ]
-        self.output_switches: List[OutputSwitch] = [
-            OutputSwitch(i) for i in range(1, 2 * n + 1)
-        ]
-        self.sources: List[Source] = [
-            Source(i, j) for i in range(1, 2 * n + 1) for j in range(1, n + 1)
-        ]
-        self.destinations: List[Destination] = [
-            Destination(i, j) for i in range(1, 2 * n + 1) for j in range(1, n + 1)
-        ]
-        self._build_links()
-
-    def _build_links(self) -> None:
-        add_links = self.graph.add_links
-        add_links((src, InputSwitch(src.switch), 1) for src in self.sources)
-        add_links((OutputSwitch(dst.switch), dst, 1) for dst in self.destinations)
-        add_links(
+        super().__init__(n)
+        self._server_links(1)
+        self.graph.add_links(
             (inp, out, INFINITE_CAPACITY)
             for inp in self.input_switches
             for out in self.output_switches
         )
 
-    def source(self, i: int, j: int) -> Source:
-        """``s_i^j`` (same indexing as the Clos network)."""
-        self._check_server_indices(i, j)
-        return Source(i, j)
-
-    def destination(self, i: int, j: int) -> Destination:
-        """``t_i^j`` (same indexing as the Clos network)."""
-        self._check_server_indices(i, j)
-        return Destination(i, j)
-
-    def _check_server_indices(self, i: int, j: int) -> None:
-        if not 1 <= i <= 2 * self.n:
-            raise InfeasibleRoutingError(
-                f"ToR index {i} out of range [1, {2 * self.n}]"
-            )
-        if not 1 <= j <= self.n:
-            raise InfeasibleRoutingError(
-                f"server index {j} out of range [1, {self.n}]"
-            )
-
     def path(self, source: Source, dest: Destination) -> Path:
-        """The unique ``source → dest`` path in the macro-switch."""
-        self._check_server_indices(source.switch, source.server)
-        self._check_server_indices(dest.switch, dest.server)
-        return (
-            source,
-            InputSwitch(source.switch),
-            OutputSwitch(dest.switch),
-            dest,
-        )
+        """The unique ``source → dest`` path in the macro-switch, made of
+        this network's own node objects."""
+        return self._endpoints(source, dest)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MacroSwitch(n={self.n})"

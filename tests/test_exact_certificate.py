@@ -569,6 +569,83 @@ class TestMissingRate:
             bottleneck_links(routing, allocation, capacities, routing.flows()[0])
 
 
+class TestReportsWithUnratedAndOverloadedFlows:
+    """A route whose flows hold one rate object is read as one value;
+    the reports stay those of the per-flow reading.  Overloaded links
+    are reported in first-traversal order once every flow has a rate;
+    until then the unrated flows are reported, in flow order."""
+
+    def _instance(self, n=4):
+        (routing, capacities), _ = _theorem(n)
+        return routing, quotient_max_min(routing, capacities).rates(), capacities
+
+    @staticmethod
+    def _overload(routing, rates):
+        # Whole routes on one rate object, and one route split between
+        # two objects, spread over the routing.
+        for k, (_, members) in enumerate(routing.routes()[1::5]):
+            rate = Fraction(1, 1 + k % 3)
+            for index, flow in enumerate(members):
+                rates[flow] = rate if index % 2 or k % 4 else Fraction(1, 1)
+        return rates
+
+    @staticmethod
+    def _rated_only(routing, rates):
+        return Routing({f: routing.path(f) for f in routing.flows() if f in rates})
+
+    def test_overloaded_links_match_the_reference_order(self):
+        routing, rates, capacities = self._instance()
+        allocation = Allocation(self._overload(routing, rates))
+        report = certify_max_min_fair(routing, allocation, capacities)
+        assert report.startswith("infeasible allocation; overloaded links:")
+        assert report.count("), (") > 3  # several links, order matters
+        _assert_certificate_identical(routing, allocation, capacities, 0.0)
+        floats = allocation.as_float()
+        _assert_certificate_identical(routing, floats, capacities, 1e-9)
+
+    @pytest.mark.parametrize("drop", ["route", "partial", "both"])
+    def test_unrated_flows_are_reported_first(self, drop):
+        routing, rates, capacities = self._instance()
+        rates = self._overload(routing, rates)
+        routes = routing.routes()
+        dropped = []
+        if drop in ("route", "both"):
+            dropped += routes[1][1]  # a whole overloaded route
+        if drop in ("partial", "both"):
+            dropped += routes[-1][1][:1] + routes[6][1][::2]
+        for flow in dropped:
+            del rates[flow]
+        allocation = Allocation(rates)
+        missing = [f for f in routing.flows() if f not in rates]
+        report = certify_max_min_fair(routing, allocation, capacities)
+        assert report == f"no rate assigned to routed flows: {missing!r}"
+        assert is_max_min_fair(routing, allocation, capacities) is False
+        # Rated flows are judged on the rated flows' loads alone.
+        judged = set(
+            ref_flows_without_bottleneck(
+                self._rated_only(routing, rates), allocation, capacities
+            )
+        )
+        assert flows_without_bottleneck(routing, allocation, capacities) == [
+            f for f in routing.flows() if f not in rates or f in judged
+        ]
+
+    def test_equal_rates_on_separate_objects_change_nothing(self):
+        routing, rates, capacities = self._instance(3)
+        rates = self._overload(routing, rates)
+        copies = {f: Fraction(r.numerator, r.denominator) for f, r in rates.items()}
+        for tol in (0.0, 1e-9):
+            assert certify_max_min_fair(
+                routing, Allocation(copies), capacities, tol
+            ) == certify_max_min_fair(routing, Allocation(rates), capacities, tol)
+        # One float among a route's equal Fractions: the raw path decides.
+        _, members = next(r for r in routing.routes() if len(r[1]) > 1)
+        copies[members[-1]] = float(copies[members[-1]])
+        _assert_certificate_identical(
+            routing, Allocation(copies), capacities, 0.0
+        )
+
+
 class TestCommonScale:
     def test_lcm_of_denominators(self):
         assert common_scale([Fraction(1, 4), Fraction(1, 6), 3]) == 12
@@ -654,6 +731,15 @@ class TestQuotientMatchesReference:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_fat_tree(self, seed):
         _assert_quotient_identical(*_random_fat_tree(seed))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_after_other_consumers_compiled_the_routing(self, n):
+        # The route compile is cached on the routing: a quotient built
+        # after the water-fill and the certificate read it is the same.
+        for routing, capacities in _theorem(n):
+            allocation = max_min_fair(routing, capacities)
+            assert certify_max_min_fair(routing, allocation, capacities) is None
+            _assert_quotient_identical(routing, capacities)
 
     def test_mixed_and_fraction_capacities(self):
         routing, capacities = _random_clos(3)

@@ -52,6 +52,17 @@ class TestFlowCollection:
         added = flows.add_pair(clos.source(1, 1), clos.destination(1, 1), count=3)
         assert [f.tag for f in added] == [0, 1, 2]
 
+    def test_add_pair_builds_plain_flows(self, clos):
+        s, t = clos.source(2, 1), clos.destination(3, 2)
+        added = FlowCollection().add_pair(s, t, count=3)
+        want = [Flow(s, t, tag) for tag in range(3)]
+        assert added == want
+        for got, ref in zip(added, want):
+            assert type(got) is Flow
+            assert (got.source, got.dest, got.tag) == (ref.source, ref.dest, ref.tag)
+            assert got.source is s and got.dest is t
+            assert hash(got) == hash(ref) and repr(got) == repr(ref)
+
     def test_add_pair_continues_tags(self, clos):
         flows = FlowCollection()
         flows.add_pair(clos.source(1, 1), clos.destination(1, 1), count=2)

@@ -133,6 +133,87 @@ class TestSharedPaths:
         assert Routing({}).routes() == ()
 
 
+def _zip_links(routing):
+    """The per-route ``zip`` compile the solvers used to do themselves."""
+    ids = {}
+    route_links = [
+        tuple(ids.setdefault(link, len(ids)) for link in zip(path, path[1:]))
+        for path, _ in routing.routes()
+    ]
+    return list(ids), route_links
+
+
+class TestLinkIds:
+    def _routings(self):
+        from repro.workloads.adversarial import lemma_4_6_routing, theorem_4_3
+
+        instance = theorem_4_3(3)
+        clos = ClosNetwork(3)
+        flows = random_flows(clos, 25, seed=4)
+        middles = {f: 1 + k % 3 for k, f in enumerate(flows)}
+        yield lemma_4_6_routing(instance)
+        yield Routing.for_macro_switch(instance.macro, instance.flows)
+        yield Routing.from_middles(clos, flows, middles)
+        # Equal paths as separate objects, interleaved with shared ones.
+        yield Routing(
+            {f: tuple(list(p)) if k % 2 else p
+             for k, (f, p) in enumerate(Routing.from_middles(
+                 clos, flows, middles).items())}
+        )
+
+    def test_matches_the_zip_compile_in_first_traversal_order(self):
+        for routing in self._routings():
+            ids, route_links = routing.link_ids()
+            links, want = _zip_links(routing)
+            assert list(ids) == links
+            assert list(ids.values()) == list(range(len(links)))
+            assert list(route_links) == want
+            for (path, _), mine in zip(routing.routes(), route_links):
+                assert [links[j] for j in mine] == list(zip(path, path[1:]))
+
+    def test_computed_once(self):
+        from repro.core.bottleneck import certify_max_min_fair
+        from repro.core.maxmin import max_min_fair
+        from repro.core.quotient import build_quotient
+
+        routing = next(self._routings())
+        compiled = routing.link_ids()
+        assert routing.link_ids() is compiled
+        capacities = ClosNetwork(3).graph.capacities()
+        allocation = max_min_fair(routing, capacities)
+        build_quotient(routing, capacities)
+        assert certify_max_min_fair(routing, allocation, capacities) is None
+        assert routing.link_ids() is compiled
+
+    def test_solvers_compile_through_it(self, monkeypatch):
+        from repro.core.bottleneck import certify_max_min_fair
+        from repro.core.maxmin import max_min_fair
+        from repro.core.quotient import build_quotient
+
+        routing = next(self._routings())
+        capacities = ClosNetwork(3).graph.capacities()
+        allocation = max_min_fair(routing, capacities)
+        calls = []
+        compile_links = Routing.link_ids
+
+        def counted(self):
+            calls.append(self)
+            return compile_links(self)
+
+        monkeypatch.setattr(Routing, "link_ids", counted)
+        for consumer in (
+            lambda: max_min_fair(routing, capacities),
+            lambda: build_quotient(routing, capacities),
+            lambda: certify_max_min_fair(routing, allocation, capacities),
+        ):
+            calls.clear()
+            consumer()
+            assert calls and all(r is routing for r in calls)
+
+    def test_empty_routing(self):
+        assert Routing({}).link_ids() == ({}, ())
+
+
 class TestQueries:
     def test_middles_roundtrip(self, clos, two_flows):
         f1, f2 = list(two_flows)

@@ -1,9 +1,17 @@
 """Unit tests for Clos networks and macro-switches (§2.1's structure)."""
 
+import numpy as np
 import pytest
 
-from repro.core.nodes import InputSwitch, MiddleSwitch, OutputSwitch
+from repro.core.nodes import (
+    Destination,
+    InputSwitch,
+    MiddleSwitch,
+    OutputSwitch,
+    Source,
+)
 from repro.core.topology import ClosNetwork, MacroSwitch
+from repro.errors import InfeasibleRoutingError
 from repro.graph.digraph import INFINITE_CAPACITY, DiGraph
 
 
@@ -72,6 +80,117 @@ class TestClosStructure:
             clos.destination(0, 1)
         with pytest.raises(ValueError):
             clos.middle(3)
+
+
+class TestIntegerIndices:
+    """Node helpers take integer indices only: a float or bool index
+    used to yield a node the graph does not have (``s1.5^1``, ``M1.0``,
+    ``MTrue``)."""
+
+    @pytest.mark.parametrize("network", [ClosNetwork(2), MacroSwitch(2)])
+    @pytest.mark.parametrize(
+        "i, j", [(1.5, 1), (1, 2.0), (True, 1), (1, True), ("1", 1), (None, 1)]
+    )
+    def test_server_helpers_reject_non_integers(self, network, i, j):
+        with pytest.raises(InfeasibleRoutingError, match="not an integer"):
+            network.source(i, j)
+        with pytest.raises(InfeasibleRoutingError, match="not an integer"):
+            network.destination(i, j)
+
+    @pytest.mark.parametrize("m", [1.0, 2.5, True, "1"])
+    def test_middle_rejects_non_integers(self, m):
+        clos = ClosNetwork(2)
+        with pytest.raises(InfeasibleRoutingError, match="not an integer"):
+            clos.middle(m)
+        with pytest.raises(InfeasibleRoutingError, match="not an integer"):
+            clos.path_via(clos.source(1, 1), clos.destination(2, 1), m)
+
+    def test_paths_reject_endpoints_with_non_integer_indices(self):
+        clos, ms = ClosNetwork(2), MacroSwitch(2)
+        bad = Source(1.5, 1)
+        with pytest.raises(InfeasibleRoutingError, match="not an integer"):
+            clos.path_via(bad, clos.destination(1, 1), 1)
+        with pytest.raises(InfeasibleRoutingError, match="not an integer"):
+            ms.path(ms.source(1, 1), Destination(1, 0.5))
+
+    def test_numpy_integers_pass(self):
+        clos, ms = ClosNetwork(3), MacroSwitch(3)
+        i, j, m = np.int64(4), np.int32(2), np.int16(3)
+        assert clos.source(i, j) is clos.source(4, 2)
+        assert clos.destination(i, j) is clos.destination(4, 2)
+        assert clos.middle(m) is clos.middle(3)
+        assert ms.source(i, j) is ms.source(4, 2)
+        path = clos.path_via(clos.source(i, j), clos.destination(i + 1, j), m)
+        assert clos.graph.is_path(path)
+
+    def test_every_returned_node_is_in_the_graph(self):
+        clos = ClosNetwork(2)
+        for node in (clos.source(4, 2), clos.destination(1, 1), clos.middle(2)):
+            assert clos.graph.has_node(node)
+
+    def test_foreign_endpoints_raise(self):
+        clos = ClosNetwork(2)
+        s, t = clos.source(1, 1), clos.destination(1, 1)
+        with pytest.raises(InfeasibleRoutingError):
+            clos.path_via(t, s, 1)  # endpoints swapped
+        with pytest.raises(InfeasibleRoutingError, match="out of range"):
+            clos.path_via(Source(3, 3), t, 1)
+
+
+class TestSharedNodes:
+    """Helpers and paths hand out the network's own node objects."""
+
+    def test_helpers_return_the_listed_nodes(self):
+        clos = ClosNetwork(3)
+        assert clos.source(4, 2) is clos.sources[3 * 3 + 1]
+        assert clos.destination(6, 3) is clos.destinations[-1]
+        assert clos.middle(2) is clos.middle_switches[1]
+
+    def test_path_via_uses_the_network_nodes(self):
+        clos = ClosNetwork(3)
+        # Equal but separately built endpoints map to the network's own.
+        path = clos.path_via(Source(2, 3), Destination(5, 1), 3)
+        expected = (
+            clos.sources[1 * 3 + 2],
+            clos.input_switches[1],
+            clos.middle_switches[2],
+            clos.output_switches[4],
+            clos.destinations[4 * 3],
+        )
+        assert path == expected
+        assert all(got is want for got, want in zip(path, expected))
+        for other in clos.paths(Source(2, 3), Destination(5, 1)):
+            assert all(got is want for got, want in zip(other[:2], expected))
+            assert other[2] is clos.middle_switches[other[2].index - 1]
+
+    def test_macro_path_uses_the_network_nodes(self):
+        ms = MacroSwitch(2)
+        path = ms.path(Source(3, 2), Destination(1, 1))
+        expected = (
+            ms.sources[2 * 2 + 1],
+            ms.input_switches[2],
+            ms.output_switches[0],
+            ms.destinations[0],
+        )
+        assert path == expected
+        assert all(got is want for got, want in zip(path, expected))
+
+    def test_graph_links_use_the_network_nodes(self):
+        clos = ClosNetwork(2)
+        nodes = {
+            id(node)
+            for group in (
+                clos.sources,
+                clos.destinations,
+                clos.input_switches,
+                clos.output_switches,
+                clos.middle_switches,
+            )
+            for node in group
+        }
+        assert all(
+            id(u) in nodes and id(v) in nodes for u, v in clos.graph.links
+        )
 
 
 class TestClosPaths:
