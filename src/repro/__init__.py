@@ -24,7 +24,6 @@ from repro.errors import (
     ExperimentError,
     InfeasibleRoutingError,
     ReproError,
-    StepFailedError,
     StepTimeoutError,
     UnknownFlowError,
     UnknownLinkError,
@@ -78,7 +77,6 @@ __all__ = [
     "ReproError",
     "Routing",
     "Source",
-    "StepFailedError",
     "StepTimeoutError",
     "UnboundedRateError",
     "UnknownFlowError",

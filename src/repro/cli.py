@@ -13,13 +13,13 @@ Every sweep runs its points one after another in this process.
 Each experiment prints the same measured-vs-paper table its benchmark
 target prints, so the CLI is the interactive face of the harness.
 
-``run`` is resilient (see :mod:`repro.runner`): ``run all`` continues
-past failing experiments, prints a pass/fail summary table, and exits
-non-zero if anything failed.  ``--timeout`` bounds each experiment's
-wall clock, ``--retries``/``--backoff`` retry transient failures with
-the same seeds, ``--manifest sweep.json`` checkpoints progress after
-every experiment, and ``--resume sweep.json`` finishes a killed sweep
-without recomputing (or re-printing differently) what already ran.
+``run`` goes through :mod:`repro.runner`: ``run all`` continues past
+failing experiments (``--fail-fast`` stops at the first), prints a
+pass/fail summary table, and exits non-zero if anything failed.
+``--timeout`` bounds each experiment's wall clock, and ``--manifest
+sweep.json`` records what ran (git SHA, params, each step's status,
+duration and error) when the sweep ends.  Every experiment is seeded
+and exact, so nothing is retried: a failed step would fail again.
 
 ``profile`` runs one experiment under :mod:`repro.obs` tracing and
 prints the span tree (wall time, share of total, peak memory) plus
@@ -610,25 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-experiment wall-clock limit in seconds",
     )
     run.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry a failing experiment this many times (same seeds)",
-    )
-    run.add_argument(
-        "--backoff",
-        type=float,
-        default=0.5,
-        help="base seconds between retries (doubles per attempt)",
-    )
-    run.add_argument(
         "--manifest",
-        help="checkpoint run state to this JSON file after every step",
-    )
-    run.add_argument(
-        "--resume",
-        metavar="MANIFEST",
-        help="resume a checkpointed run; finished steps replay verbatim",
+        help="write a record of the run to this JSON file when it ends",
     )
     keep = run.add_mutually_exclusive_group()
     keep.add_argument(
@@ -996,18 +979,10 @@ def _stats_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _wants_runner(args: argparse.Namespace) -> bool:
-    """Did the user ask for any resilience feature on a single run?"""
-    return bool(
-        args.timeout or args.retries or args.manifest or args.resume
-    )
-
-
 def _run_command(args: argparse.Namespace) -> int:
-    """The ``run`` subcommand: direct for one experiment, resilient
-    (keep-going, summary table, checkpoint/resume) for sweeps."""
+    """The ``run`` subcommand: direct for one experiment, through the
+    runner (keep-going, summary table, manifest) for sweeps."""
     import functools
-    import os
 
     name = args.experiment.lower()
     if name != "all" and name not in EXPERIMENTS:
@@ -1015,32 +990,22 @@ def _run_command(args: argparse.Namespace) -> int:
         return 2
     names = list(EXPERIMENTS) if name == "all" else [name]
 
-    if name != "all" and not _wants_runner(args):
+    if name != "all" and not (args.timeout or args.manifest):
         EXPERIMENTS[name](args)
         return 0
 
-    from repro.errors import ExperimentError
     from repro.runner import ResilientRunner, RunManifest
 
     manifest = None
-    manifest_path = args.resume or args.manifest
-    if args.resume and os.path.exists(args.resume):
-        try:
-            manifest = RunManifest.load(args.resume)
-        except ExperimentError as error:
-            print(f"cannot resume: {error}", file=sys.stderr)
-            return 2
-        names = manifest.experiments or names
-    elif manifest_path:
+    if args.manifest:
         params = {
             "ks": args.ks,
             "sizes": args.sizes,
             "n": args.n,
             "timeout": args.timeout,
-            "retries": args.retries,
         }
         manifest = RunManifest(
-            manifest_path, experiments=names, params=params
+            args.manifest, experiments=names, params=params
         )
 
     def step(key: str) -> None:
@@ -1051,8 +1016,6 @@ def _run_command(args: argparse.Namespace) -> int:
     runner = ResilientRunner(
         manifest=manifest,
         timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
         keep_going=args.keep_going,
     )
     runner.run({key: functools.partial(step, key) for key in names})

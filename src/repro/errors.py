@@ -18,9 +18,8 @@ The hierarchy::
     │   └── DisconnectedFlowError              no surviving path at all
     ├── CertificateError                       solver output failed validation
     │   └── SolverDisagreementError            backends returned different rates
-    └── ExperimentError                        resilient-runner failures
-        ├── StepTimeoutError                   per-step wall clock blown
-        └── StepFailedError                    retries exhausted
+    └── ExperimentError                        experiment-runner failures
+        └── StepTimeoutError                   per-step wall clock blown
 
 This module intentionally imports nothing from the rest of the library
 so any module — ``core``, ``sim``, ``routers``, the CLI — can raise
@@ -110,7 +109,7 @@ class SolverDisagreementError(CertificateError):
 
 
 class ExperimentError(ReproError):
-    """Base class for resilient-runner failures (see :mod:`repro.runner`)."""
+    """Base class for experiment-runner failures (see :mod:`repro.runner`)."""
 
 
 class StepTimeoutError(ExperimentError):
@@ -121,14 +120,3 @@ class StepTimeoutError(ExperimentError):
         self.timeout = timeout
         super().__init__(f"step {step!r} exceeded {timeout:g}s wall clock")
 
-
-class StepFailedError(ExperimentError):
-    """A runner step failed on every attempt; ``cause`` is the last error."""
-
-    def __init__(self, step: str, attempts: int, cause: BaseException) -> None:
-        self.step = step
-        self.attempts = attempts
-        self.cause = cause
-        super().__init__(
-            f"step {step!r} failed after {attempts} attempt(s): {cause}"
-        )

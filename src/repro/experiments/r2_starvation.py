@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
+from repro.core.allocation import distinct_objects
 from repro.core.bottleneck import certify_max_min_fair
 from repro.core.maxmin import max_min_fair
 from repro.core.objectives import macro_switch_max_min
@@ -120,18 +121,16 @@ def _starvation_point(
     # object, so each distinct object is compared once per flow type.
     # Float backends get the batched path's rule: a 1e-9 relative
     # tolerance for the rates and for the certificate.
-    macro_rates, lex_rates = macro.rates(), alloc.rates()
     rates_match = True
     for type_name in ("type1", "type2", "type3"):
         flows = instance.types[type_name]
-        for rates, want in (
-            (macro_rates, prediction.macro_rates[type_name]),
-            (lex_rates, prediction.lex_max_min_rates[type_name]),
+        for solved, want in (
+            (macro, prediction.macro_rates[type_name]),
+            (alloc, prediction.lex_max_min_rates[type_name]),
         ):
-            got = list(map(rates.__getitem__, flows))
-            for rate in dict(zip(map(id, got), got)).values():
-                if not _rate_close(rate, want):
-                    rates_match = False
+            got = distinct_objects([solved[flow] for flow in flows])
+            if not all(_rate_close(rate, want) for rate in got.values()):
+                rates_match = False
 
     exact = backend is None or backend in EXACT_BACKENDS
     certified = (

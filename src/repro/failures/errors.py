@@ -12,7 +12,6 @@ from repro.errors import (
     ExperimentError,
     InfeasibleRoutingError,
     ReproError,
-    StepFailedError,
     StepTimeoutError,
     UnboundedRateError,
     UnknownLinkError,
@@ -24,7 +23,6 @@ __all__ = [
     "ExperimentError",
     "InfeasibleRoutingError",
     "ReproError",
-    "StepFailedError",
     "StepTimeoutError",
     "UnboundedRateError",
     "UnknownLinkError",

@@ -197,8 +197,7 @@ def _fsync_directory(directory: str) -> None:
 
 def write_json_atomic(path: str, document: Dict[str, Any]) -> str:
     """Write ``document`` as JSON via rename, so readers never see a torn
-    file — a crash mid-write leaves either the old checkpoint or the new
-    one, which is what lets the resilient runner resume after SIGKILL.
+    file — a crash mid-write leaves either the old file or the new one.
     The temp file is fsynced before the rename and the directory after
     it, so the *new* content is durable once this returns.
     Returns ``path``.

@@ -4,8 +4,8 @@
 
     repro.report experiment.done id=e3 elapsed=1.25
 
-on ``stderr`` (never stdout — experiment tables and replayed runner
-output own stdout, and structured logs must not corrupt golden
+on ``stderr`` (never stdout — experiment tables and the runner's
+summary own stdout, and structured logs must not corrupt golden
 captures).  Values render via ``repr``-free ``str`` except strings
 containing whitespace, which are quoted.  Fractions render exactly.
 

@@ -25,14 +25,10 @@ class TestParser:
             [
                 "run", "all",
                 "--timeout", "30",
-                "--retries", "2",
-                "--backoff", "0.1",
                 "--manifest", "sweep.json",
             ]
         )
         assert args.timeout == 30.0
-        assert args.retries == 2
-        assert args.backoff == 0.1
         assert args.manifest == "sweep.json"
         assert args.keep_going is True  # the default
 
@@ -45,10 +41,6 @@ class TestParser:
             build_parser().parse_args(
                 ["run", "all", "--keep-going", "--fail-fast"]
             )
-
-    def test_resume_flag(self):
-        args = build_parser().parse_args(["run", "all", "--resume", "m.json"])
-        assert args.resume == "m.json"
 
 
 class TestMain:
@@ -194,13 +186,26 @@ class TestArgumentBounds:
         assert exc.value.code == 2
         assert "unrecognized arguments: --pods" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "profile"])
-    def test_jobs_option_is_gone(self, command, capsys):
-        """Sweeps run in-process; ``--jobs`` is a usage error."""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "e4", "--jobs", "2"],
+            ["profile", "e4", "--jobs", "2"],
+            ["run", "e1", "--retries", "2"],
+            ["run", "e1", "--backoff", "0.1"],
+            ["run", "all", "--resume", "m.json"],
+        ],
+        ids=["run-jobs", "profile-jobs", "retries", "backoff", "resume"],
+    )
+    def test_removed_option_is_usage_error(self, argv, capsys):
+        """Sweeps run in-process and are not retried or resumed: each
+        removed option is an argparse usage error, caught before any
+        experiment runs."""
         with pytest.raises(SystemExit) as exc:
-            main([command, "e4", "--jobs", "2"])
+            main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
     @pytest.mark.parametrize(
         "names", ["bogus", "heap,bogus", "batched", ",", "heap", "auto"]
@@ -304,44 +309,6 @@ class TestResilientRun:
         assert main(["run", "e_hang", "--timeout", "0.1"]) == 1
         assert "timeout" in capsys.readouterr().err
 
-    def test_manifest_then_resume_is_byte_identical(self, capsys, tmp_path):
-        manifest = str(tmp_path / "e1.json")
-        assert main(["run", "e1", "--manifest", manifest]) == 0
-        first = capsys.readouterr().out
-        assert "matches paper: True" in first
-
-        assert main(["run", "e1", "--resume", manifest]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_manifest_recording_jobs_still_resumes(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """``params`` is provenance only: a manifest whose params hold
-        ``"jobs": 2`` resumes its pending step, which prints what a
-        fresh run prints."""
-        import json
-
-        monkeypatch.setattr(
-            cli, "EXPERIMENTS", {"e1": cli.run_e1, "e2": cli.run_e2}
-        )
-        manifest = tmp_path / "all.json"
-        assert main(["run", "all", "--manifest", str(manifest)]) == 0
-        fresh = capsys.readouterr().out
-        document = json.loads(manifest.read_text())
-        fresh_e2 = document["steps"][1]["output"]
-        assert "E2" in fresh_e2
-        document["params"]["jobs"] = 2
-        document["steps"][1].update(status="pending", output=None)
-        manifest.write_text(json.dumps(document))
-
-        assert main(["run", "all", "--resume", str(manifest)]) == 0
-        resumed = capsys.readouterr().out
-        cut = "run summary"
-        assert resumed[: resumed.index(cut)] == fresh[: fresh.index(cut)]
-        steps = json.loads(manifest.read_text())["steps"]
-        assert [step["status"] for step in steps] == ["ok", "ok"]
-        assert steps[1]["output"] == fresh_e2
-
 
 @pytest.fixture
 def obs_off():
@@ -437,6 +404,46 @@ class TestStatsCommand:
 
         assert main(["stats", manifest]) == 0
         assert "REPRO_OBS=1" in capsys.readouterr().out
+
+    def test_stats_reads_parent_format_manifest(self, capsys, tmp_path):
+        """Manifests from the runner that retried and resumed carry
+        ``seed``, ``attempts``, ``output`` and ``running`` steps; stats
+        ignores those keys and prints both tables."""
+        import json
+
+        def step(name, status, **extra):
+            return {"name": name, "status": status, "attempts": 1,
+                    "duration": 0.25, "error": None, "output": "table\n",
+                    **extra}
+
+        document = {
+            "format": "repro-run-manifest",
+            "version": 1,
+            "experiments": ["e1", "e2"],
+            "params": {"ks": None, "n": None, "retries": 0,
+                       "sizes": None, "timeout": None},
+            "seed": None,
+            "git_sha": "unknown",
+            "created": 0.0,
+            "steps": [
+                step(
+                    "e1", "ok",
+                    trace={"name": "step:e1", "duration_s": 0.25,
+                           "children": []},
+                    metrics={"maxmin.rounds": 7, "maxmin.solves": 2},
+                ),
+                step("e2", "running", output=None),
+            ],
+        }
+        manifest = tmp_path / "old.json"
+        manifest.write_text(json.dumps(document))
+
+        assert main(["stats", str(manifest)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["e1", "OK", "0.25s", "0.250s", "-"] in rows
+        assert ["e2", "RUNNING", "0.25s", "-", "-"] in rows
+        assert ["maxmin.rounds", "7"] in rows
+        assert ["maxmin.solves", "2"] in rows
 
     def test_stats_missing_manifest_errors(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "nope.json")]) == 2

@@ -11,7 +11,6 @@ from repro.errors import (
     ExperimentError,
     InfeasibleRoutingError,
     ReproError,
-    StepFailedError,
     StepTimeoutError,
     UnboundedRateError,
     UnknownFlowError,
@@ -32,7 +31,6 @@ class TestHierarchy:
             DisconnectedFlowError,
             ExperimentError,
             InfeasibleRoutingError,
-            StepFailedError,
             StepTimeoutError,
             UnboundedRateError,
             UnknownFlowError,

@@ -310,15 +310,13 @@ class TestWaterFillingCounters:
 
 
 class TestRunnerManifests:
-    PRE_OBS_KEYS = {"name", "status", "attempts", "duration", "error", "output"}
+    PRE_OBS_KEYS = {"name", "status", "duration", "error"}
 
     def _run_sweep(self, tmp_path):
         from repro.runner import ResilientRunner, RunManifest
 
         path = str(tmp_path / "sweep.json")
-        runner = ResilientRunner(
-            manifest=RunManifest(path), stream=io.StringIO()
-        )
+        runner = ResilientRunner(manifest=RunManifest(path))
         runner.run({"s1": lambda: print("one"), "s2": lambda: print("two")})
         with open(path) as handle:
             return json.load(handle)
@@ -347,9 +345,7 @@ class TestRunnerManifests:
         capacities = ms.graph.capacities()
 
         path = str(tmp_path / "sweep.json")
-        runner = ResilientRunner(
-            manifest=RunManifest(path), stream=io.StringIO()
-        )
+        runner = ResilientRunner(manifest=RunManifest(path))
         runner.run({"solve": lambda: max_min_fair(routing, capacities)})
         with open(path) as handle:
             (step,) = json.load(handle)["steps"]
@@ -362,8 +358,8 @@ class TestRunnerManifests:
 
         # a reloaded manifest keeps the observability payload
         reloaded = RunManifest.load(path)
-        assert reloaded.step("solve").metrics["maxmin.rounds"] == 1
-        assert reloaded.step("solve").span_wall_seconds() is not None
+        assert reloaded.steps["solve"].metrics["maxmin.rounds"] == 1
+        assert reloaded.steps["solve"].span_wall_seconds() is not None
 
     def test_step_metrics_report_gauges_at_their_value(
         self, observing, tmp_path
@@ -377,9 +373,7 @@ class TestRunnerManifests:
                 queue.push(float(i), "arrival", None)
 
         path = str(tmp_path / "sweep.json")
-        runner = ResilientRunner(
-            manifest=RunManifest(path), stream=io.StringIO()
-        )
+        runner = ResilientRunner(manifest=RunManifest(path))
         runner.run(
             {
                 "ten": lambda: fill(10),
@@ -525,14 +519,10 @@ class TestInstrumentedSubsystems:
 
 class TestCliFrontEnds:
     def test_stats_degrades_without_traces(self, dark, tmp_path, capsys):
-        import io
-
         from repro.runner import ResilientRunner, RunManifest
 
         path = str(tmp_path / "sweep.json")
-        runner = ResilientRunner(
-            manifest=RunManifest(path), stream=io.StringIO()
-        )
+        runner = ResilientRunner(manifest=RunManifest(path))
         runner.run({"s1": lambda: None})
         assert main(["stats", path]) == 0
         out = capsys.readouterr().out

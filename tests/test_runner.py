@@ -1,37 +1,32 @@
-"""The resilient runner: timeouts, retries, manifests, kill/resume."""
+"""The experiment runner: timeouts, keep-going, the run manifest."""
 
-import io
-import os
-import signal
-import subprocess
-import sys
-import textwrap
+import time
 
 import pytest
 
-from repro.errors import ExperimentError, StepFailedError, StepTimeoutError
-from repro.io.serialize import write_json_atomic
+from repro.errors import ExperimentError, StepTimeoutError
+from repro.io.serialize import read_json, write_json_atomic
 from repro.runner import (
     FAILED,
     OK,
-    PENDING,
-    RUNNING,
     TIMEOUT,
     ResilientRunner,
     RunManifest,
-    run_step,
+    StepRecord,
+    wall_clock_limit,
 )
 
 
 class TestRunStep:
     def test_success(self):
-        outcome = run_step("ok", lambda: 42)
-        assert outcome.value == 42
-        assert outcome.attempts == 1
+        runner = ResilientRunner()
+        runner.run({"ok": lambda: 42})
+        (record,) = runner.records
+        assert record.status == OK
+        assert record.error is None
+        assert runner.exit_code() == 0
 
     def test_timeout_is_terminal(self):
-        import time
-
         calls = []
 
         def hang():
@@ -39,70 +34,44 @@ class TestRunStep:
             time.sleep(5)
 
         with pytest.raises(StepTimeoutError) as excinfo:
-            run_step("hang", hang, timeout=0.1, retries=3)
+            with wall_clock_limit(0.1, "hang"):
+                hang()
         assert excinfo.value.step == "hang"
-        assert calls == [1]  # a deterministic hang is not retried
-
-    def test_retries_then_succeeds(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise RuntimeError("transient")
-            return "done"
-
-        slept = []
-        outcome = run_step(
-            "flaky", flaky, retries=2, backoff=0.5, sleep=slept.append
-        )
-        assert outcome.value == "done"
-        assert outcome.attempts == 3
-        assert slept == [0.5, 1.0]  # exponential backoff
-
-    def test_exhausted_retries_raise_step_failed(self):
-        def broken():
-            raise ValueError("permanently broken")
-
-        with pytest.raises(StepFailedError) as excinfo:
-            run_step("broken", broken, retries=1, sleep=lambda _: None)
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.cause, ValueError)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_step("x", lambda: None, retries=-1)
+        assert calls == [1]
 
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        manifest = RunManifest(
-            path, experiments=["e1", "e2"], params={"n": 3}, seed=7
-        )
-        manifest.step("e1").status = OK
-        manifest.step("e1").output = "exact output\n"
-        manifest.step("e2").status = FAILED
-        manifest.step("e2").error = "boom"
+        manifest = RunManifest(path, experiments=["e1", "e2"], params={"n": 3})
+        manifest.steps = {
+            "e1": StepRecord("e1", OK, duration=0.5),
+            "e2": StepRecord("e2", FAILED, error="boom"),
+        }
         manifest.save()
 
         loaded = RunManifest.load(path)
         assert loaded.experiments == ["e1", "e2"]
         assert loaded.params == {"n": 3}
-        assert loaded.seed == 7
         assert loaded.sha == manifest.sha
-        assert loaded.completed("e1")
-        assert loaded.step("e1").output == "exact output\n"
-        assert loaded.step("e2").status == FAILED
-        assert loaded.step("e2").error == "boom"
+        assert loaded.steps["e1"].status == OK
+        assert loaded.steps["e1"].duration == 0.5
+        assert loaded.steps["e2"].status == FAILED
+        assert loaded.steps["e2"].error == "boom"
 
-    def test_running_steps_reset_to_pending_on_load(self, tmp_path):
-        # A crash mid-step leaves the record RUNNING; resume recomputes it.
-        path = str(tmp_path / "manifest.json")
-        manifest = RunManifest(path)
-        manifest.step("e1").status = RUNNING
-        manifest.save()
-        assert RunManifest.load(path).step("e1").status == PENDING
+    def test_written_once_when_the_sweep_ends(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        seen = []
+
+        def step():
+            seen.append(path.exists())
+
+        runner = ResilientRunner(manifest=RunManifest(str(path)))
+        runner.run({"s1": step, "s2": step})
+        assert seen == [False, False]
+        document = read_json(str(path))
+        assert "seed" not in document
+        assert [s["status"] for s in document["steps"]] == [OK, OK]
 
     def test_foreign_document_rejected(self, tmp_path):
         path = str(tmp_path / "other.json")
@@ -126,14 +95,14 @@ class TestResilientRunner:
             ran.append("bad")
             raise RuntimeError("exploded")
 
-        stream = io.StringIO()
-        runner = ResilientRunner(stream=stream)
+        runner = ResilientRunner()
         runner.run({"a": ok("a"), "bad": bad, "b": ok("b")})
         assert ran == ["a", "bad", "b"]
         assert runner.exit_code() == 1
         assert [r.name for r in runner.failed_steps()] == ["bad"]
         table = runner.summary_table()
         assert "FAILED" in table and "exploded" in table
+        assert "attempts" not in table
 
     def test_fail_fast_stops_at_first_failure(self):
         ran = []
@@ -141,128 +110,16 @@ class TestResilientRunner:
         def bad():
             raise RuntimeError("nope")
 
-        runner = ResilientRunner(keep_going=False, stream=io.StringIO())
+        runner = ResilientRunner(keep_going=False)
         runner.run({"bad": bad, "after": lambda: ran.append("after")})
         assert ran == []
         assert len(runner.records) == 1
 
     def test_timeout_recorded(self):
-        import time
-
-        stream = io.StringIO()
-        runner = ResilientRunner(timeout=0.1, stream=stream)
+        runner = ResilientRunner(timeout=0.1)
         runner.run({"hang": lambda: time.sleep(5)})
         assert runner.records[0].status == TIMEOUT
         assert runner.exit_code() == 1
-
-    def test_resume_replays_without_recompute(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        computed = []
-
-        def step(name):
-            def fn():
-                computed.append(name)
-                print(f"{name}: computed")
-
-            return fn
-
-        first = ResilientRunner(
-            manifest=RunManifest(path), stream=io.StringIO()
-        )
-        first.run({"s1": step("s1"), "s2": step("s2")})
-        assert computed == ["s1", "s2"]
-
-        stream = io.StringIO()
-        resumed = ResilientRunner(
-            manifest=RunManifest.load(path), stream=stream
-        )
-        resumed.run({"s1": step("s1"), "s2": step("s2")})
-        assert computed == ["s1", "s2"]  # nothing recomputed
-        assert stream.getvalue() == "s1: computed\ns2: computed\n"
-
-
-DRIVER = textwrap.dedent(
-    """
-    import os, signal, sys
-    from repro.runner import ResilientRunner, RunManifest
-
-    manifest_path, log_path = sys.argv[1], sys.argv[2]
-    kill_at = os.environ.get("KILL_AT")
-
-    def make(name):
-        def step():
-            with open(log_path, "a") as log:
-                log.write(name + "\\n")
-            if name == kill_at:
-                os.kill(os.getpid(), signal.SIGKILL)
-            print(name, "->", sum(ord(c) for c in name))
-            return name
-        return step
-
-    names = ["s1", "s2", "s3", "s4", "s5"]
-    if os.path.exists(manifest_path):
-        manifest = RunManifest.load(manifest_path)
-    else:
-        manifest = RunManifest(manifest_path, experiments=names, seed=7)
-    runner = ResilientRunner(manifest=manifest)
-    runner.run({name: make(name) for name in names})
-    sys.exit(runner.exit_code())
-    """
-)
-
-
-class TestKillResume:
-    """SIGKILL a sweep mid-step; resume must finish it byte-identically
-    without recomputing the steps that already completed."""
-
-    def _run(self, driver, manifest, log, kill_at=None):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        if kill_at is not None:
-            env["KILL_AT"] = kill_at
-        else:
-            env.pop("KILL_AT", None)
-        return subprocess.run(
-            [sys.executable, driver, manifest, log],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-
-    def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
-        driver = str(tmp_path / "driver.py")
-        with open(driver, "w") as handle:
-            handle.write(DRIVER)
-
-        # Reference: one uninterrupted run.
-        reference = self._run(
-            driver,
-            str(tmp_path / "reference.json"),
-            str(tmp_path / "reference.log"),
-        )
-        assert reference.returncode == 0, reference.stderr
-
-        # Interrupted: the process SIGKILLs itself inside step s3.
-        manifest = str(tmp_path / "sweep.json")
-        log = str(tmp_path / "sweep.log")
-        killed = self._run(driver, manifest, log, kill_at="s3")
-        assert killed.returncode == -signal.SIGKILL
-        assert os.path.exists(manifest)  # checkpoint survived the kill
-
-        # Resume: finishes the sweep.
-        resumed = self._run(driver, manifest, log)
-        assert resumed.returncode == 0, resumed.stderr
-
-        # Byte-identical final output: replayed s1-s2 plus fresh s3-s5.
-        assert resumed.stdout == reference.stdout
-
-        # Finished steps were NOT recomputed: s1/s2 ran once (before the
-        # kill), s3 twice (killed mid-step, then recomputed).
-        with open(log) as handle:
-            executions = handle.read().split()
-        assert executions == ["s1", "s2", "s3", "s3", "s4", "s5"]
 
 
 class TestErrorTypes:
@@ -274,16 +131,14 @@ class TestErrorTypes:
         def bad():
             raise ValueError("exploded")
 
-        runner = ResilientRunner(stream=io.StringIO())
+        runner = ResilientRunner()
         runner.run({"bad": bad})
         record = runner.records[0]
         assert record.status == FAILED
         assert record.error_type == "ValueError"
 
     def test_timeout_records_exception_class(self):
-        import time
-
-        runner = ResilientRunner(timeout=0.1, stream=io.StringIO())
+        runner = ResilientRunner(timeout=0.1)
         runner.run({"hang": lambda: time.sleep(5)})
         record = runner.records[0]
         assert record.status == TIMEOUT
@@ -292,7 +147,7 @@ class TestErrorTypes:
     def test_ok_step_omits_error_type_from_manifest(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         manifest = RunManifest(path)
-        runner = ResilientRunner(manifest=manifest, stream=io.StringIO())
+        runner = ResilientRunner(manifest=manifest)
         runner.run({"good": lambda: 1})
         saved = manifest.steps["good"].to_dict()
         assert "error_type" not in saved  # byte-compat with old manifests
@@ -300,7 +155,7 @@ class TestErrorTypes:
     def test_error_type_round_trips_through_manifest(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         manifest = RunManifest(path)
-        runner = ResilientRunner(manifest=manifest, stream=io.StringIO())
+        runner = ResilientRunner(manifest=manifest)
         runner.run({"bad": lambda: (_ for _ in ()).throw(KeyError("x"))})
         reloaded = RunManifest.load(path)
         assert reloaded.steps["bad"].error_type == "KeyError"
@@ -314,15 +169,11 @@ class TestErrorTypes:
             calls.append(1)
             raise CertificateError("test.step", ["link overloaded"])
 
-        runner = ResilientRunner(
-            retries=3, backoff=0.0, stream=io.StringIO()
-        )
+        runner = ResilientRunner()
         runner.run({"rejected": rejected})
         record = runner.records[0]
-        # Deterministic answer: retrying would be rejected again.
         assert len(calls) == 1
         assert record.status == FAILED
-        assert record.attempts == 1
         assert record.error_type == "CertificateError"
 
     def test_keep_going_continues_past_certificate_failure(self):
@@ -333,7 +184,7 @@ class TestErrorTypes:
         def rejected():
             raise CertificateError("test.step", ["starved flow"])
 
-        runner = ResilientRunner(stream=io.StringIO())
+        runner = ResilientRunner()
         runner.run(
             {"rejected": rejected, "after": lambda: ran.append("after")}
         )
